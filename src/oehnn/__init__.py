@@ -22,7 +22,7 @@ from oehnn.dynamics import (
     hamiltonian_fn,
     structure_matrices,
 )
-from oehnn.integrate import IntegrationError, IntegratorConfig, rollout, step
+from oehnn.integrate import IntegrationError, rk4_lanes, rollout
 from oehnn.signals import MultisineSpec, NoiseSpec, add_noise, multisine_value, sample_phases
 from oehnn.data import (
     Dataset,

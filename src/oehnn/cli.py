@@ -21,6 +21,7 @@ from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
     GenerationProtocol,
+    _simulate_realizations,
     generate,
     read_csv,
     write_csv,
@@ -348,7 +349,10 @@ def cmd_evaluate(args) -> int:
 def _parse_x0(text: str | None, d: int) -> np.ndarray:
     if text is None:
         return np.zeros(d)
-    values = np.array([float(v) for v in text.split(",")])
+    try:
+        values = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(f"--x0 must be comma-separated numbers, got {text!r}") from None
     if values.size != d:
         raise ConfigError(f"--x0 must have {d} comma-separated values, got {values.size}")
     return values
@@ -379,6 +383,8 @@ def cmd_simulate(args) -> int:
         kind = saved.kind
     x0 = _parse_x0(args.x0, d)
     n_steps = args.steps
+    if n_steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {n_steps}")
     t = np.arange(n_steps) * cfg.ts
     if args.input == "zero":
         u = np.zeros((n_steps, m))
@@ -410,8 +416,6 @@ def cmd_simulate(args) -> int:
 
 def _simulate_like_dataset(args, cfg: ExperimentConfig) -> int:
     """Regenerate the noiseless truth of one dataset realization bit-exactly."""
-    from oehnn.data import _simulate_realization  # shared recipe, same seeds
-
     dataset_dir = Path(args.like_dataset)
     if not (dataset_dir / "manifest.txt").exists():
         raise ConfigError(f"{dataset_dir} does not contain a dataset manifest")
@@ -420,8 +424,10 @@ def _simulate_like_dataset(args, cfg: ExperimentConfig) -> int:
         raise ConfigError(
             f"--realization must be in [0, {stored.protocol.n_realizations})"
         )
-    t, u, x_true, _, _, attempt = _simulate_realization(
-        stored.system, stored.protocol, stored.master_seed, args.realization
+    # the generator's own lockstep recipe and seeds; a true-field lane does
+    # not depend on the other lanes of its batch
+    [(t, u, x_true, _, _, attempt)] = _simulate_realizations(
+        stored.system, stored.protocol, stored.master_seed, [args.realization]
     )
     _write_sim_csv(args.out, t, u, x_true, stored.system.n_states, None)
     print(

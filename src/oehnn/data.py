@@ -1,8 +1,9 @@
 """Benchmark dataset generation, derivative-target estimation, CSV persistence.
 
-Each realization owns an RNG stream derived from (master_seed, realization,
-attempt), so generation is reproducible and embarrassingly parallel, and
-escape retries never perturb other realizations.
+Each generation attempt owns an RNG stream derived from (master_seed,
+realization, attempt), so generation is reproducible, realizations simulate
+in lockstep as lanes of one batch, and escape retries never perturb other
+realizations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from oehnn.dynamics import SystemSpec, field_fn
-from oehnn.integrate import IntegrationError, rollout
+from oehnn.integrate import rk4_lanes
 from oehnn.signals import MultisineSpec, NoiseSpec, multisine_value, sample_phases
 
 __all__ = [
@@ -136,45 +137,74 @@ def _realization_rng(master_seed: int, realization: int, attempt: int) -> np.ran
     return np.random.default_rng(seq)
 
 
-def _simulate_realization(system, protocol, master_seed, realization):
-    """Simulate one accepted realization, resampling on escape or divergence."""
+def _attempt_inputs(system, protocol, master_seed, realization, attempt, t_grid):
+    """One attempt's RNG stream (after its draws), initial state and input grid."""
+    rng = _realization_rng(master_seed, realization, attempt)
+    phases = np.stack(
+        [sample_phases(protocol.harmonics, rng) for _ in range(system.n_inputs)]
+    )
+    x0 = rng.uniform(-protocol.init_range, protocol.init_range, size=system.n_states)
+    u_grid = np.stack(
+        [
+            multisine_value(
+                t_grid,
+                MultisineSpec(protocol.harmonics, protocol.f0, ph, protocol.amplitude),
+            )
+            for ph in phases
+        ],
+        axis=-1,
+    )
+    return rng, x0, u_grid
+
+
+def _simulate_realizations(system, protocol, master_seed, realizations):
+    """Simulate the accepted attempt of each listed realization, in lockstep.
+
+    Attempt a of realization r draws from its own stream (master_seed, r, a).
+    It is rejected if its state turns non-finite or |q| exceeds q_max
+    anywhere on the grid. Each round runs the next block of attempts of every
+    still-pending realization as lanes of one batch, with blocks of 1, 2, 4,
+    ... attempts up to max_retries in all, and accepts the lowest-index
+    passing attempt, so the accepted attempts are exactly those of trying
+    one attempt at a time. Only the recorded window of each lane is kept.
+    Returns (t, u, x_true, dx_true, rng, attempt) per realization, in order.
+    """
     truth = field_fn(system)
-    d = system.n_states
     n_pre = int(round(protocol.t_start / protocol.ts))
     n_total = n_pre + protocol.n_samples
     t_grid = np.arange(n_total) * protocol.ts
-    for attempt in range(protocol.max_retries):
-        rng = _realization_rng(master_seed, realization, attempt)
-        phases = np.stack(
-            [sample_phases(protocol.harmonics, rng) for _ in range(system.n_inputs)]
+    window = slice(n_pre, n_total)
+    accepted = {}
+    pending = list(realizations)
+    first, block = 0, 1
+    while pending:
+        if first >= protocol.max_retries:
+            raise DataGenerationError(
+                f"realization {pending[0]}: no bounded trajectory within "
+                f"{protocol.max_retries} attempts (|q| <= {protocol.q_max}); "
+                "reduce the input amplitude or raise q_max"
+            )
+        attempts = range(first, min(first + block, protocol.max_retries))
+        lanes = [
+            (r, a, *_attempt_inputs(system, protocol, master_seed, r, a, t_grid))
+            for r in pending
+            for a in attempts
+        ]
+        x0 = np.stack([lane[3] for lane in lanes])
+        u = np.stack([lane[4] for lane in lanes], axis=1)  # (n_total, B, m)
+        x_win, diverged, peak = rk4_lanes(
+            truth, x0, u[:-1], protocol.ts, keep_from=n_pre, peak=True
         )
-        x0 = rng.uniform(-protocol.init_range, protocol.init_range, size=d)
-        u_grid = np.stack(
-            [
-                multisine_value(
-                    t_grid,
-                    MultisineSpec(protocol.harmonics, protocol.f0, ph, protocol.amplitude),
-                )
-                for ph in phases
-            ],
-            axis=-1,
-        )
-        try:
-            x_grid = rollout(truth, x0, u_grid, protocol.ts)
-        except IntegrationError:
-            continue
-        if np.max(np.abs(x_grid[:, : system.n_masses])) > protocol.q_max:
-            continue
-        sl = slice(n_pre, n_total)
-        x_win = x_grid[sl]
-        u_win = u_grid[sl]
-        dx_win = truth(x_win, u_win)
-        return t_grid[sl].copy(), u_win.copy(), x_win, dx_win, rng, attempt
-    raise DataGenerationError(
-        f"realization {realization}: no bounded trajectory within "
-        f"{protocol.max_retries} attempts (|q| <= {protocol.q_max}); "
-        "reduce the input amplitude or raise q_max"
-    )
+        passed = (diverged < 0) & (peak[:, : system.n_masses].max(axis=1) <= protocol.q_max)
+        for i, (r, a, rng, _, u_grid) in enumerate(lanes):
+            if passed[i] and r not in accepted:
+                x_true = x_win[:, i].copy()
+                u_win = u_grid[window].copy()
+                accepted[r] = (t_grid[window].copy(), u_win, x_true, truth(x_true, u_win), rng, a)
+        pending = [r for r in pending if r not in accepted]
+        first += block
+        block *= 2
+    return [accepted[r] for r in realizations]
 
 
 def generate(
@@ -191,11 +221,10 @@ def generate(
     """
     protocol = protocol or GenerationProtocol()
     noise = noise if noise is not None else NoiseSpec()
+    realizations = range(protocol.n_realizations)
+    simulated = _simulate_realizations(system, protocol, master_seed, realizations)
     trajectories = []
-    for realization in range(protocol.n_realizations):
-        t, u, x_true, dx_true, rng, attempt = _simulate_realization(
-            system, protocol, master_seed, realization
-        )
+    for realization, (t, u, x_true, dx_true, rng, attempt) in zip(realizations, simulated):
         v = rng.normal(0.0, np.sqrt(noise.variance), size=x_true.shape)
         trajectories.append(
             Trajectory(

@@ -8,7 +8,7 @@ import numpy as np
 
 from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, SystemSpec, field_fn, structure_matrices
-from oehnn.integrate import IntegrationError, rollout
+from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, h_value, oe_hnn_field
 
 __all__ = [
@@ -77,39 +77,48 @@ def evaluate(
     """Simulate each test trajectory and report per-state RMSE.
 
     Rollouts start from the anchor sample of each trajectory under its
-    recorded inputs. The aggregate RMSE pools the squared errors of all
-    non-diverged trajectories; diverged ones are flagged per trajectory
-    instead of contaminating the pool.
+    recorded inputs, all of them as lanes of one batch. The aggregate RMSE
+    pools the squared errors of all non-diverged trajectories; diverged ones
+    are flagged per trajectory instead of contaminating the pool.
     """
     if not test:
         raise ValueError("test split is empty")
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}")
-    per_traj: list[TrajectoryResult] = []
-    pooled_sq: list[np.ndarray] = []
-    d = test[0].y.shape[1]
-    for i, traj in enumerate(test):
+    refs, anchors = [], []
+    for traj in test:
         ref = traj.x_true if reference == "true" else traj.y
         if ref is None:
             raise ValueError("reference='true' requires stored noiseless states")
         if anchor == "true":
             if traj.x_true is None:
                 raise ValueError("anchor='true' requires stored noiseless states")
-            x0 = traj.x_true[0]
+            anchors.append(traj.x_true[0])
         else:
-            x0 = traj.y[0]
-        try:
-            sim = rollout(field_f, x0, traj.u, traj.ts)
-        except IntegrationError as exc:
-            per_traj.append(
-                TrajectoryResult(
-                    index=i, rmse=np.full(d, np.nan), diverged=True, diverged_step=exc.step_index
+            anchors.append(traj.y[0])
+        refs.append(ref)
+    d = test[0].y.shape[1]
+    per_traj: list[TrajectoryResult | None] = [None] * len(test)
+    squares: list[np.ndarray | None] = [None] * len(test)
+    # every test trajectory is a lane of one rollout (one per distinct length and step)
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, traj in enumerate(test):
+        groups.setdefault((traj.n_samples, traj.ts), []).append(i)
+    for (_, ts), members in groups.items():
+        x0 = np.stack([anchors[i] for i in members])
+        u = np.stack([test[i].u[:-1] for i in members], axis=1)
+        states, diverged, _ = rk4_lanes(field_f, x0, u, ts)
+        for lane, i in enumerate(members):
+            if diverged[lane] >= 0:
+                # the input row whose update diverged, as `rollout` reports it
+                step = max(int(diverged[lane]) - 1, 0)
+                per_traj[i] = TrajectoryResult(
+                    index=i, rmse=np.full(d, np.nan), diverged=True, diverged_step=step
                 )
-            )
-            continue
-        sq = (sim - ref) ** 2
-        pooled_sq.append(sq)
-        per_traj.append(TrajectoryResult(index=i, rmse=np.sqrt(sq.mean(axis=0))))
+            else:
+                squares[i] = (states[:, lane] - refs[i]) ** 2
+                per_traj[i] = TrajectoryResult(index=i, rmse=np.sqrt(squares[i].mean(axis=0)))
+    pooled_sq = [sq for sq in squares if sq is not None]
     if pooled_sq:
         pooled = np.sqrt(np.concatenate(pooled_sq, axis=0).mean(axis=0))
     else:

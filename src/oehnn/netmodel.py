@@ -113,9 +113,13 @@ def oe_hnn_field(net: HamiltonianNet, S: StructureMatrices, x: np.ndarray, u) ->
 def blackbox_field(net: BlackBoxNet, x: np.ndarray, u) -> np.ndarray:
     """Forward pass of the black-box derivative net on concatenated (x, u)."""
     x = np.asarray(x, dtype=float)
-    u = _input_rows(u, x, net.n_inputs)
-    xu = np.concatenate([x, u], axis=-1)
-    z = xu @ net.w1.T + net.b1
+    return _blackbox_rows(net, x, _input_rows(u, x, net.n_inputs))
+
+
+def _blackbox_rows(net: BlackBoxNet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`blackbox_field` on float arrays of state rows (..., d) and input rows
+    (..., m), without input normalization (for per-stage calls)."""
+    z = np.concatenate([x, u], axis=-1) @ net.w1.T + net.b1
     return np.tanh(z) @ net.w2.T + net.b2
 
 

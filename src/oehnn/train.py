@@ -9,14 +9,17 @@ loss actually computed. Stage recomputation keeps memory at O(steps * batch).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from oehnn.data import Dataset, Trajectory, fd_derivatives
 from oehnn.dynamics import StructureMatrices, structure_matrices
+from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
     BlackBoxNet,
     HamiltonianNet,
+    _blackbox_rows,
     flatten_params,
     init_blackbox_net,
     init_hamiltonian_net,
@@ -175,6 +178,16 @@ def _model_grad(net, x, th_out=None):
     return (net.w2 * (1.0 - th**2)) @ net.w1
 
 
+def _lane_loss(xs, y, diverged, weight, penalty):
+    """Per-lane weighted sum of residual norms; a dead lane pays `penalty`.
+
+    Also returns the residuals and their norms, (T, B, d) and (T, B).
+    """
+    resid = xs[1:] - y[1:]
+    norms = np.linalg.norm(resid, axis=2)
+    return np.where(diverged < 0, weight * norms.sum(axis=0), penalty), resid, norms
+
+
 def _sim_batch(
     net: HamiltonianNet,
     S: StructureMatrices,
@@ -191,61 +204,36 @@ def _sim_batch(
     x0: (B, d) anchors; gu: (T, B, d) input injections G @ u per transition;
     y: (T+1, B, d) reference outputs (row 0 unused); weight: (B,) scale on
     each lane's residual-norm sum. Returns (per-lane loss, flat grad or None,
-    diverged step per lane with -1 for clean lanes).
+    diverged step per lane with -1 for clean lanes). The forward pass runs on
+    the shared RK4 kernel, whose stage record (k1..k3 and each stage's tanh
+    activations) the reverse sweep reads.
     """
     n_steps, B, d = gu.shape
     n = d // 2
-    xs = np.empty((n_steps + 1, B, d))
-    ks = np.empty((n_steps, 3, B, d)) if want_grad else None
-    # forward-pass tanh activations per stage, reused by the reverse sweep
-    ths = np.empty((n_steps, 4, B, net.n_hidden)) if want_grad else None
-    diverged = np.full(B, -1, dtype=int)
-    bad0 = ~np.isfinite(x0).all(axis=1)
-    if bad0.any():
-        diverged[bad0] = 0
-        x0 = np.where(bad0[:, None], 0.0, x0)
-    xs[0] = x0
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            g_in = gu[k]
-            th = ths[k] if want_grad else (None, None, None, None)
-            k1 = _j_apply(_model_grad(net, x, th[0]), n) + g_in
-            x2 = x + (h / 2.0) * k1
-            k2 = _j_apply(_model_grad(net, x2, th[1]), n) + g_in
-            x3 = x + (h / 2.0) * k2
-            k3 = _j_apply(_model_grad(net, x3, th[2]), n) + g_in
-            x4 = x + h * k3
-            k4 = _j_apply(_model_grad(net, x4, th[3]), n) + g_in
-            x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = ~np.isfinite(x_next).all(axis=1)
-            if bad.any():
-                fresh = bad & (diverged < 0)
-                diverged[fresh] = k + 1
-                x_next = np.where(bad[:, None], 0.0, x_next)
-            if want_grad:
-                ks[k, 0] = k1
-                ks[k, 1] = k2
-                ks[k, 2] = k3
-                if bad.any():
-                    # dead lanes keep finite placeholders so the reverse sweep
-                    # stays NaN-free; their cotangents are masked to zero anyway
-                    ks[k, :, bad] = 0.0
-                    ths[k, :, bad] = 0.0
-            xs[k + 1] = x_next
-            x = x_next
+    if want_grad:
+        ks = np.empty((n_steps, 3, B, d))
+        # forward-pass tanh activations per stage, reused by the reverse sweep
+        ths = np.empty((n_steps, 4, B, net.n_hidden))
+        slots = iter(ths.reshape(4 * n_steps, B, net.n_hidden))
+        stages = (ks, ths)
 
-    live = diverged < 0
-    resid = xs[1:] - y[1:]
-    norms = np.linalg.norm(resid, axis=2)  # (T, B)
-    lane_loss = np.where(live, weight * norms.sum(axis=0), penalty)
+        def field(x, g_in):
+            return _j_apply(_model_grad(net, x, next(slots)), n) + g_in
 
+    else:
+        stages = None
+
+        def field(x, g_in):
+            return _j_apply(_model_grad(net, x), n) + g_in
+
+    xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
+    lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
     if not want_grad:
         return lane_loss, None, diverged
 
     acc = _ThetaGrad(net)
     lam = np.zeros((B, d))
-    live_w = np.where(live, weight, 0.0)
+    live_w = np.where(diverged < 0, weight, 0.0)
     for k in range(n_steps, 0, -1):
         nk = norms[k - 1]
         scale = np.where(nk > 0.0, live_w / np.maximum(nk, 1e-300), 0.0)
@@ -567,13 +555,13 @@ def fit(
         total = 0.0
         for x0, gu, y, h, weight in val_groups:
             if kind == "mlp":
-                lane_loss, diverged = _blackbox_sim_batch(
-                    model, S, x0, gu, y, h, weight, config.divergence_penalty
-                )
+                # the black-box net takes raw inputs: G has orthonormal columns
+                xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, model), x0, gu @ S.G, h)
+                lane_loss = _lane_loss(xs, y, diverged, weight, config.divergence_penalty)[0]
             else:
-                lane_loss, _, diverged = _sim_batch(
+                lane_loss = _sim_batch(
                     model, S, x0, gu, y, h, weight, config.divergence_penalty, False
-                )
+                )[0]
             total += float(lane_loss.sum())
         return total
 
@@ -606,41 +594,3 @@ def fit(
         best_epoch=best_epoch,
         best_val_loss=float(best_val),
     )
-
-
-def _blackbox_sim_batch(net: BlackBoxNet, S, x0, gu, y, h, weight, penalty):
-    """Forward-only rollout of the black-box field for validation loss.
-
-    gu holds G @ u rows; the raw input is recovered from the G block so the
-    same precomputed arrays serve both model families.
-    """
-    n_steps, B, d = gu.shape
-    u = gu @ S.G  # (T, B, m): G has orthonormal columns
-    xs = np.empty((n_steps + 1, B, d))
-    xs[0] = x0
-    diverged = np.full(B, -1, dtype=int)
-    x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            uk = u[k]
-
-            def f(state):
-                z = np.concatenate([state, uk], axis=-1) @ net.w1.T + net.b1
-                return np.tanh(z) @ net.w2.T + net.b2
-
-            k1 = f(x)
-            k2 = f(x + (h / 2.0) * k1)
-            k3 = f(x + (h / 2.0) * k2)
-            k4 = f(x + h * k3)
-            x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = ~np.isfinite(x_next).all(axis=1)
-            if bad.any():
-                fresh = bad & (diverged < 0)
-                diverged[fresh] = k + 1
-                x_next = np.where(bad[:, None], 0.0, x_next)
-            xs[k + 1] = x_next
-            x = x_next
-    live = diverged < 0
-    norms = np.linalg.norm(xs[1:] - y[1:], axis=2)
-    lane_loss = np.where(live, weight * norms.sum(axis=0), penalty)
-    return lane_loss, diverged

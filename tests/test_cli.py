@@ -185,15 +185,23 @@ class TestSimulateCommand:
         assert np.array_equal(rows[:, 2:], np.zeros((20, 2)))
 
     def test_reproduces_dataset_realization_bit_exactly(self, cli_dataset, tmp_path):
-        out = tmp_path / "re.csv"
+        coupled = tmp_path / "coupled"
         assert run_cli(
-            "simulate", "--like-dataset", cli_dataset, "--realization", 2, "--out", out
+            "generate-data", "--out", coupled, "--system", "coupled", "--amplitude", 2.0,
+            *GEN_FAST,
         ) == 0
-        rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        ds = read_csv(cli_dataset)
-        target = [tr for tr in ds.all_trajectories() if tr.realization == 2][0]
-        assert np.array_equal(rows[:, 1:2], target.u)
-        assert np.array_equal(rows[:, 2:], target.x_true)
+        for dataset in (cli_dataset, coupled):
+            ds = read_csv(dataset)
+            for target in ds.all_trajectories():
+                out = tmp_path / "re.csv"
+                assert run_cli(
+                    "simulate", "--like-dataset", dataset, "--realization", target.realization,
+                    "--out", out,
+                ) == 0
+                rows = np.loadtxt(out, delimiter=",", skiprows=1)
+                assert np.array_equal(rows[:, 1:2], target.u)
+                assert np.array_equal(rows[:, 2:], target.x_true)
+        assert max(tr.attempt for tr in read_csv(coupled).all_trajectories()) > 0
 
     def test_divergence_flagged(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
@@ -217,6 +225,13 @@ class TestSimulateCommand:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code = run_cli("simulate", "--out", tmp_path / "x.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--steps", 0], ["--x0", "0.1,abc"]])
+    def test_bad_steps_or_x0_is_usage_error(self, tmp_path, capsys, flags):
+        code = run_cli("simulate", "--true-system", *flags, "--out", tmp_path / "x.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGradcheckCommand:

@@ -8,12 +8,14 @@ from oehnn.data import (
     DatasetFormatError,
     GenerationProtocol,
     Trajectory,
+    _attempt_inputs,
     fd_derivatives,
     generate,
     read_csv,
     write_csv,
 )
-from oehnn.dynamics import duffing_system, field_fn
+from oehnn.dynamics import coupled_system, duffing_system, field_fn
+from oehnn.integrate import IntegrationError, rollout
 from oehnn.signals import NoiseSpec
 from tests.conftest import TINY_PROTOCOL
 
@@ -86,6 +88,68 @@ class TestGenerate:
     def test_split_must_sum(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PROTOCOL, split=(3, 2, 2))
+
+
+# Strong forcing: some attempts escape, so retries and lockstep blocks of
+# several attempts are exercised on both systems.
+RETRY_PROTOCOL = dataclasses.replace(TINY_PROTOCOL, amplitude=4.0, max_retries=10)
+SYSTEMS = {"duffing": duffing_system(), "coupled": coupled_system()}
+
+
+def sequential_attempts(system, protocol, master_seed, realization):
+    """Yield (attempt, recorded window or None if rejected) one attempt at a
+    time, each simulated alone by a one-lane rollout."""
+    n_pre = int(round(protocol.t_start / protocol.ts))
+    t_grid = np.arange(n_pre + protocol.n_samples) * protocol.ts
+    for attempt in range(protocol.max_retries):
+        _, x0, u_grid = _attempt_inputs(system, protocol, master_seed, realization, attempt, t_grid)
+        try:
+            x_grid = rollout(field_fn(system), x0, u_grid, protocol.ts)
+        except IntegrationError:
+            yield attempt, None
+            continue
+        bounded = np.max(np.abs(x_grid[:, : system.n_masses])) <= protocol.q_max
+        yield attempt, x_grid[n_pre:] if bounded else None
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+class TestLockstepGeneration:
+    def test_window_equals_one_lane_rollout(self, name):
+        system = SYSTEMS[name]
+        ds = generate(system, RETRY_PROTOCOL, NoiseSpec(variance=0.1), master_seed=0)
+        for tr in ds.all_trajectories():
+            windows = dict(sequential_attempts(system, RETRY_PROTOCOL, 0, tr.realization))
+            assert np.array_equal(tr.x_true, windows[tr.attempt])
+
+    def test_accepts_first_passing_attempt(self, name):
+        system = SYSTEMS[name]
+        ds = generate(system, RETRY_PROTOCOL, NoiseSpec(variance=0.1), master_seed=0)
+        attempts = [tr.attempt for tr in ds.all_trajectories()]
+        assert max(attempts) > 0
+        for tr in ds.all_trajectories():
+            first = next(
+                a for a, window in sequential_attempts(system, RETRY_PROTOCOL, 0, tr.realization)
+                if window is not None
+            )
+            assert tr.attempt == first
+
+    def test_exhausted_retries_name_lowest_realization(self, name):
+        # forcing at which realization 0 passes and at least two later ones escape
+        system = SYSTEMS[name]
+        amplitude = {"duffing": 4.0, "coupled": 2.0}[name]
+        protocol = dataclasses.replace(RETRY_PROTOCOL, amplitude=amplitude, max_retries=1)
+        failing = [
+            r for r in range(protocol.n_realizations)
+            if all(w is None for _, w in sequential_attempts(system, protocol, 0, r))
+        ]
+        assert len(failing) >= 2 and failing[0] > 0
+        expected = (
+            f"realization {failing[0]}: no bounded trajectory within 1 attempts "
+            "(|q| <= 5.0); reduce the input amplitude or raise q_max"
+        )
+        with pytest.raises(DataGenerationError) as excinfo:
+            generate(system, protocol, NoiseSpec(variance=0.1), master_seed=0)
+        assert str(excinfo.value) == expected
 
 
 class TestFdDerivatives:

@@ -1,47 +1,39 @@
 import numpy as np
 import pytest
 
-from oehnn.dynamics import duffing_hamiltonian, duffing_system, field_fn
-from oehnn.integrate import IntegrationError, IntegratorConfig, rollout, step
-
-
-def test_config_validation():
-    IntegratorConfig()
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="rk45")
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.0)
+from oehnn.dynamics import coupled_system, duffing_hamiltonian, duffing_system, field_fn
+from oehnn.integrate import IntegrationError, rk4_lanes, rollout
 
 
 class TestStep:
+    """Single RK4 steps, as two-sample rollouts."""
+
     def test_zero_field(self):
-        out = step(lambda x, u: np.zeros_like(x), np.array([1.0, 2.0]), 0.0, 0.1)
+        out = rollout(lambda x, u: np.zeros_like(x), [1.0, 2.0], np.zeros((2, 1)), 0.1)[1]
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_exponential_decay_matches_taylor(self):
         # RK4 on xdot = -x reproduces the degree-4 Taylor polynomial of exp(-h)
         h = 0.1
-        out = step(lambda x, u: -x, np.array([1.0]), 0.0, h)
+        out = rollout(lambda x, u: -x, [1.0], np.zeros((2, 1)), h)[1]
         expected = 1.0 - h + h**2 / 2 - h**3 / 6 + h**4 / 24
         assert out[0] == pytest.approx(expected, abs=1e-15)
         assert out[0] == pytest.approx(0.9048375, abs=1e-9)
 
     def test_harmonic_rotation(self):
         h = 0.01
-        out = step(lambda x, u: np.array([x[1], -x[0]]), np.array([1.0, 0.0]), 0.0, h)
+        field = lambda x, u: np.stack([x[:, 1], -x[:, 0]], axis=1)  # noqa: E731
+        out = rollout(field, [1.0, 0.0], np.zeros((2, 1)), h)[1]
         assert np.max(np.abs(out - [np.cos(h), -np.sin(h)])) < 1e-10
 
-    def test_euler(self):
-        out = step(lambda x, u: -x, np.array([1.0]), 0.0, 0.1, method="euler")
-        assert out[0] == pytest.approx(0.9)
-
     def test_non_finite_detected(self):
-        with pytest.raises(IntegrationError):
-            step(lambda x, u: x * np.inf, np.array([1.0]), 0.0, 0.1)
+        with pytest.raises(IntegrationError) as excinfo:
+            rollout(lambda x, u: x * np.inf, [1.0], np.zeros((2, 1)), 0.1)
+        assert excinfo.value.step_index == 0
 
     def test_bad_step_size(self):
         with pytest.raises(ValueError):
-            step(lambda x, u: -x, np.array([1.0]), 0.0, -0.1)
+            rollout(lambda x, u: -x, [1.0], np.zeros((2, 1)), -0.1)
 
 
 class TestRollout:
@@ -104,3 +96,75 @@ def test_observed_convergence_order():
         errors.append(np.linalg.norm(states[-1] - reference))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 3.8) and np.all(orders < 4.2)
+
+
+def lane_batch(spec, n_lanes, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-0.2, 0.2, (n_lanes, spec.n_states))
+    u = rng.normal(0.0, 0.1, (n_steps, n_lanes, spec.n_inputs))
+    return x0, u
+
+
+class TestLanes:
+    @pytest.mark.parametrize("spec", [duffing_system(), coupled_system()], ids=["duffing", "coupled"])
+    def test_true_field_lane_independent_of_batch(self, spec):
+        x0, u = lane_batch(spec, 6, 300, seed=3)
+        field = field_fn(spec)
+        full = rk4_lanes(field, x0, u, 0.01).states
+        subset = [4, 1, 3]
+        part = rk4_lanes(field, x0[subset], u[:, subset], 0.01).states
+        assert np.array_equal(part, full[:, subset])
+        for lane in range(6):
+            alone = rollout(field, x0[lane], np.concatenate([u[:, lane], u[-1:, lane]]), 0.01)
+            assert np.array_equal(alone, full[:, lane])
+
+    def test_dead_lane_zeroed_and_reported(self):
+        spec = duffing_system()
+        x0, u = lane_batch(spec, 3, 400, seed=4)
+        x0[1] = [30.0, 0.0]  # escapes the softening well and blows up
+        states, diverged, _ = rk4_lanes(field_fn(spec), x0, u, 0.01)
+        assert diverged[0] == diverged[2] == -1
+        assert 0 < diverged[1] < 400
+        assert np.all(np.isfinite(states[: diverged[1], 1]))
+        assert np.array_equal(states[diverged[1], 1], [0.0, 0.0])
+        live = rk4_lanes(field_fn(spec), x0[[0, 2]], u[:, [0, 2]], 0.01).states
+        assert np.array_equal(live, states[:, [0, 2]])
+
+    def test_all_dead_stops_with_zero_states(self):
+        calls = []
+
+        def field(x, u):
+            calls.append(1)
+            return x * np.inf
+
+        states, diverged, _ = rk4_lanes(field, np.array([[1.0], [np.nan]]), np.zeros((50, 2, 1)), 0.1)
+        assert list(diverged) == [1, 0]
+        assert len(calls) == 4
+        assert np.array_equal(states[0], [[1.0], [0.0]])
+        assert np.array_equal(states[1:], np.zeros((50, 2, 1)))
+
+    def test_keep_from_and_peak(self):
+        spec = coupled_system()
+        x0, u = lane_batch(spec, 4, 200, seed=5)
+        full = rk4_lanes(field_fn(spec), x0, u, 0.01).states
+        states, diverged, peak = rk4_lanes(field_fn(spec), x0, u, 0.01, keep_from=150, peak=True)
+        assert np.array_equal(states, full[150:])
+        assert np.array_equal(peak, np.abs(full).max(axis=0))
+        assert np.all(diverged == -1)
+
+    def test_stage_record(self):
+        field = lambda x, u: -x + u  # noqa: E731
+        x0 = np.array([[1.0, -2.0], [0.5, 3.0]])
+        u = np.ones((5, 2, 1))
+        u[2, 1] = np.inf  # lane 1 dies on step 2
+        ks = np.full((5, 3, 2, 2), np.nan)
+        states, diverged, _ = rk4_lanes(field, x0, u, 0.1, stages=(ks,))
+        assert list(diverged) == [-1, 3]
+        for k in range(5):
+            x, h = states[k, 0], 0.1
+            k1 = field(x, u[k, 0])
+            k2 = field(x + (h / 2.0) * k1, u[k, 0])
+            k3 = field(x + (h / 2.0) * k2, u[k, 0])
+            assert np.array_equal(ks[k, :, 0], [k1, k2, k3])
+        assert np.array_equal(ks[2, :, 1], np.zeros((3, 2)))
+        assert np.all(np.isfinite(ks))
