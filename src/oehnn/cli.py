@@ -129,6 +129,8 @@ class ExperimentConfig:
             out.noise_variance = defaults["noise_variance"]
         if out.amplitude is None:
             out.amplitude = defaults["amplitude"]
+        if out.workers < 0:
+            raise ConfigError(f"workers must be at least 0, got {out.workers}")
         return out
 
     def system_spec(self) -> SystemSpec:
@@ -159,20 +161,22 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         cfg = self.resolved()
-        return TrainConfig(
-            learning_rate=cfg.learning_rate,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            epsilon=cfg.epsilon,
-            max_epochs=cfg.max_epochs,
-            patience=cfg.patience,
-            loss="simulation" if cfg.model == "oe-hnn" else "derivative-matching",
-            chunk_length=cfg.chunk_length,
-            n_hidden=cfg.n_hidden,
-            seed=cfg.train_seed,
-            derivative_source=cfg.derivative_source,
-            anchor=cfg.anchor,
-        )
+        try:
+            return TrainConfig(
+                learning_rate=cfg.learning_rate,
+                beta1=cfg.beta1,
+                beta2=cfg.beta2,
+                epsilon=cfg.epsilon,
+                max_epochs=cfg.max_epochs,
+                patience=cfg.patience,
+                chunk_length=cfg.chunk_length,
+                n_hidden=cfg.n_hidden,
+                seed=cfg.train_seed,
+                derivative_source=cfg.derivative_source,
+                anchor=cfg.anchor,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -282,8 +286,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    dataset = read_csv(args.data)
     train_cfg = cfg.train_config()
+    dataset = read_csv(args.data)
     if cfg.model in ("hnn", "mlp"):
         source = (
             "finite differences of the measured outputs"
@@ -291,7 +295,7 @@ def cmd_train(args) -> int:
             else "stored noiseless derivatives"
         )
         print(f"derivative targets for {cfg.model}: {source}")
-    result = fit(cfg.model, dataset, train_cfg)
+    result = fit(cfg.model, dataset, train_cfg, workers=cfg.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(

@@ -226,7 +226,7 @@ def _benchmark_one_seed(job) -> list:
     from oehnn.train import TrainConfig, fit  # local import avoids a cycle
 
     (dataset, seed, n_hidden, oe_stages, baseline_epochs, baseline_patience,
-     derivative_source, anchor, reference, kinds, verbose) = job
+     derivative_source, anchor, reference, kinds, fit_workers, verbose) = job
     S = structure_matrices(dataset.system)
     out = []
     for kind in kinds:
@@ -242,7 +242,7 @@ def _benchmark_one_seed(job) -> list:
                     seed=seed,
                     anchor=anchor,
                 )
-                model = fit(kind, dataset, cfg, initial_model=model).model
+                model = fit(kind, dataset, cfg, initial_model=model, workers=fit_workers).model
         else:
             cfg = TrainConfig(
                 max_epochs=baseline_epochs,
@@ -250,10 +250,9 @@ def _benchmark_one_seed(job) -> list:
                 n_hidden=n_hidden,
                 seed=seed,
                 anchor=anchor,
-                loss="derivative-matching",
                 derivative_source=derivative_source,
             )
-            model = fit(kind, dataset, cfg).model
+            model = fit(kind, dataset, cfg, workers=fit_workers).model
         metrics = evaluate(
             model_field(model, S), dataset.test, reference=reference, anchor=anchor, kind=kind
         )
@@ -284,14 +283,17 @@ def compare_estimators(
     noiseless states and derivatives (the classical setting those methods
     assume). The median seed is the one whose simulation-error model attains
     the median mean RMSE. Seeds run in parallel when workers > 1; results
-    are identical for any worker count (fixed gather order).
+    are identical for any worker count (fixed gather order). The fits inside
+    that seed pool run with `fit(workers=1)`, because a pool worker may not
+    fork; seeds run in this process pass `workers` on to `fit`.
     """
+    pooled = workers > 1 and len(seeds) > 1
     jobs = [
         (dataset, seed, n_hidden, tuple(oe_stages), baseline_epochs, baseline_patience,
-         derivative_source, anchor, reference, tuple(kinds), verbose)
+         derivative_source, anchor, reference, tuple(kinds), 1 if pooled else workers, verbose)
         for seed in seeds
     ]
-    if workers > 1 and len(jobs) > 1:
+    if pooled:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(min(workers, len(jobs))) as pool:

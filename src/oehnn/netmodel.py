@@ -306,9 +306,13 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
         raise ModelFormatError(f"{path}: unsupported normalization {meta['normalization']!r}")
     seed = int(meta["seed"]) if "seed" in meta else None
 
-    extra_w1 = [k for k in params if k.startswith("w1.") and int(k.split(".", 1)[1]) >= n_hidden]
+    w1_rows = {f"w1.{i}" for i in range(n_hidden)}
+    extra_w1 = [k for k in params if k.startswith("w1.") and k not in w1_rows]
     if extra_w1:
-        raise ModelFormatError(f"{path}: {len(extra_w1)} surplus w1 rows for n_hidden={n_hidden}")
+        raise ModelFormatError(
+            f"{path}: {len(extra_w1)} w1 rows besides w1.0 to w1.{n_hidden - 1} "
+            f"(first {extra_w1[0]!r})"
+        )
     if kind in ("oe-hnn", "hnn"):
         w1 = np.stack([_parse_row(params, f"w1.{i}", n_states, path) for i in range(n_hidden)])
         b1 = _parse_row(params, "b1", n_hidden, path)

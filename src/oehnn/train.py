@@ -8,6 +8,7 @@ loss actually computed. Stage recomputation keeps memory at O(steps * batch).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,7 +42,6 @@ __all__ = [
     "write_history_csv",
 ]
 
-LOSS_KINDS = ("simulation", "derivative-matching")
 ANCHORS = ("measured", "true")
 DERIVATIVE_SOURCES = ("fd", "true")
 
@@ -60,7 +60,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     max_epochs: int = 5000
     patience: int = 500
-    loss: str = "simulation"
     chunk_length: int | None = None
     n_hidden: int = 200
     seed: int = 0
@@ -79,8 +78,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"loss must be one of {LOSS_KINDS}")
         if self.chunk_length is not None and self.chunk_length < 2:
             raise ValueError("chunk_length must be at least 2")
         if self.n_hidden < 1:
@@ -150,6 +147,21 @@ class _ThetaGrad:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, np.array([self.b2])])
 
 
+def _grad_vjp(net, x, th, w, acc: _ThetaGrad):
+    """Accumulate the parameter pullback of a cotangent w on dH/dx(x).
+
+    `th` is tanh(w1 @ x + b1) at these states. Returns the terms (a, sp) that
+    the state pullback needs.
+    """
+    s = 1.0 - th**2
+    sp = -2.0 * th * s
+    a = w @ net.w1.T
+    acc.w2 += np.einsum("bh,bh->h", a, s)
+    acc.b1 += net.w2 * np.einsum("bh,bh->h", a, sp)
+    acc.w1 += (s * net.w2).T @ w + (a * sp * net.w2).T @ x
+    return a, sp
+
+
 def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x and parameters.
 
@@ -157,16 +169,8 @@ def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad):
     state cotangent (Hessian of H applied to J.T v); parameter contributions
     are accumulated in-place.
     """
-    w = _jt_apply(v, n)
-    s = 1.0 - th**2
-    sp = -2.0 * th * s
-    a = w @ net.w1.T
-    asp = a * sp
-    x_cot = ((net.w2 * sp) * a) @ net.w1
-    acc.w2 += np.einsum("bh,bh->h", a, s)
-    acc.b1 += net.w2 * np.einsum("bh,bh->h", a, sp)
-    acc.w1 += (s * net.w2).T @ w + (asp * net.w2).T @ x
-    return x_cot
+    a, sp = _grad_vjp(net, x, th, _jt_apply(v, n), acc)
+    return ((net.w2 * sp) * a) @ net.w1
 
 
 def _model_grad(net, x, th_out=None):
@@ -358,7 +362,8 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 
 def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
     n = net.n_states // 2
-    g = _model_grad(net, x)
+    th = np.empty((x.shape[0], net.n_hidden))
+    g = _model_grad(net, x, th)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
     gu = u @ S.G.T
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
@@ -373,14 +378,7 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
     g_cot[:, n:] = s1[:, None] * r1
     g_cot[:, :n] = s2[:, None] * r2
     acc = _ThetaGrad(net)
-    z = x @ net.w1.T + net.b1
-    th = np.tanh(z)
-    s = 1.0 - th**2
-    sp = -2.0 * th * s
-    a = g_cot @ net.w1.T
-    acc.w2 += np.einsum("bh,bh->h", a, s)
-    acc.b1 += net.w2 * np.einsum("bh,bh->h", a, sp)
-    acc.w1 += (s * net.w2).T @ g_cot + (a * sp * net.w2).T @ x
+    _grad_vjp(net, x, th, g_cot, acc)
     return loss, acc.flat()
 
 
@@ -482,11 +480,92 @@ def _derivative_training_set(trajs, source, ts):
     )
 
 
+def _serve_validation(conn, parent_end, val_loss, template) -> None:
+    """Helper-process loop: parameter bytes in, validation loss out."""
+    import signal
+
+    # an interrupt is the parent's to handle; the parent then stops this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # the forked copy of the parent's end would keep this end from seeing EOF
+    parent_end.close()
+    with conn:
+        while True:
+            try:
+                theta = np.frombuffer(conn.recv_bytes())
+                conn.send(val_loss(with_params(template, theta)))
+            except (EOFError, BrokenPipeError):
+                return
+
+
+class _ValidationHelper:
+    """One forked process that computes an epoch's validation loss while the
+    parent computes that epoch's training gradient.
+
+    The fork inherits the validation arrays, the loss closure and the model
+    template, so only the parameter bytes and the loss cross the pipe, and the
+    helper runs the same code on the same bytes as an inline call.
+    """
+
+    def __init__(self, val_loss, template):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_serve_validation,
+            args=(child_end, self._conn, val_loss, template),
+            daemon=True,
+        )
+        self._proc.start()
+        # once closed here, the helper's exit shows as EOF on self._conn
+        child_end.close()
+
+    def submit(self, theta: np.ndarray) -> None:
+        try:
+            self._conn.send_bytes(theta.tobytes())
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def result(self) -> float:
+        try:
+            return self._conn.recv()
+        except EOFError:
+            raise self._died() from None
+
+    def _died(self) -> TrainingError:
+        self._proc.join(timeout=1.0)
+        return TrainingError(
+            f"the validation helper process exited unexpectedly (exit code {self._proc.exitcode})"
+        )
+
+    def close(self) -> None:
+        self._conn.close()
+        self._proc.terminate()
+        self._proc.join()
+
+
+def _overlap_validation(workers: int) -> bool:
+    """Whether `workers` asks for the validation helper process."""
+    if workers < 0:
+        raise ValueError("workers must be at least 0")
+    if workers == 1:
+        return False
+    if workers == 0:
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            return False
+        import multiprocessing
+
+        # a daemonic process (a pool worker) may not fork children
+        return not multiprocessing.current_process().daemon
+    return True
+
+
 def fit(
     kind: str,
     dataset: Dataset,
     config: TrainConfig | None = None,
     initial_model=None,
+    workers: int = 0,
 ) -> FitResult:
     """Train a model of the given kind and return the best-validation copy.
 
@@ -496,10 +575,23 @@ def fit(
     simulation loss, so model selection is comparable across estimators.
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
     initialization (used for staged chunked-then-full training).
+
+    `workers` sets how many processes the fit may use. With 1, each epoch
+    computes its validation loss after its training gradient, in this
+    process. With 2 or more, one forked helper process computes the epoch's
+    validation loss while this process computes the training gradient, so
+    an epoch costs the longer of the two instead of their sum. With 0 (the
+    default), the helper is used when this process may run on at least two
+    cores and is not itself a daemonic pool worker, which cannot fork. The
+    helper runs the same code on the same parameter bytes, so `history` and
+    the returned model are bit-identical for every `workers`. The helper is
+    stopped when `fit` returns or raises; if it dies, `fit` raises
+    `TrainingError`.
     """
     config = config or TrainConfig()
     if kind not in ("oe-hnn", "hnn", "mlp"):
         raise ValueError(f"unknown model kind {kind!r}")
+    overlap = _overlap_validation(workers)
     if not dataset.train or not dataset.validation:
         raise TrainingError("dataset needs non-empty train and validation splits")
 
@@ -569,23 +661,30 @@ def fit(
     best_theta = theta.copy()
     best_val = np.inf
     best_epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        model = with_params(template, theta)
-        tr_loss, grad, all_dead = train_loss_grad(model)
-        if all_dead and epoch == 1:
-            raise TrainingError(
-                "every training rollout diverged at the first epoch; "
-                "reduce the learning rate or set a chunk_length"
-            )
-        v_loss = val_loss(model)
-        history.append((epoch, tr_loss, v_loss))
-        if v_loss < best_val:
-            best_val = v_loss
-            best_theta = theta.copy()
-            best_epoch = epoch
-        elif epoch - best_epoch >= config.patience:
-            break
-        theta, adam = adam_step(theta, grad, adam, config)
+    helper = _ValidationHelper(val_loss, template) if overlap else None
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            model = with_params(template, theta)
+            if helper is not None:
+                helper.submit(theta)
+            tr_loss, grad, all_dead = train_loss_grad(model)
+            if all_dead and epoch == 1:
+                raise TrainingError(
+                    "every training rollout diverged at the first epoch; "
+                    "reduce the learning rate or set a chunk_length"
+                )
+            v_loss = val_loss(model) if helper is None else helper.result()
+            history.append((epoch, tr_loss, v_loss))
+            if v_loss < best_val:
+                best_val = v_loss
+                best_theta = theta.copy()
+                best_epoch = epoch
+            elif epoch - best_epoch >= config.patience:
+                break
+            theta, adam = adam_step(theta, grad, adam, config)
+    finally:
+        if helper is not None:
+            helper.close()
 
     return FitResult(
         model=with_params(template, best_theta),

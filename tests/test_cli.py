@@ -140,6 +140,16 @@ class TestTrainCommand:
         ) == 0
         assert "finite differences" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-hidden", "0"], ["--chunk-length", "1"], ["--max-epochs", "0"], ["--workers", "-1"]],
+    )
+    def test_bad_training_value_is_usage_error(self, cli_dataset, tmp_path, capsys, flags):
+        code = run_cli("train", "--data", cli_dataset, "--out", tmp_path / "o", *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEvaluateCommand:
     def test_three_model_comparison(self, cli_dataset, trained_models, tmp_path, capsys):
@@ -173,6 +183,17 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "states" in capsys.readouterr().err
+
+    def test_malformed_row_key_is_usage_error(self, cli_dataset, trained_models, tmp_path,
+                                              capsys):
+        bad = tmp_path / "model.txt"
+        text = trained_models["hnn"].read_text()
+        bad.write_text(text.replace("[params]\n", "[params]\nw1.x = 0 0\n"))
+        code = run_cli("evaluate", "--data", cli_dataset, "--out", tmp_path / "e", "--models", bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'w1.x'" in err
 
 
 class TestSimulateCommand:

@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from oehnn.data import Trajectory
 from oehnn.dynamics import duffing_system, field_fn, structure_matrices
 from oehnn.evaluate import (
+    TrainStage,
+    compare_estimators,
     energy_drift,
     evaluate,
     model_field,
@@ -175,3 +177,18 @@ def test_model_field_dispatch():
     assert np.allclose(f([0.1, 0.2], [0.0]), np.asarray(f([0.1, 0.2], [0.0])))
     with pytest.raises(TypeError):
         model_field(object(), S)
+
+
+def test_compare_estimators_workers_do_not_change_results(tiny_duffing_dataset):
+    kwargs = dict(
+        seeds=(1, 2),
+        n_hidden=4,
+        oe_stages=(TrainStage(5e-3, 10, 3), TrainStage(1e-3, None, 2)),
+        baseline_epochs=3,
+        baseline_patience=3,
+    )
+    one = compare_estimators(tiny_duffing_dataset, workers=1, **kwargs)
+    two = compare_estimators(tiny_duffing_dataset, workers=2, **kwargs)
+    assert one.median_seed_index == two.median_seed_index
+    for kind in one.kinds:
+        assert np.array_equal(one.rmse_array(kind), two.rmse_array(kind))

@@ -1,8 +1,11 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import oehnn.train
 from oehnn.data import Trajectory
 from oehnn.dynamics import duffing_system, structure_matrices
 from oehnn.integrate import rollout
@@ -360,6 +363,47 @@ class TestFit:
             )
 
 
+class TestWorkers:
+    """The validation helper process changes where a number is computed, not
+    the number."""
+
+    @pytest.mark.parametrize(
+        "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
+    )
+    def test_helper_is_bit_identical_to_inline(self, tiny_duffing_dataset, kind, chunk):
+        cfg = TrainConfig(n_hidden=8, max_epochs=5, patience=5, chunk_length=chunk, seed=2)
+        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
+        helper = fit(kind, tiny_duffing_dataset, cfg, workers=2)
+        assert np.array_equal(inline.history, helper.history)
+        assert np.array_equal(flatten_params(inline.model), flatten_params(helper.model))
+        assert multiprocessing.active_children() == []
+
+    def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset):
+        rng = np.random.default_rng(51)
+        net = random_hnet(rng)
+        traj = self_generated_traj(net, np.array([0.1, 0.0]), 20, rng=rng)
+        bad_y = traj.y.copy()
+        bad_y[0] = np.inf
+        bad = Trajectory(t=traj.t, u=traj.u, y=bad_y)
+        ds = dataclasses.replace(tiny_duffing_dataset, train=[bad], validation=[traj], test=[])
+        with pytest.raises(TrainingError, match="every training rollout diverged"):
+            fit("oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=3, patience=3), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_helper_death_is_training_error(self, tiny_duffing_dataset, monkeypatch):
+        # only validation reaches _lane_loss in an hnn fit, so only the forked
+        # helper (which inherits the patch) exits
+        monkeypatch.setattr(oehnn.train, "_lane_loss", lambda *args: os._exit(3))
+        cfg = TrainConfig(n_hidden=4, max_epochs=3, patience=3)
+        with pytest.raises(TrainingError, match=r"validation helper .*\(exit code 3\)"):
+            fit("hnn", tiny_duffing_dataset, cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_negative_workers_rejected(self, tiny_duffing_dataset):
+        with pytest.raises(ValueError, match="workers"):
+            fit("hnn", tiny_duffing_dataset, TrainConfig(n_hidden=4, max_epochs=1), workers=-1)
+
+
 class TestLossDecomposition:
     def test_total_equals_sum_of_per_trajectory_losses(self, tiny_duffing_dataset):
         rng = np.random.default_rng(60)
@@ -399,7 +443,5 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ValueError):
         TrainConfig(chunk_length=1)
-    with pytest.raises(ValueError):
-        TrainConfig(loss="prediction")
     with pytest.raises(ValueError):
         TrainConfig(anchor="oracle")
