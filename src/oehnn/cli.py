@@ -289,6 +289,11 @@ def cmd_train(args) -> int:
     train_cfg = cfg.train_config()
     dataset = read_csv(args.data)
     if cfg.model in ("hnn", "mlp"):
+        if cfg.derivative_source == "fd" and any(tr.n_samples < 3 for tr in dataset.train):
+            raise ConfigError(
+                "--derivative-source fd needs training trajectories of at least 3 samples; "
+                "use --derivative-source true"
+            )
         source = (
             "finite differences of the measured outputs"
             if cfg.derivative_source == "fd"

@@ -17,7 +17,7 @@ import numpy as np
 
 from oehnn.dynamics import SystemSpec, field_fn
 from oehnn.integrate import rk4_lanes
-from oehnn.signals import MultisineSpec, NoiseSpec, multisine_value, sample_phases
+from oehnn.signals import MultisineSpec, NoiseSpec, add_noise, multisine_value, sample_phases
 
 __all__ = [
     "Trajectory",
@@ -225,12 +225,11 @@ def generate(
     simulated = _simulate_realizations(system, protocol, master_seed, realizations)
     trajectories = []
     for realization, (t, u, x_true, dx_true, rng, attempt) in zip(realizations, simulated):
-        v = rng.normal(0.0, np.sqrt(noise.variance), size=x_true.shape)
         trajectories.append(
             Trajectory(
                 t=t,
                 u=u,
-                y=x_true + v,
+                y=add_noise(x_true, noise, rng),
                 x_true=x_true,
                 dx_true=dx_true,
                 realization=realization,

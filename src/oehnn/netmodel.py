@@ -84,12 +84,19 @@ def h_value(net: HamiltonianNet, x: np.ndarray):
     return value if np.ndim(value) else float(value)
 
 
-def h_grad_x(net: HamiltonianNet, x: np.ndarray) -> np.ndarray:
-    """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1))."""
-    x = np.asarray(x, dtype=float)
-    z = x @ net.w1.T + net.b1
-    sech2 = 1.0 - np.tanh(z) ** 2
-    return (net.w2 * sech2) @ net.w1
+def h_grad_x(net: HamiltonianNet, x: np.ndarray, th_out: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
+
+    With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is computed in
+    place there, e.g. in a stage record. Never writes `x`.
+    """
+    th = np.matmul(np.asarray(x, dtype=float), net.w1.T, out=th_out)
+    th += net.b1
+    np.tanh(th, out=th)
+    s = th * th
+    np.subtract(1.0, s, out=s)
+    s *= net.w2
+    return s @ net.w1
 
 
 def h_hess_vec(net: HamiltonianNet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -306,14 +313,13 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
         raise ModelFormatError(f"{path}: unsupported normalization {meta['normalization']!r}")
     seed = int(meta["seed"]) if "seed" in meta else None
 
-    w1_rows = {f"w1.{i}" for i in range(n_hidden)}
-    extra_w1 = [k for k in params if k.startswith("w1.") and k not in w1_rows]
-    if extra_w1:
-        raise ModelFormatError(
-            f"{path}: {len(extra_w1)} w1 rows besides w1.0 to w1.{n_hidden - 1} "
-            f"(first {extra_w1[0]!r})"
-        )
-    if kind in ("oe-hnn", "hnn"):
+    hamiltonian = kind in ("oe-hnn", "hnn")
+    known = {f"w1.{i}" for i in range(n_hidden)} | {"b1", "b2"}
+    known |= {"w2"} if hamiltonian else {f"w2.{i}" for i in range(n_states)}
+    unknown = [k for k in params if k not in known]
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown parameter key {unknown[0]!r}")
+    if hamiltonian:
         w1 = np.stack([_parse_row(params, f"w1.{i}", n_states, path) for i in range(n_hidden)])
         b1 = _parse_row(params, "b1", n_hidden, path)
         w2 = _parse_row(params, "w2", n_hidden, path)

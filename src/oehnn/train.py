@@ -3,7 +3,11 @@
 The simulation loss rolls the model field out with RK4 and measures the
 output residual; its gradient is the adjoint of the discrete unrolled
 computation (reverse sweep over every solver stage), so it is exact for the
-loss actually computed. Stage recomputation keeps memory at O(steps * batch).
+loss actually computed. Nothing is recomputed: the forward records k1..k3 and
+the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
+The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only arrays it allocates
+and, in the forward, the tanh slot it is handed; the reverse sweep only reads
+the record, and no caller's states or cotangents are ever written.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from oehnn.netmodel import (
     HamiltonianNet,
     _blackbox_rows,
     flatten_params,
+    h_grad_x,
     init_blackbox_net,
     init_hamiltonian_net,
     with_params,
@@ -150,36 +156,28 @@ class _ThetaGrad:
 def _grad_vjp(net, x, th, w, acc: _ThetaGrad):
     """Accumulate the parameter pullback of a cotangent w on dH/dx(x).
 
-    `th` is tanh(w1 @ x + b1) at these states. Returns the terms (a, sp) that
-    the state pullback needs.
+    `th` is tanh(z), z = w1 @ x + b1. Returns p = (w2 * s'(z)) * (w @ w1.T),
+    s'(z) = -2 tanh(z) sech^2(z), so p @ w1 is the state pullback. The w2
+    gradient comes from sech^2(z).T @ w, which the w1 gradient needs anyway.
+    Writes only arrays it allocates, never `x`, `th` or `w`.
     """
-    s = 1.0 - th**2
-    sp = -2.0 * th * s
-    a = w @ net.w1.T
-    acc.w2 += np.einsum("bh,bh->h", a, s)
-    acc.b1 += net.w2 * np.einsum("bh,bh->h", a, sp)
-    acc.w1 += (s * net.w2).T @ w + (a * sp * net.w2).T @ x
-    return a, sp
+    s = th * th
+    np.subtract(1.0, s, out=s)
+    sw = s.T @ w
+    s *= th
+    p = w @ (net.w1 * (-2.0 * net.w2)[:, None]).T
+    p *= s
+    acc.w2 += (sw * net.w1).sum(axis=1)
+    acc.b1 += p.sum(axis=0)
+    acc.w1 += sw * net.w2[:, None] + p.T @ x
+    return p
 
 
 def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad):
-    """Pull a cotangent v on f(x) = J dH/dx + G u back to x and parameters.
-
-    `th` is the forward-pass tanh(w1 @ x + b1) for this stage. Returns the
-    state cotangent (Hessian of H applied to J.T v); parameter contributions
-    are accumulated in-place.
-    """
-    a, sp = _grad_vjp(net, x, th, _jt_apply(v, n), acc)
-    return ((net.w2 * sp) * a) @ net.w1
-
-
-def _model_grad(net, x, th_out=None):
-    """dH/dx for a batch of states (rows); optionally record tanh(z)."""
-    z = x @ net.w1.T + net.b1
-    th = np.tanh(z)
-    if th_out is not None:
-        th_out[...] = th
-    return (net.w2 * (1.0 - th**2)) @ net.w1
+    """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
+    applied to J.T v, returned) and to the parameters (accumulated in `acc`);
+    `th` is this stage's forward tanh(w1 @ x + b1)."""
+    return _grad_vjp(net, x, th, _jt_apply(v, n), acc) @ net.w1
 
 
 def _lane_loss(xs, y, diverged, weight, penalty):
@@ -220,15 +218,11 @@ def _sim_batch(
         ths = np.empty((n_steps, 4, B, net.n_hidden))
         slots = iter(ths.reshape(4 * n_steps, B, net.n_hidden))
         stages = (ks, ths)
-
-        def field(x, g_in):
-            return _j_apply(_model_grad(net, x, next(slots)), n) + g_in
-
     else:
-        stages = None
+        slots, stages = repeat(None), None
 
-        def field(x, g_in):
-            return _j_apply(_model_grad(net, x), n) + g_in
+    def field(x, g_in):
+        return _j_apply(h_grad_x(net, x, next(slots)), n) + g_in
 
     xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
@@ -248,19 +242,11 @@ def _sim_batch(
         x2 = x + (h / 2.0) * k1
         x3 = x + (h / 2.0) * k2
         x4 = x + h * k3
-        x_bar = lam.copy()
-        c4 = (h / 6.0) * lam
-        x4_bar = _stage_vjp(net, x4, th4, c4, n, acc)
-        x_bar += x4_bar
-        c3 = (h / 3.0) * lam + h * x4_bar
-        x3_bar = _stage_vjp(net, x3, th3, c3, n, acc)
-        x_bar += x3_bar
-        c2 = (h / 3.0) * lam + (h / 2.0) * x3_bar
-        x2_bar = _stage_vjp(net, x2, th2, c2, n, acc)
-        x_bar += x2_bar
-        c1 = (h / 6.0) * lam + (h / 2.0) * x2_bar
-        x_bar += _stage_vjp(net, x, th1, c1, n, acc)
-        lam = x_bar
+        x4_bar = _stage_vjp(net, x4, th4, (h / 6.0) * lam, n, acc)
+        x3_bar = _stage_vjp(net, x3, th3, (h / 3.0) * lam + h * x4_bar, n, acc)
+        x2_bar = _stage_vjp(net, x2, th2, (h / 3.0) * lam + (h / 2.0) * x3_bar, n, acc)
+        x1_bar = _stage_vjp(net, x, th1, (h / 6.0) * lam + (h / 2.0) * x2_bar, n, acc)
+        lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
     return lane_loss, acc.flat(), diverged
 
 
@@ -351,8 +337,7 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
     )
     if diverged[0] >= 0:
         raise TrainingError(f"model rollout diverged at step {diverged[0]}")
-    loss = float(lane_loss[0])
-    return (loss, grad) if want_grad else (loss, None)
+    return float(lane_loss[0]), grad
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +348,7 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
     n = net.n_states // 2
     th = np.empty((x.shape[0], net.n_hidden))
-    g = _model_grad(net, x, th)
+    g = h_grad_x(net, x, th)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
     gu = u @ S.G.T
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
@@ -418,8 +403,7 @@ def derivative_loss(model, S: StructureMatrices, x, dx_target, u) -> float:
 
 
 def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
-    loss, grad = _derivative_value_grad(model, S, x, dx_target, u, want_grad=True)
-    return loss, grad
+    return _derivative_value_grad(model, S, x, dx_target, u, want_grad=True)
 
 
 def _derivative_value_grad(model, S, x, dx_target, u, want_grad):

@@ -151,6 +151,20 @@ class TestTrainCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("model", ["hnn", "mlp"])
+    def test_fd_targets_on_two_sample_trajectories_is_usage_error(self, tmp_path, capsys, model):
+        data = tmp_path / "two"
+        assert run_cli("generate-data", "--out", data, *GEN_FAST, "--n-samples", "2") == 0
+        code = run_cli(
+            "train", "--data", data, "--out", tmp_path / "o", "--model", model,
+            "--derivative-source", "fd", *TRAIN_FAST,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at least 3 samples" in err
+
+
 class TestEvaluateCommand:
     def test_three_model_comparison(self, cli_dataset, trained_models, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -194,6 +208,17 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'w1.x'" in err
+
+
+    def test_unknown_parameter_key_is_usage_error(self, cli_dataset, trained_models, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "model.txt"
+        bad.write_text(trained_models["oe-hnn"].read_text() + "bogus = 1.0\n")
+        code = run_cli("evaluate", "--data", cli_dataset, "--out", tmp_path / "e", "--models", bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'bogus'" in err
 
 
 class TestSimulateCommand:

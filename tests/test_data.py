@@ -9,6 +9,7 @@ from oehnn.data import (
     GenerationProtocol,
     Trajectory,
     _attempt_inputs,
+    _simulate_realizations,
     fd_derivatives,
     generate,
     read_csv,
@@ -88,6 +89,19 @@ class TestGenerate:
     def test_split_must_sum(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PROTOCOL, split=(3, 2, 2))
+
+    @pytest.mark.parametrize("variance", [0.0, 0.1])
+    def test_noise_is_the_inline_draw_on_the_realization_stream(self, variance):
+        # y = x_true + rng.normal(0, sqrt(variance)) on the stream left by the
+        # accepted attempt, bit for bit
+        system = duffing_system()
+        ds = generate(system, TINY_PROTOCOL, NoiseSpec(variance=variance), master_seed=3)
+        simulated = _simulate_realizations(
+            system, TINY_PROTOCOL, 3, range(TINY_PROTOCOL.n_realizations)
+        )
+        for tr, (_, _, x_true, _, rng, _) in zip(ds.all_trajectories(), simulated):
+            expected = x_true + rng.normal(0.0, np.sqrt(variance), size=x_true.shape)
+            assert np.array_equal(tr.y, expected)
 
 
 # Strong forcing: some attempts escape, so retries and lockstep blocks of

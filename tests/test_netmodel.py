@@ -251,6 +251,21 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="w1"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    @pytest.mark.parametrize("extra", ["bogus = 1.0", "w2.2 = 0 0 0", "w1.3 = 0 0 0"])
+    def test_unknown_parameter_key(self, tmp_path, kind, extra):
+        rng = np.random.default_rng(15)
+        if kind == "hnn":
+            model = init_hamiltonian_net(2, 3, rng)
+        else:
+            model = init_blackbox_net(2, 1, 3, rng)
+        path = tmp_path / "model.txt"
+        save_model(model, path, kind=kind, n_inputs=1)
+        path.write_text(path.read_text() + extra + "\n")
+        key = extra.split(" = ")[0]
+        with pytest.raises(ModelFormatError, match=f"unknown parameter key '{key}'"):
+            load_model(path)
+
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("junk without sections\n")

@@ -445,3 +445,138 @@ def test_train_config_validation():
         TrainConfig(chunk_length=1)
     with pytest.raises(ValueError):
         TrainConfig(anchor="oracle")
+
+
+# ---------------------------------------------------------------------------
+# The energy-net kernel: in-place dH/dx forward and the shared parameter VJP.
+# ---------------------------------------------------------------------------
+
+
+def reference_h_grad_x(net, x):
+    """The closed form written out: (w2 * (1 - tanh(w1 x + b1)^2)) @ w1."""
+    return (net.w2 * (1.0 - np.tanh(x @ net.w1.T + net.b1) ** 2)) @ net.w1
+
+
+def reference_grad_vjp(net, x, th, w, acc):
+    """The parameter VJP as first written: a = w @ w1.T, s = sech^2, s' =
+    -2 tanh sech^2; returns (w2 * s') * a, whose product with w1 is the state
+    pullback."""
+    s = 1.0 - th**2
+    sp = -2.0 * th * s
+    a = w @ net.w1.T
+    acc.w2 += np.einsum("bh,bh->h", a, s)
+    acc.b1 += net.w2 * np.einsum("bh,bh->h", a, sp)
+    acc.w1 += (s * net.w2).T @ w + (a * sp * net.w2).T @ x
+    return (net.w2 * sp) * a
+
+
+def rel_err(new, ref):
+    return np.max(np.abs(new - ref)) / np.max(np.abs(ref))
+
+
+def assert_blocks_match(grad, ref, n_hidden, tol):
+    """The w1, b1 and w2 gradient blocks of a 2-state net each agree to `tol`
+    relative to their own largest entry (b2 has no gradient)."""
+    ends = np.cumsum([2 * n_hidden, n_hidden, n_hidden])
+    for block, ref_block in zip(np.split(grad, ends)[:3], np.split(ref, ends)[:3]):
+        assert np.max(np.abs(ref_block)) > 0.0
+        assert rel_err(block, ref_block) <= tol
+
+
+def frozen(*arrays):
+    """Read-only copies: an in-place write into any of them raises."""
+    out = []
+    for a in arrays:
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+        out.append(a)
+    return out
+
+
+def saturated_hnet(rng, n_hidden):
+    # |w1 x + b1| is about 20 for states of order one, so tanh is +-1 or
+    # within a few ulps of it, and sech^2 is 0 or a few ulps
+    net = random_hnet(rng, n_hidden=n_hidden)
+    b1 = rng.choice([-1.0, 1.0], n_hidden) * rng.uniform(17.0, 21.0, n_hidden)
+    return dataclasses.replace(net, b1=b1)
+
+
+class TestEnergyKernel:
+    def test_forward_writes_tanh_into_the_given_slot_only(self):
+        rng = np.random.default_rng(70)
+        net = random_hnet(rng, n_hidden=7)
+        (x,) = frozen(rng.normal(size=(5, 2)))
+        th = np.full((5, 7), np.nan)
+        g = oehnn.train.h_grad_x(net, x, th)
+        assert np.array_equal(th, np.tanh(x @ net.w1.T + net.b1))
+        assert np.array_equal(g, oehnn.train.h_grad_x(net, x))
+        assert np.array_equal(g, reference_h_grad_x(net, x))
+
+    def test_vjp_writes_neither_states_record_nor_cotangent(self):
+        rng = np.random.default_rng(71)
+        net = random_hnet(rng, n_hidden=7)
+        x, v = frozen(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+        (th,) = frozen(np.tanh(x @ net.w1.T + net.b1))
+        accs = [oehnn.train._ThetaGrad(net) for _ in range(2)]
+        pulls = [oehnn.train._stage_vjp(net, x, th, v, 1, acc) for acc in accs]
+        assert np.array_equal(pulls[0], pulls[1])
+        assert np.array_equal(accs[0].flat(), accs[1].flat())
+
+    def test_simulation_gradient_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
+        net = random_hnet(np.random.default_rng(72), n_hidden=6)
+        groups = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)
+        x0, gu, y, h, w = groups[0]
+        x0, gu, y, w = frozen(x0, gu, y, w)
+        runs = [oehnn.train._sim_batch(net, S, x0, gu, y, h, w, 1e6, True) for _ in range(2)]
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+        traj = tiny_duffing_dataset.train[0]
+        first, second = simulation_loss_grad(net, S, traj), simulation_loss_grad(net, S, traj)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
+        net = random_hnet(np.random.default_rng(73), n_hidden=6)
+        x, dx, u = frozen(*oehnn.train._derivative_training_set(
+            tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
+        )[:3])
+        (w,) = frozen(np.full(len(x), 1.0 / len(x)))
+        runs = [oehnn.train._derivative_batch_hnn(net, S, x, dx, u, w, True) for _ in range(2)]
+        assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
+    def test_matches_the_closed_form(self, tiny_duffing_dataset, monkeypatch, saturated):
+        rng = np.random.default_rng(74)
+        net = saturated_hnet(rng, 9) if saturated else random_hnet(rng, n_hidden=9)
+        x = rng.normal(size=(40, 2))
+        assert rel_err(oehnn.train.h_grad_x(net, x), reference_h_grad_x(net, x)) <= 1e-12
+        args = oehnn.train._traj_arrays(tiny_duffing_dataset.train, S, "measured")
+        xf, dxf, uf, wf = oehnn.train._derivative_training_set(
+            tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
+        )
+        new = [
+            oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
+            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf, True),
+        ]
+        monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
+        ref = [
+            oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
+            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf, True),
+        ]
+        for (loss, grad), (ref_loss, ref_grad) in zip(new, ref):
+            assert np.array_equal(loss, ref_loss)  # the forward is the same arithmetic
+            assert_blocks_match(grad, ref_grad, 9, 1e-12)
+
+    def test_matches_the_closed_form_at_benchmark_shape(self, standard_duffing_dataset,
+                                                        monkeypatch):
+        # 15 trajectories of 500 samples cut at 50: 135 lanes of 50 steps, width 200
+        ds = standard_duffing_dataset
+        args = max(oehnn.train._chunk_arrays(ds.train, S, "measured", 50),
+                   key=lambda group: len(group[0]))
+        assert args[1].shape[:2] == (50, 135)
+        net = init_hamiltonian_net(2, 200, np.random.default_rng(41))
+        loss, grad, _ = oehnn.train._sim_batch(net, S, *args, 1e6, True)
+        monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
+        ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, *args, 1e6, True)
+        assert np.array_equal(loss, ref_loss)
+        assert_blocks_match(grad, ref_grad, 200, 1e-13)
+
