@@ -26,7 +26,14 @@ from oehnn.data import (
     read_csv,
     write_csv,
 )
-from oehnn.dynamics import SystemSpec, coupled_system, duffing_system, field_fn, structure_matrices
+from oehnn.dynamics import (
+    SYSTEM_DEFAULTS,
+    SystemSpec,
+    coupled_system,
+    duffing_system,
+    field_fn,
+    structure_matrices,
+)
 from oehnn.integrate import IntegrationError, rollout
 from oehnn.netmodel import (
     ModelFormatError,
@@ -59,20 +66,6 @@ from oehnn.data import Trajectory
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-SYSTEM_DEFAULTS = {
-    # per-system defaults: masses, stiffnesses, measurement-noise variance and
-    # excitation amplitude that keep the softening springs inside their wells
-    # often enough for rejection sampling to succeed.
-    "duffing": {"masses": (1.0,), "stiffnesses": (1.0,), "noise_variance": 0.1, "amplitude": 0.15},
-    "coupled": {
-        "masses": (0.5, 0.5),
-        "stiffnesses": (1.0, 1.0),
-        "noise_variance": 0.05,
-        "amplitude": 0.1,
-    },
-}
-
 
 class ConfigError(ValueError):
     pass

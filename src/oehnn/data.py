@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from oehnn.dynamics import SystemSpec, field_fn
+from oehnn.dynamics import SystemSpec, field_fn, system_defaults
 from oehnn.integrate import rk4_lanes
 from oehnn.signals import MultisineSpec, NoiseSpec, add_noise, multisine_value, sample_phases
 
@@ -76,10 +77,11 @@ class GenerationProtocol:
 
     25 input realizations, 500 samples recorded on t in [5, 10) at Ts = 0.01,
     split 15/5/5, 20-harmonic multisine with base frequency 0.1 Hz, initial
-    states uniform in [-0.5, 0.5] per coordinate. The default per-component
-    amplitude is well below 1: the softening spring's potential well is only
-    0.25 deep, and stronger forcing ejects the mass on essentially every
-    realization, which no retry cap can absorb.
+    states uniform in [-0.5, 0.5] per coordinate. An unset amplitude is the
+    system's default (`dynamics.SYSTEM_DEFAULTS`), which `generate` fills in.
+    Those per-component amplitudes are well below 1: the softening spring's
+    potential well is only 0.25 deep, and stronger forcing ejects the mass
+    on essentially every realization, which no retry cap can absorb.
     """
 
     n_realizations: int = 25
@@ -89,7 +91,7 @@ class GenerationProtocol:
     split: tuple[int, int, int] = (15, 5, 5)
     harmonics: int = 20
     f0: float = 0.1
-    amplitude: float = 0.15
+    amplitude: float | None = None
     init_range: float = 0.5
     q_max: float = 5.0
     max_retries: int = 50
@@ -220,6 +222,8 @@ def generate(
     states and derivatives, then measurement noise added to form y.
     """
     protocol = protocol or GenerationProtocol()
+    if protocol.amplitude is None:
+        protocol = dataclasses.replace(protocol, amplitude=system_defaults(system)["amplitude"])
     noise = noise if noise is not None else NoiseSpec()
     realizations = range(protocol.n_realizations)
     simulated = _simulate_realizations(system, protocol, master_seed, realizations)

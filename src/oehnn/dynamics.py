@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SYSTEM_DEFAULTS",
     "SystemSpec",
+    "system_defaults",
     "StructureMatrices",
     "duffing_system",
     "coupled_system",
@@ -82,6 +84,29 @@ def coupled_system(
 ) -> SystemSpec:
     """Two masses in a chain of two softening springs, forced on the second mass."""
     return SystemSpec(2, tuple(masses), tuple(stiffnesses), (1,), cubic)
+
+
+# Per-system defaults: masses, stiffnesses, measurement-noise variance and
+# excitation amplitude that keep the softening springs inside their wells
+# often enough for rejection sampling to succeed.
+SYSTEM_DEFAULTS = {
+    "duffing": {"masses": (1.0,), "stiffnesses": (1.0,), "noise_variance": 0.1, "amplitude": 0.15},
+    "coupled": {
+        "masses": (0.5, 0.5),
+        "stiffnesses": (1.0, 1.0),
+        "noise_variance": 0.05,
+        "amplitude": 0.1,
+    },
+}
+
+
+def system_defaults(spec: SystemSpec) -> dict:
+    """The `SYSTEM_DEFAULTS` entry of the benchmark system (duffing or
+    coupled) that `spec` is a variant of, told apart by its number of masses."""
+    name = {1: "duffing", 2: "coupled"}.get(spec.n_masses)
+    if name is None:
+        raise ValueError(f"no default settings for a chain of {spec.n_masses} masses")
+    return SYSTEM_DEFAULTS[name]
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,9 @@ def compare_estimators(
     the median mean RMSE. Seeds run in parallel when workers > 1; results
     are identical for any worker count (fixed gather order). The fits inside
     that seed pool run with `fit(workers=1)`, because a pool worker may not
-    fork; seeds run in this process pass `workers` on to `fit`.
+    fork: each validates its epochs inline, a window at a time, in one
+    stacked rollout. Seeds run in this process pass `workers` on to `fit`,
+    whose helper process then validates off the gradient's path.
     """
     pooled = workers > 1 and len(seeds) > 1
     jobs = [

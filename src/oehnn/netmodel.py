@@ -4,11 +4,19 @@ The Hamiltonian network is a single hidden tanh layer producing a scalar
 energy; its state gradient and Hessian-vector products are implemented in
 closed form so that training can differentiate through them without a
 generic autodiff engine.
+
+A stacked net (`with_params` on a (K, P) array) carries K models along a
+leading axis of every parameter; its per-unit vectors are (K, 1, n), so
+they broadcast over each model's state rows as a plain net's (n,) vectors
+do. `h_grad_x` and `_blackbox_rows` take it with state rows (K, B, d), one
+block of B rows per model, and compute each block with the same
+operations as the plain net on those B rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,40 +48,40 @@ MODEL_KINDS = ("oe-hnn", "hnn", "mlp")
 class HamiltonianNet:
     """Scalar energy net: H(x) = w2 . tanh(w1 @ x + b1) + b2."""
 
-    w1: np.ndarray  # (n_hidden, n_states)
-    b1: np.ndarray  # (n_hidden,)
-    w2: np.ndarray  # (n_hidden,)
-    b2: float
+    w1: np.ndarray  # (n_hidden, n_states); stacked: (K, n_hidden, n_states)
+    b1: np.ndarray  # (n_hidden,); stacked: (K, 1, n_hidden)
+    w2: np.ndarray  # (n_hidden,); stacked: (K, 1, n_hidden)
+    b2: float  # stacked: (K,)
 
     @property
     def n_states(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def n_hidden(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
 
 @dataclass(frozen=True)
 class BlackBoxNet:
     """One-hidden-layer tanh net mapping (x, u) directly to a state derivative."""
 
-    w1: np.ndarray  # (n_hidden, n_states + n_inputs)
-    b1: np.ndarray  # (n_hidden,)
-    w2: np.ndarray  # (n_states, n_hidden)
-    b2: np.ndarray  # (n_states,)
+    w1: np.ndarray  # (n_hidden, n_states + n_inputs); stacked: (K, n_hidden, n_in)
+    b1: np.ndarray  # (n_hidden,); stacked: (K, 1, n_hidden)
+    w2: np.ndarray  # (n_states, n_hidden); stacked: (K, n_states, n_hidden)
+    b2: np.ndarray  # (n_states,); stacked: (K, 1, n_states)
 
     @property
     def n_states(self) -> int:
-        return self.w2.shape[0]
+        return self.w2.shape[-2]
 
     @property
     def n_inputs(self) -> int:
-        return self.w1.shape[1] - self.w2.shape[0]
+        return self.w1.shape[-1] - self.w2.shape[-2]
 
     @property
     def n_hidden(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
 
 def h_value(net: HamiltonianNet, x: np.ndarray):
@@ -88,9 +96,10 @@ def h_grad_x(net: HamiltonianNet, x: np.ndarray, th_out: np.ndarray | None = Non
     """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
 
     With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is computed in
-    place there, e.g. in a stage record. Never writes `x`.
+    place there, e.g. in a stage record. Never writes `x`. A stacked net
+    takes x of shape (K, B, d).
     """
-    th = np.matmul(np.asarray(x, dtype=float), net.w1.T, out=th_out)
+    th = np.matmul(np.asarray(x, dtype=float), net.w1.mT, out=th_out)
     th += net.b1
     np.tanh(th, out=th)
     s = th * th
@@ -125,9 +134,10 @@ def blackbox_field(net: BlackBoxNet, x: np.ndarray, u) -> np.ndarray:
 
 def _blackbox_rows(net: BlackBoxNet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """`blackbox_field` on float arrays of state rows (..., d) and input rows
-    (..., m), without input normalization (for per-stage calls)."""
-    z = np.concatenate([x, u], axis=-1) @ net.w1.T + net.b1
-    return np.tanh(z) @ net.w2.T + net.b2
+    (..., m), without input normalization (for per-stage calls). A stacked
+    net takes x of shape (K, B, d) and u of shape (K, B, m)."""
+    z = np.concatenate([x, u], axis=-1) @ net.w1.mT + net.b1
+    return np.tanh(z) @ net.w2.mT + net.b2
 
 
 def init_hamiltonian_net(
@@ -164,34 +174,42 @@ def flatten_params(model) -> np.ndarray:
 
 
 def with_params(model, theta: np.ndarray):
-    """Rebuild a model of the same architecture from a flat parameter vector."""
+    """Rebuild a model of the same architecture from a flat parameter vector.
+
+    A (K, P) array of K parameter vectors gives a stacked net: every
+    parameter gains a leading axis of length K, and each per-unit vector
+    also a length-1 axis for the state rows it broadcasts over.
+    """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError("parameter vector must be 1-D")
+    if theta.ndim not in (1, 2):
+        raise ValueError("parameters must be one vector or a (K, P) stack of vectors")
+    lead = theta.shape[:-1]
+    rows = (*lead, 1) if lead else ()
     if isinstance(model, HamiltonianNet):
-        nh, d = model.w1.shape
+        nh, d = model.n_hidden, model.n_states
         expected = nh * d + nh + nh + 1
-        if theta.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {theta.size}")
+        if theta.shape[-1] != expected:
+            raise ValueError(f"expected {expected} parameters, got {theta.shape[-1]}")
         ofs = nh * d
+        b2 = theta[..., -1]
         return HamiltonianNet(
-            w1=theta[:ofs].reshape(nh, d).copy(),
-            b1=theta[ofs : ofs + nh].copy(),
-            w2=theta[ofs + nh : ofs + 2 * nh].copy(),
-            b2=float(theta[-1]),
+            w1=theta[..., :ofs].reshape(*lead, nh, d).copy(),
+            b1=theta[..., ofs : ofs + nh].reshape(*rows, nh).copy(),
+            w2=theta[..., ofs + nh : ofs + 2 * nh].reshape(*rows, nh).copy(),
+            b2=b2.copy() if lead else float(b2),
         )
     if isinstance(model, BlackBoxNet):
-        nh, n_in = model.w1.shape
-        d = model.n_states
+        nh, d = model.n_hidden, model.n_states
+        n_in = d + model.n_inputs
         expected = nh * n_in + nh + d * nh + d
-        if theta.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {theta.size}")
+        if theta.shape[-1] != expected:
+            raise ValueError(f"expected {expected} parameters, got {theta.shape[-1]}")
         ofs = nh * n_in
-        w1 = theta[:ofs].reshape(nh, n_in).copy()
-        b1 = theta[ofs : ofs + nh].copy()
+        w1 = theta[..., :ofs].reshape(*lead, nh, n_in).copy()
+        b1 = theta[..., ofs : ofs + nh].reshape(*rows, nh).copy()
         ofs += nh
-        w2 = theta[ofs : ofs + d * nh].reshape(d, nh).copy()
-        b2 = theta[ofs + d * nh :].copy()
+        w2 = theta[..., ofs : ofs + d * nh].reshape(*lead, d, nh).copy()
+        b2 = theta[..., ofs + d * nh :].reshape(*rows, d).copy()
         return BlackBoxNet(w1=w1, b1=b1, w2=w2, b2=b2)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -287,22 +305,38 @@ def _parse_row(params: dict[str, str], key: str, expected_len: int, path) -> np.
     return row
 
 
+_META_KEYS = ("kind", "n_states", "n_inputs", "n_hidden", "seed", "normalization")
+
+
 def load_model(path, expect_kind: str | None = None) -> SavedModel:
-    """Read a model file back; optionally enforce the stored kind tag."""
+    """Read a model file back; optionally enforce the stored kind tag.
+
+    Any section other than [meta] and [params], and any [meta] key that
+    `save_model` does not write, is an error rather than silently ignored.
+    """
     sections = _parse_sections(path)
     if "meta" not in sections or "params" not in sections:
         raise ModelFormatError(f"{path}: missing [meta] or [params] section")
+    extra = [name for name in sections if name not in ("meta", "params")]
+    if extra:
+        raise ModelFormatError(f"{path}: unknown section [{extra[0]}]")
     meta = sections["meta"]
     params = sections["params"]
+    unknown = [k for k in meta if k not in _META_KEYS]
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown meta key {unknown[0]!r}")
     try:
         kind = meta["kind"]
         n_states = int(meta["n_states"])
         n_inputs = int(meta["n_inputs"])
         n_hidden = int(meta["n_hidden"])
+        seed = int(meta["seed"]) if "seed" in meta else None
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing meta key {exc}") from exc
     except ValueError as exc:
         raise ModelFormatError(f"{path}: bad meta value: {exc}") from exc
+    if min(n_states, n_inputs, n_hidden) < 1:
+        raise ModelFormatError(f"{path}: n_states, n_inputs and n_hidden must be positive")
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
@@ -311,11 +345,18 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
         )
     if meta.get("normalization", "none") != "none":
         raise ModelFormatError(f"{path}: unsupported normalization {meta['normalization']!r}")
-    seed = int(meta["seed"]) if "seed" in meta else None
 
     hamiltonian = kind in ("oe-hnn", "hnn")
-    known = {f"w1.{i}" for i in range(n_hidden)} | {"b1", "b2"}
-    known |= {"w2"} if hamiltonian else {f"w2.{i}" for i in range(n_states)}
+    rows = chain(
+        (f"w1.{i}" for i in range(n_hidden)),
+        ["b1", "w2"] if hamiltonian else ["b1", *(f"w2.{i}" for i in range(n_states))],
+        ["b2"],
+    )
+    if n_hidden + (1 if hamiltonian else n_states) + 2 > len(params):
+        # name the first missing row without listing every row a size asks for
+        missing = next(key for key in rows if key not in params)
+        raise ModelFormatError(f"{path}: missing parameter row {missing!r}")
+    known = set(rows)  # no more names than the file has rows
     unknown = [k for k in params if k not in known]
     if unknown:
         raise ModelFormatError(f"{path}: unknown parameter key {unknown[0]!r}")

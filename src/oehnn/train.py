@@ -13,6 +13,7 @@ the record, and no caller's states or cotangents are ever written.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -50,6 +51,11 @@ __all__ = [
 
 ANCHORS = ("measured", "true")
 DERIVATIVE_SOURCES = ("fd", "true")
+# Most epochs `fit` may run ahead of their validation: with the helper
+# process, which validates whatever has queued in one stacked rollout, and
+# inline, which validates each window of this many epochs in one rollout.
+_RUN_AHEAD = 16
+_INLINE_WINDOW = 8
 
 
 class TrainingError(RuntimeError):
@@ -464,8 +470,47 @@ def _derivative_training_set(trajs, source, ts):
     )
 
 
-def _serve_validation(conn, parent_end, val_loss, template) -> None:
-    """Helper-process loop: parameter bytes in, validation loss out."""
+def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
+    """Validation loss of each parameter vector in `thetas` (K, P).
+
+    One RK4 rollout of the stacked model steps all K models at once, over
+    K * B lanes. Each model's block of B lanes goes through the same
+    operations as a one-model rollout, and its loss is reduced from its own
+    lanes alone, so each loss has the bits of validating that model alone.
+    """
+    K = len(thetas)
+    # a lone model runs as a plain net, whose 2-D matmuls cost less per call
+    net = with_params(template, thetas[0] if K == 1 else thetas)
+    totals = [0.0] * K
+    for x0, gu, y, h, weight in groups:
+        B, d = x0.shape
+        block = (B, d) if K == 1 else (K, B, d)
+        if kind == "mlp":
+            # the black-box net takes raw inputs: G has orthonormal columns
+            u = gu @ S.G
+            if K > 1:
+                u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
+
+            def field(x, uk):
+                return _blackbox_rows(net, x.reshape(block), uk).reshape(K * B, d)
+
+        else:
+            u = gu
+
+            def field(x, g_in):
+                return (_j_apply(h_grad_x(net, x.reshape(block)), d // 2) + g_in).reshape(K * B, d)
+
+        xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
+        xs = xs.reshape(len(xs), K, B, d)
+        diverged = diverged.reshape(K, B)
+        for k in range(K):
+            totals[k] += float(_lane_loss(xs[:, k], y, diverged[k], weight, penalty)[0].sum())
+    return totals
+
+
+def _serve_validation(conn, parent_end, val_losses) -> None:
+    """Helper-process loop: every parameter vector queued in the pipe is
+    validated in one stacked rollout, and their losses go back as one list."""
     import signal
 
     # an interrupt is the parent's to handle; the parent then stops this process
@@ -475,29 +520,31 @@ def _serve_validation(conn, parent_end, val_loss, template) -> None:
     with conn:
         while True:
             try:
-                theta = np.frombuffer(conn.recv_bytes())
-                conn.send(val_loss(with_params(template, theta)))
+                thetas = [np.frombuffer(conn.recv_bytes())]
+                while conn.poll():
+                    thetas.append(np.frombuffer(conn.recv_bytes()))
+                conn.send(val_losses(np.stack(thetas)))
             except (EOFError, BrokenPipeError):
                 return
 
 
 class _ValidationHelper:
-    """One forked process that computes an epoch's validation loss while the
-    parent computes that epoch's training gradient.
+    """One forked process that validates the epochs `fit` has run ahead of,
+    while the parent computes training gradients.
 
-    The fork inherits the validation arrays, the loss closure and the model
-    template, so only the parameter bytes and the loss cross the pipe, and the
-    helper runs the same code on the same bytes as an inline call.
+    The fork inherits the validation arrays and the loss function, so only
+    parameter bytes and losses cross the pipe, and the helper runs the same
+    code on the same bytes as an inline call.
     """
 
-    def __init__(self, val_loss, template):
+    def __init__(self, val_losses):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(
             target=_serve_validation,
-            args=(child_end, self._conn, val_loss, template),
+            args=(child_end, self._conn, val_losses),
             daemon=True,
         )
         self._proc.start()
@@ -507,14 +554,20 @@ class _ValidationHelper:
     def submit(self, theta: np.ndarray) -> None:
         try:
             self._conn.send_bytes(theta.tobytes())
-        except BrokenPipeError:
+        except ConnectionError:
             raise self._died() from None
 
-    def result(self) -> float:
+    def results(self, block: bool) -> list[float]:
+        """The losses sent back since the last call, in submission order;
+        with `block`, wait until there is at least one."""
+        out: list[float] = []
         try:
-            return self._conn.recv()
-        except EOFError:
+            while (block and not out) or self._conn.poll():
+                out += self._conn.recv()
+        except (EOFError, ConnectionError):
+            # a helper that exits with parameters still unread resets the pipe
             raise self._died() from None
+        return out
 
     def _died(self) -> TrainingError:
         self._proc.join(timeout=1.0)
@@ -560,15 +613,29 @@ def fit(
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
     initialization (used for staged chunked-then-full training).
 
-    `workers` sets how many processes the fit may use. With 1, each epoch
-    computes its validation loss after its training gradient, in this
-    process. With 2 or more, one forked helper process computes the epoch's
-    validation loss while this process computes the training gradient, so
-    an epoch costs the longer of the two instead of their sum. With 0 (the
-    default), the helper is used when this process may run on at least two
-    cores and is not itself a daemonic pool worker, which cannot fork. The
-    helper runs the same code on the same parameter bytes, so `history` and
-    the returned model are bit-identical for every `workers`. The helper is
+    Adam's steps never read the validation loss, so the fit runs ahead:
+    epoch e+1's gradient starts before epoch e is validated, and the
+    epochs awaiting validation are validated together, in one rollout of a
+    stacked model. Their results are settled strictly in epoch order, so
+    `history`, the best copy, `best_epoch` and the patience stop are those
+    of validating every epoch before the next step. A patience stop at
+    epoch e discards every gradient computed past e. A non-finite gradient
+    raises `TrainingError` only once every earlier epoch is settled and none
+    of them stopped the fit, as without run-ahead; an all-diverged first
+    epoch raises at once.
+
+    `workers` sets how many processes the fit may use. With 1, this process
+    validates each window of `_INLINE_WINDOW` epochs after their gradients.
+    With 2 or more, one forked helper process validates while this process
+    computes gradients: each epoch's parameters go to the helper as the
+    epoch starts, the helper validates everything queued for it in one
+    rollout, and this process waits only when `_RUN_AHEAD` epochs await
+    validation, at the last epoch and before refusing a non-finite
+    gradient. With 0 (the default), the helper is used when this process
+    may run on at least two cores and is not itself a daemonic pool
+    worker, which cannot fork. Each stacked member's loss has the bits of
+    validating that model alone, so `history` and the returned model are
+    bit-identical for every `workers` and every batching. The helper is
     stopped when `fit` returns or raises; if it dies, `fit` raises
     `TrainingError`.
     """
@@ -627,43 +694,57 @@ def fit(
             loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit, True)
         return loss, g, False
 
-    def val_loss(model):
-        total = 0.0
-        for x0, gu, y, h, weight in val_groups:
-            if kind == "mlp":
-                # the black-box net takes raw inputs: G has orthonormal columns
-                xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, model), x0, gu @ S.G, h)
-                lane_loss = _lane_loss(xs, y, diverged, weight, config.divergence_penalty)[0]
-            else:
-                lane_loss = _sim_batch(
-                    model, S, x0, gu, y, h, weight, config.divergence_penalty, False
-                )[0]
-            total += float(lane_loss.sum())
-        return total
-
+    validate = partial(
+        _val_losses, template, kind=kind, S=S, groups=val_groups,
+        penalty=config.divergence_penalty,
+    )
     history = []
     best_theta = theta.copy()
     best_val = np.inf
     best_epoch = 0
-    helper = _ValidationHelper(val_loss, template) if overlap else None
+    pending: deque = deque()  # (epoch, theta, train loss) awaiting validation, oldest first
+    losses: deque = deque()  # the validation losses known for the oldest of them
+    helper = _ValidationHelper(validate) if overlap else None
+    limit = _RUN_AHEAD if helper is not None else _INLINE_WINDOW
+
+    def fetch(block: bool) -> list[float]:
+        if helper is not None:
+            return helper.results(block)
+        return validate(np.stack([th for _, th, _ in pending])) if block else []
+
     try:
         for epoch in range(1, config.max_epochs + 1):
-            model = with_params(template, theta)
             if helper is not None:
                 helper.submit(theta)
-            tr_loss, grad, all_dead = train_loss_grad(model)
+            tr_loss, grad, all_dead = train_loss_grad(with_params(template, theta))
             if all_dead and epoch == 1:
                 raise TrainingError(
                     "every training rollout diverged at the first epoch; "
                     "reduce the learning rate or set a chunk_length"
                 )
-            v_loss = val_loss(model) if helper is None else helper.result()
-            history.append((epoch, tr_loss, v_loss))
-            if v_loss < best_val:
-                best_val = v_loss
-                best_theta = theta.copy()
-                best_epoch = epoch
-            elif epoch - best_epoch >= config.patience:
+            pending.append((epoch, theta, tr_loss))
+            # settle every epoch before the last one or before a non-finite
+            # gradient is refused, else just enough to stay within the limit
+            if epoch == config.max_epochs or not np.isfinite(grad).all():
+                n_due = len(pending)
+            else:
+                n_due = len(pending) - limit + 1
+            losses.extend(fetch(block=False))
+            stopped = False
+            while not stopped and (losses or n_due > 0):
+                if not losses:
+                    losses.extend(fetch(block=True))
+                ep, th, tr = pending.popleft()
+                v_loss = losses.popleft()
+                n_due -= 1
+                history.append((ep, tr, v_loss))
+                if v_loss < best_val:
+                    best_val = v_loss
+                    best_theta = th.copy()
+                    best_epoch = ep
+                elif ep - best_epoch >= config.patience:
+                    stopped = True
+            if stopped:
                 break
             theta, adam = adam_step(theta, grad, adam, config)
     finally:

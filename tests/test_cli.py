@@ -1,10 +1,13 @@
 import filecmp
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
 from oehnn.data import read_csv
@@ -219,6 +222,84 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'bogus'" in err
+
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda t: t.replace("[meta]\n", "[meta]\nn_hiden = 7\n"), "'n_hiden'"),
+            (lambda t: t + "[extra]\nnote = 1\n", "[extra]"),
+            (lambda t: t.replace("seed = 0\n", "seed = 0.0\n"), "'0.0'"),
+            (lambda t: t.replace("n_hidden = 6\n", "n_hidden = 0\n"), "must be positive"),
+            (lambda t: t.replace("n_hidden = 6\n", "n_hidden = 10000000000\n"), "'w1.6'"),
+        ],
+    )
+    def test_bad_meta_or_section_is_usage_error(
+        self, cli_dataset, trained_models, tmp_path, capsys, edit, named
+    ):
+        bad = tmp_path / "model.txt"
+        bad.write_text(edit(trained_models["hnn"].read_text()))
+        code = run_cli("evaluate", "--data", cli_dataset, "--out", tmp_path / "e", "--models", bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+
+# One corruption of a model file: cut it after line i; delete line i; put
+# free text in place of line i or before it; give line i a new value; or put
+# a copy of line j with a new value before line i. A new value is a small
+# integer, a float (nan and inf too) or free text.
+_LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n", codec="utf-8"), max_size=30)
+_VALUE = st.one_of(
+    st.integers(-3, 12).map(str), st.floats(allow_nan=True).map(repr), _LINE_TEXT
+)
+_CORRUPTION = st.tuples(
+    st.sampled_from(["truncate", "delete", "replace", "insert", "revalue", "copy"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.one_of(_VALUE, _LINE_TEXT),
+)
+
+
+def _corrupt(lines, corruption):
+    op, at, donor, text = corruption
+    i = at % len(lines)
+    if op == "truncate":
+        return lines[:i]
+    if op in ("revalue", "copy"):
+        key = lines[i if op == "revalue" else donor % len(lines)].split("=", 1)[0].strip()
+        text = f"{key} = {text}"
+    if op in ("insert", "copy"):
+        return lines[:i] + [text] + lines[i:]
+    return lines[:i] + ([] if op == "delete" else [text]) + lines[i + 1 :]
+
+
+class TestModelFileContract:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(kind=st.sampled_from(["oe-hnn", "hnn", "mlp"]), corruption=_CORRUPTION)
+    def test_corrupt_model_file_exits_cleanly(
+        self, cli_dataset, trained_models, capsys, kind, corruption
+    ):
+        lines = trained_models[kind].read_text().splitlines()
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "model.txt"
+            bad.write_text("\n".join(_corrupt(lines, corruption)) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            code = run_cli("evaluate", "--data", cli_dataset, "--out", Path(tmp) / "e",
+                           "--models", bad)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code != 0:
+            assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+                err.splitlines()[-1]
+            ]
+            assert err.count("error:") == 1
 
 
 class TestSimulateCommand:

@@ -15,7 +15,7 @@ from oehnn.data import (
     read_csv,
     write_csv,
 )
-from oehnn.dynamics import coupled_system, duffing_system, field_fn
+from oehnn.dynamics import SYSTEM_DEFAULTS, coupled_system, duffing_system, field_fn
 from oehnn.integrate import IntegrationError, rollout
 from oehnn.signals import NoiseSpec
 from tests.conftest import TINY_PROTOCOL
@@ -33,6 +33,19 @@ class TestGenerate:
             assert tr.dx_true.shape == (40, 2)
             assert tr.t[0] == pytest.approx(0.5)
             assert np.allclose(np.diff(tr.t), 0.01)
+
+    def test_unset_amplitude_is_the_systems_default(self):
+        # the library default protocol on the coupled system: duffing's 0.15
+        # forcing used to eject seed 305's realizations on every retry
+        ds = generate(coupled_system(), GenerationProtocol(), NoiseSpec(), 305)
+        assert ds.protocol.amplitude == SYSTEM_DEFAULTS["coupled"]["amplitude"]
+        explicit = dataclasses.replace(TINY_PROTOCOL, amplitude=0.15)
+        unset = dataclasses.replace(TINY_PROTOCOL, amplitude=None)
+        a = generate(duffing_system(), explicit, NoiseSpec(), 5)
+        b = generate(duffing_system(), unset, NoiseSpec(), 5)
+        assert b.protocol == a.protocol
+        for ta, tb in zip(a.all_trajectories(), b.all_trajectories()):
+            assert np.array_equal(ta.y, tb.y)
 
     def test_no_realization_in_two_splits(self, tiny_duffing_dataset):
         seen = [tr.realization for tr in tiny_duffing_dataset.all_trajectories()]

@@ -9,6 +9,7 @@ from oehnn.netmodel import (
     BlackBoxNet,
     HamiltonianNet,
     ModelFormatError,
+    _blackbox_rows,
     blackbox_field,
     flatten_params,
     h_grad_x,
@@ -201,6 +202,41 @@ class TestParamsRoundTrip:
         net = zero_hnet()
         with pytest.raises(ValueError):
             with_params(net, np.zeros(3))
+        with pytest.raises(ValueError):
+            with_params(net, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            with_params(net, np.zeros((1, 1, flatten_params(net).size)))
+
+
+class TestStackedNets:
+    """A (K, P) parameter array gives K models on a leading axis; each block
+    of state rows goes through the same arithmetic as the plain net."""
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_stacked_forward_is_each_members_forward(self, kind):
+        rng = np.random.default_rng(21)
+        K, B, d, m, nh = 3, 7, 4, 1, 9
+        if kind == "hnn":
+            template = init_hamiltonian_net(d, nh, rng)
+        else:
+            template = init_blackbox_net(d, m, nh, rng)
+        thetas = rng.uniform(-1, 1, (K, flatten_params(template).size))
+        stacked = with_params(template, thetas)
+        assert stacked.w1.shape[0] == K and stacked.b1.shape == (K, 1, nh)
+        assert (stacked.n_states, stacked.n_hidden) == (d, nh)
+        x = rng.normal(size=(K, B, d))
+        u = rng.normal(size=(K, B, m))
+        if kind == "hnn":
+            out = h_grad_x(stacked, x)
+            assert np.array_equal(stacked.b2, thetas[:, -1])
+        else:
+            out = _blackbox_rows(stacked, x, u)
+            assert stacked.n_inputs == m
+        for k in range(K):
+            member = with_params(template, thetas[k])
+            alone = h_grad_x(member, x[k]) if kind == "hnn" else _blackbox_rows(member, x[k], u[k])
+            assert np.array_equal(out[k], alone)
+            assert np.array_equal(flatten_params(member), thetas[k])
 
 
 class TestModelFiles:
@@ -264,6 +300,22 @@ class TestModelFiles:
         path.write_text(path.read_text() + extra + "\n")
         key = extra.split(" = ")[0]
         with pytest.raises(ModelFormatError, match=f"unknown parameter key '{key}'"):
+            load_model(path)
+
+    def test_unknown_meta_key(self, tmp_path):
+        rng = np.random.default_rng(16)
+        path = tmp_path / "model.txt"
+        save_model(init_hamiltonian_net(2, 3, rng), path, kind="hnn", n_inputs=1)
+        path.write_text(path.read_text().replace("[meta]\n", "[meta]\nn_hiden = 7\n"))
+        with pytest.raises(ModelFormatError, match="unknown meta key 'n_hiden'"):
+            load_model(path)
+
+    def test_unknown_section(self, tmp_path):
+        rng = np.random.default_rng(17)
+        path = tmp_path / "model.txt"
+        save_model(init_blackbox_net(2, 1, 3, rng), path, kind="mlp", n_inputs=1)
+        path.write_text(path.read_text() + "[extra]\nnote = 1\n")
+        with pytest.raises(ModelFormatError, match=r"unknown section \[extra\]"):
             load_model(path)
 
     def test_corrupt_file(self, tmp_path):

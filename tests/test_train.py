@@ -1,15 +1,17 @@
 import dataclasses
 import multiprocessing
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oehnn.train
-from oehnn.data import Trajectory
-from oehnn.dynamics import duffing_system, structure_matrices
-from oehnn.integrate import rollout
+from oehnn.data import Trajectory, generate
+from oehnn.dynamics import coupled_system, duffing_system, structure_matrices
+from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import (
+    _blackbox_rows,
     flatten_params,
     init_blackbox_net,
     init_hamiltonian_net,
@@ -30,6 +32,8 @@ from oehnn.train import (
     simulation_loss_grad,
     write_history_csv,
 )
+from oehnn.signals import NoiseSpec
+from tests.conftest import TINY_PROTOCOL
 
 SPEC = duffing_system()
 S = structure_matrices(SPEC)
@@ -378,6 +382,79 @@ class TestWorkers:
         assert np.array_equal(flatten_params(inline.model), flatten_params(helper.model))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
+    )
+    def test_run_ahead_settles_in_epoch_order(self, tiny_duffing_dataset, kind, chunk):
+        # stops inside a validation window and on the edge of both the inline
+        # window and the helper's run-ahead limit, and a run whose epoch count
+        # is not a multiple of the window; each must be the prefix of the
+        # unstopped run and identical for every `workers`
+        cfg = TrainConfig(
+            n_hidden=8, max_epochs=40, patience=40, chunk_length=chunk, seed=2,
+            learning_rate=0.05,
+        )
+        full = fit(kind, tiny_duffing_dataset, cfg, workers=1).history
+        stops = {}
+        for patience in range(1, 40):
+            best, best_epoch = np.inf, 0
+            for epoch, v_loss in enumerate(full[:, 2], start=1):
+                if v_loss < best:
+                    best, best_epoch = v_loss, epoch
+                elif epoch - best_epoch >= patience:
+                    stops.setdefault(epoch, patience)
+                    break
+        edge = oehnn.train._RUN_AHEAD
+        assert edge % oehnn.train._INLINE_WINDOW == 0
+        inside = next(e for e in sorted(stops) if e % oehnn.train._INLINE_WINDOW)
+        assert edge in stops, "the fixture no longer stops on the window edge"
+        runs = [
+            (dataclasses.replace(cfg, patience=stops[inside]), inside),
+            (dataclasses.replace(cfg, patience=stops[edge]), edge),
+            (dataclasses.replace(cfg, max_epochs=13), 13),
+        ]
+        for run, n in runs:
+            results = [fit(kind, tiny_duffing_dataset, run, workers=w) for w in (0, 1, 2)]
+            assert len(results[0].history) == n
+            assert np.array_equal(results[0].history, full[:n])
+            for other in results[1:]:
+                assert np.array_equal(other.history, results[0].history)
+                assert np.array_equal(
+                    flatten_params(other.model), flatten_params(results[0].model)
+                )
+                assert other.best_epoch == results[0].best_epoch
+            assert results[0].best_epoch == 1 + int(np.argmin(full[:n, 2]))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_gradient_raises_only_when_no_earlier_stop(
+        self, tiny_duffing_dataset, monkeypatch, workers
+    ):
+        cfg = TrainConfig(n_hidden=8, max_epochs=40, patience=3, seed=2, learning_rate=0.05)
+        reference = fit("hnn", tiny_duffing_dataset, cfg, workers=1)
+        stop = len(reference.history)
+        assert stop < cfg.max_epochs
+        derivative_batch = oehnn.train._derivative_batch_hnn
+        for bad_epoch, stopped in ((stop - 1, False), (stop, True), (stop + 1, True)):
+            calls = []
+
+            def poisoned(*args, bad_epoch=bad_epoch, calls=calls):
+                loss, grad = derivative_batch(*args)
+                calls.append(None)
+                return loss, grad * np.nan if len(calls) == bad_epoch else grad
+
+            monkeypatch.setattr(oehnn.train, "_derivative_batch_hnn", poisoned)
+            if stopped:
+                result = fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+                assert np.array_equal(result.history, reference.history)
+                assert np.array_equal(
+                    flatten_params(result.model), flatten_params(reference.model)
+                )
+            else:
+                with pytest.raises(TrainingError, match="non-finite gradient"):
+                    fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+            assert multiprocessing.active_children() == []
+
     def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset):
         rng = np.random.default_rng(51)
         net = random_hnet(rng)
@@ -580,3 +657,63 @@ class TestEnergyKernel:
         assert np.array_equal(loss, ref_loss)
         assert_blocks_match(grad, ref_grad, 200, 1e-13)
 
+
+def one_model_val_loss(net, kind, S, groups, penalty):
+    """Validation loss of one model, as `fit` computed it before validation
+    was stacked: one rollout per group, lane losses summed per group."""
+    total = 0.0
+    for x0, gu, y, h, weight in groups:
+        if kind == "mlp":
+            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), x0, gu @ S.G, h)
+            lane_loss = oehnn.train._lane_loss(xs, y, diverged, weight, penalty)[0]
+        else:
+            lane_loss = oehnn.train._sim_batch(net, S, x0, gu, y, h, weight, penalty, False)[0]
+        total += float(lane_loss.sum())
+    return total
+
+
+@pytest.fixture(scope="module")
+def tiny_coupled_dataset():
+    protocol = dataclasses.replace(TINY_PROTOCOL, amplitude=None)
+    return generate(coupled_system(), protocol, NoiseSpec(variance=0.05), master_seed=42)
+
+
+class TestStackedValidation:
+    """K parameter vectors validated in one stacked rollout: each member's
+    loss has the bits of validating that model alone."""
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    @pytest.mark.parametrize("system", ["duffing", "coupled"])
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_each_member_matches_its_one_model_loss(
+        self, tiny_duffing_dataset, tiny_coupled_dataset, kind, system, K
+    ):
+        ds = tiny_duffing_dataset if system == "duffing" else tiny_coupled_dataset
+        S_sys = structure_matrices(ds.system)
+        d, m, nh = ds.system.n_states, ds.system.n_inputs, 16
+        rng = np.random.default_rng(80 + K)
+        if kind == "hnn":
+            template = init_hamiltonian_net(d, nh, rng)
+            # w1 = 0.5, b1 = 0, w2 = 1e308: dH/dx sums to more than the
+            # largest double
+            blowup = [(slice(0, nh * d), 0.5), (slice(nh * d, nh * d + nh), 0.0),
+                      (slice(nh * d + nh, nh * d + 2 * nh), 1e308)]
+        else:
+            template = init_blackbox_net(d, m, nh, rng)
+            blowup = [(slice(-d, None), 1e308)]  # b2: the RK4 stage sum overflows
+        thetas = rng.uniform(-0.5, 0.5, (K, flatten_params(template).size))
+        diverging = K // 2 if K > 1 else None
+        if diverging is not None:
+            # every lane of this member turns non-finite in its first step
+            for block, value in blowup:
+                thetas[diverging, block] = value
+        penalty = 1e6
+        for trajs in (ds.validation[:1], ds.validation):
+            groups = [oehnn.train._traj_arrays(trajs, S_sys, "measured")]
+            losses = oehnn.train._val_losses(template, thetas, kind, S_sys, groups, penalty)
+            assert len(losses) == K
+            for k, loss in enumerate(losses):
+                net = with_params(template, thetas[k])
+                assert loss == one_model_val_loss(net, kind, S_sys, groups, penalty)
+            if diverging is not None:
+                assert losses[diverging] == penalty * len(trajs)
