@@ -11,11 +11,7 @@ from oehnn.dynamics import (
     StructureMatrices,
     SystemSpec,
     canonical_field,
-    coupled_field,
-    coupled_hamiltonian,
     coupled_system,
-    duffing_field,
-    duffing_hamiltonian,
     duffing_system,
     field_fn,
     grad_hamiltonian,
@@ -51,12 +47,11 @@ from oehnn.train import (
     FitResult,
     TrainConfig,
     adam_step,
-    derivative_loss,
     derivative_loss_grad,
     fit,
     simulation_loss,
     simulation_loss_grad,
 )
-from oehnn.evaluate import Metrics, energy_drift, evaluate, model_field, rmse
+from oehnn.evaluate import Metrics, evaluate, model_field, rmse
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from oehnn.dynamics import (
 )
 from oehnn.integrate import IntegrationError, rollout
 from oehnn.netmodel import (
+    MODEL_KINDS,
     ModelFormatError,
     flatten_params,
     h_grad_x,
@@ -47,6 +49,7 @@ from oehnn.netmodel import (
 )
 from oehnn.signals import MultisineSpec, NoiseSpec, multisine_value, sample_phases
 from oehnn.evaluate import (
+    REFERENCES,
     evaluate,
     model_field,
     state_labels,
@@ -54,6 +57,8 @@ from oehnn.evaluate import (
     write_metrics_report,
 )
 from oehnn.train import (
+    ANCHORS,
+    DERIVATIVE_SOURCES,
     TrainConfig,
     TrainingError,
     fit,
@@ -69,6 +74,15 @@ EXIT_USAGE = 2
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _config_errors(context: str = ""):
+    """Re-raise a ValueError (or TypeError) from building or parsing a value as ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{context}{exc}") from exc
 
 
 @dataclass
@@ -122,39 +136,54 @@ class ExperimentConfig:
             out.noise_variance = defaults["noise_variance"]
         if out.amplitude is None:
             out.amplitude = defaults["amplitude"]
-        if out.workers < 0:
-            raise ConfigError(f"workers must be at least 0, got {out.workers}")
+        for key in ("workers", "master_seed", "train_seed"):
+            if getattr(out, key) < 0:
+                raise ConfigError(f"{key} must be at least 0, got {getattr(out, key)}")
+        for key in ("masses", "stiffnesses"):
+            if len(getattr(out, key)) != len(defaults[key]):
+                raise ConfigError(f"{key}: {out.system} takes {len(defaults[key])} value(s)")
+        for key, allowed in (
+            ("model", MODEL_KINDS),
+            ("derivative_source", DERIVATIVE_SOURCES),
+            ("anchor", ANCHORS),
+            ("reference", REFERENCES),
+        ):
+            if getattr(out, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(out, key)!r}")
         return out
 
     def system_spec(self) -> SystemSpec:
         cfg = self.resolved()
-        if cfg.system == "duffing":
-            return duffing_system(cfg.masses[0], cfg.stiffnesses[0], cfg.cubic)
-        return coupled_system(tuple(cfg.masses), tuple(cfg.stiffnesses), cfg.cubic)
+        with _config_errors():
+            if cfg.system == "duffing":
+                return duffing_system(cfg.masses[0], cfg.stiffnesses[0], cfg.cubic)
+            return coupled_system(tuple(cfg.masses), tuple(cfg.stiffnesses), cfg.cubic)
 
     def protocol(self) -> GenerationProtocol:
         cfg = self.resolved()
-        return GenerationProtocol(
-            n_realizations=cfg.n_realizations,
-            n_samples=cfg.n_samples,
-            ts=cfg.ts,
-            t_start=cfg.t_start,
-            split=(cfg.n_train, cfg.n_val, cfg.n_test),
-            harmonics=cfg.harmonics,
-            f0=cfg.f0,
-            amplitude=cfg.amplitude,
-            init_range=cfg.init_range,
-            q_max=cfg.q_max,
-            max_retries=cfg.max_retries,
-        )
+        with _config_errors():
+            return GenerationProtocol(
+                n_realizations=cfg.n_realizations,
+                n_samples=cfg.n_samples,
+                ts=cfg.ts,
+                t_start=cfg.t_start,
+                split=(cfg.n_train, cfg.n_val, cfg.n_test),
+                harmonics=cfg.harmonics,
+                f0=cfg.f0,
+                amplitude=cfg.amplitude,
+                init_range=cfg.init_range,
+                q_max=cfg.q_max,
+                max_retries=cfg.max_retries,
+            )
 
     def noise(self) -> NoiseSpec:
         cfg = self.resolved()
-        return NoiseSpec(variance=cfg.noise_variance, seed=cfg.master_seed)
+        with _config_errors():
+            return NoiseSpec(variance=cfg.noise_variance, seed=cfg.master_seed)
 
     def train_config(self) -> TrainConfig:
         cfg = self.resolved()
-        try:
+        with _config_errors():
             return TrainConfig(
                 learning_rate=cfg.learning_rate,
                 beta1=cfg.beta1,
@@ -168,8 +197,6 @@ class ExperimentConfig:
                 derivative_source=cfg.derivative_source,
                 anchor=cfg.anchor,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -213,10 +240,8 @@ def load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
+            with _config_errors(f"{path}:{lineno}: bad value for {key!r}: "):
                 values[key] = _parse_value(key, value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
@@ -227,11 +252,10 @@ def build_config(args) -> ExperimentConfig:
     for key in _FIELD_TYPES:
         flag_value = getattr(args, f"cfg_{key}", None)
         if flag_value is not None:
-            values[key] = _parse_value(key, flag_value)
-    try:
+            with _config_errors(f"--{key.replace('_', '-')}: bad value {flag_value!r}: "):
+                values[key] = _parse_value(key, flag_value)
+    with _config_errors():
         return ExperimentConfig(**values).resolved()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def write_config_echo(cfg: ExperimentConfig, directory, command: str) -> None:
@@ -329,13 +353,14 @@ def cmd_evaluate(args) -> int:
                 f"{model_path}: model has {saved.n_states} states but the dataset "
                 f"system has {dataset.system.n_states}"
             )
-        metrics = evaluate(
-            model_field(saved.model, S),
-            dataset.test,
-            reference=cfg.reference,
-            anchor=cfg.anchor,
-            kind=saved.kind,
-        )
+        with _config_errors(f"{args.data}: "):  # an empty test split, or no stored truth
+            metrics = evaluate(
+                model_field(saved.model, S),
+                dataset.test,
+                reference=cfg.reference,
+                anchor=cfg.anchor,
+                kind=saved.kind,
+            )
         metrics_list.append(metrics)
         write_metrics_report(metrics, out / f"report_{i}_{saved.kind}.txt", labels)
     write_comparison_csv(metrics_list, out / "comparison.csv", labels)

@@ -97,16 +97,28 @@ class GenerationProtocol:
     max_retries: int = 50
 
     def __post_init__(self):
-        if self.n_realizations < 1 or self.n_samples < 1:
-            raise ValueError("need at least one realization and one sample")
-        if self.ts <= 0:
-            raise ValueError("sampling period must be positive")
-        if self.t_start < 0:
-            raise ValueError("recording start must be non-negative")
-        if sum(self.split) != self.n_realizations:
+        if self.n_realizations < 1:
+            raise ValueError("need at least one realization")
+        if self.n_samples < 2:
+            raise ValueError("need at least two samples per realization (one step)")
+        if not 0 < self.ts < np.inf:
+            raise ValueError("sampling period must be positive and finite")
+        if not 0 <= self.t_start < np.inf:
+            raise ValueError("recording start must be non-negative and finite")
+        if min(self.split) < 0 or sum(self.split) != self.n_realizations:
             raise ValueError(
-                f"split {self.split} does not sum to n_realizations={self.n_realizations}"
+                f"split {self.split} is not a split of n_realizations={self.n_realizations}"
             )
+        if self.harmonics < 1:
+            raise ValueError("need at least one harmonic")
+        if not 0 < self.f0 < np.inf:
+            raise ValueError("base frequency must be positive and finite")
+        if self.amplitude is not None and not np.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if not 0 <= self.init_range < np.inf:
+            raise ValueError("init_range must be non-negative and finite")
+        if not self.q_max > 0:
+            raise ValueError("q_max must be positive")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 
@@ -219,12 +231,14 @@ def generate(
 
     Per realization: fresh phases and initial state, truth simulated from
     t = 0, the window [t_start, t_start + N*Ts) recorded with stored noiseless
-    states and derivatives, then measurement noise added to form y.
+    states and derivatives, then measurement noise added to form y. An
+    unset noise is the system's default variance (`dynamics.SYSTEM_DEFAULTS`)
+    seeded with the master seed, as the CLI resolves it.
     """
     protocol = protocol or GenerationProtocol()
     if protocol.amplitude is None:
         protocol = dataclasses.replace(protocol, amplitude=system_defaults(system)["amplitude"])
-    noise = noise if noise is not None else NoiseSpec()
+    noise = noise or NoiseSpec(system_defaults(system)["noise_variance"], seed=master_seed)
     realizations = range(protocol.n_realizations)
     simulated = _simulate_realizations(system, protocol, master_seed, realizations)
     trajectories = []

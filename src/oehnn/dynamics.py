@@ -1,5 +1,11 @@
 """Ground-truth mass-spring benchmarks and canonical vector-field assembly.
 
+The spring chain is the one definition of every benchmark system: the
+duffing oscillator is the chain of one mass, the coupled system the chain of
+two. Its energy (`hamiltonian_fn`) and that energy's analytic gradient
+(`grad_hamiltonian`) are the only closed forms; the true field is the
+gradient assembled as J @ grad H(x) + G @ u (`canonical_field`, `field_fn`).
+
 States are ordered (q_1..q_n, p_1..p_n). All functions accept a single state
 vector or an array of state rows (leading batch dimensions broadcast).
 """
@@ -19,10 +25,6 @@ __all__ = [
     "coupled_system",
     "structure_matrices",
     "canonical_field",
-    "duffing_field",
-    "duffing_hamiltonian",
-    "coupled_field",
-    "coupled_hamiltonian",
     "hamiltonian_fn",
     "grad_hamiltonian",
     "field_fn",
@@ -52,10 +54,10 @@ class SystemSpec:
             raise ValueError("need one mass value per mass")
         if len(self.stiffnesses) != self.n_masses:
             raise ValueError("need one stiffness per spring (one spring per mass)")
-        if any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
-        if any(k <= 0 for k in self.stiffnesses):
-            raise ValueError("stiffnesses must be positive")
+        if not all(0 < m < np.inf for m in self.masses):
+            raise ValueError("masses must be positive and finite")
+        if not all(0 < k < np.inf for k in self.stiffnesses):
+            raise ValueError("stiffnesses must be positive and finite")
         if len(self.input_map) == 0:
             raise ValueError("input_map must name at least one momentum coordinate")
         if len(set(self.input_map)) != len(self.input_map):
@@ -111,11 +113,10 @@ def system_defaults(spec: SystemSpec) -> dict:
 
 @dataclass(frozen=True)
 class StructureMatrices:
-    """Fixed matrices of the state dynamics: J (symplectic), G (input), C (output)."""
+    """Fixed matrices of the state dynamics: J (symplectic) and G (input)."""
 
     J: np.ndarray
     G: np.ndarray
-    C: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -125,13 +126,9 @@ class StructureMatrices:
     def n_inputs(self) -> int:
         return self.G.shape[1]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.C.shape[0]
-
 
 def structure_matrices(spec: SystemSpec) -> StructureMatrices:
-    """Build J = [[0, I], [-I, 0]], G = [0; I] restricted to input_map, C = I."""
+    """Build J = [[0, I], [-I, 0]] and G = [0; I] restricted to input_map."""
     n = spec.n_masses
     d = spec.n_states
     eye = np.eye(n)
@@ -139,8 +136,7 @@ def structure_matrices(spec: SystemSpec) -> StructureMatrices:
     G = np.zeros((d, spec.n_inputs))
     for col, mass_index in enumerate(spec.input_map):
         G[n + mass_index, col] = 1.0
-    C = np.eye(d)
-    return StructureMatrices(J=J, G=G, C=C)
+    return StructureMatrices(J=J, G=G)
 
 
 def _input_rows(u, like: np.ndarray, m: int) -> np.ndarray:
@@ -168,69 +164,18 @@ def _spring_force(delta: np.ndarray, k: float, cubic: bool) -> np.ndarray:
     return k * delta - k * delta**3 if cubic else k * delta
 
 
-def _spring_potential(delta: np.ndarray, k: float, cubic: bool) -> np.ndarray:
+def _spring_potential(delta: np.ndarray, k: float | np.ndarray, cubic: bool) -> np.ndarray:
     v = k * delta**2 / 2.0
     if cubic:
         v = v - k * delta**4 / 4.0
     return v
 
 
-def duffing_field(x: np.ndarray, u, spec: SystemSpec) -> np.ndarray:
-    """State derivative of the forced single-mass oscillator."""
-    if spec.n_masses != 1:
-        raise ValueError("duffing_field requires a single-mass system")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError("state must have 2 components (q, p)")
-    q, p = x[..., 0], x[..., 1]
-    m, k = spec.masses[0], spec.stiffnesses[0]
-    u_val = np.asarray(u, dtype=float)
-    if u_val.ndim == q.ndim + 1 and u_val.shape[-1] == 1:
-        u_val = u_val[..., 0]
-    dq = p / m
-    dp = -_spring_force(q, k, spec.cubic) + u_val
-    return np.stack(np.broadcast_arrays(dq, dp), axis=-1)
-
-
-def duffing_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Total energy of the single-mass oscillator: kinetic plus spring potential."""
-    if spec.n_masses != 1:
-        raise ValueError("duffing_hamiltonian requires a single-mass system")
-    x = np.asarray(x, dtype=float)
-    q, p = x[..., 0], x[..., 1]
-    m, k = spec.masses[0], spec.stiffnesses[0]
-    return p**2 / (2.0 * m) + _spring_potential(q, k, spec.cubic)
-
-
-def coupled_field(x: np.ndarray, u, spec: SystemSpec) -> np.ndarray:
-    """State derivative of two chained oscillators, input on the second mass."""
-    if spec.n_masses != 2:
-        raise ValueError("coupled_field requires a two-mass system")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 4:
-        raise ValueError("state must have 4 components (q1, q2, p1, p2)")
-    q1, q2, p1, p2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    (m1, m2), (k1, k2) = spec.masses, spec.stiffnesses
-    u_val = np.asarray(u, dtype=float)
-    if u_val.ndim == q1.ndim + 1 and u_val.shape[-1] == 1:
-        u_val = u_val[..., 0]
-    f1 = _spring_force(q1, k1, spec.cubic)
-    f2 = _spring_force(q2 - q1, k2, spec.cubic)
-    dp1 = -f1 + f2 + (u_val if 0 in spec.input_map else 0.0)
-    dp2 = -f2 + (u_val if 1 in spec.input_map else 0.0)
-    return np.stack(np.broadcast_arrays(p1 / m1, p2 / m2, dp1, dp2), axis=-1)
-
-
-def coupled_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Total energy of the two-mass chain."""
-    if spec.n_masses != 2:
-        raise ValueError("coupled_hamiltonian requires a two-mass system")
-    x = np.asarray(x, dtype=float)
-    q1, q2, p1, p2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    (m1, m2), (k1, k2) = spec.masses, spec.stiffnesses
-    kinetic = p1**2 / (2.0 * m1) + p2**2 / (2.0 * m2)
-    potential = _spring_potential(q1, k1, spec.cubic) + _spring_potential(q2 - q1, k2, spec.cubic)
-    return kinetic + potential
+def _elongations(q: np.ndarray) -> np.ndarray:
+    """Spring elongations: q_1 for the grounded spring, q_i - q_(i-1) after it."""
+    elong = q.copy()
+    elong[..., 1:] = q[..., 1:] - q[..., :-1]
+    return elong
 
 
 def grad_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
@@ -240,8 +185,7 @@ def grad_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
     if x.shape[-1] != 2 * n:
         raise ValueError(f"state must have {2 * n} components")
     q, p = x[..., :n], x[..., n:]
-    elong = q.copy()
-    elong[..., 1:] = q[..., 1:] - q[..., :-1]
+    elong = _elongations(q)
     forces = np.empty_like(elong)
     for i in range(n):
         forces[..., i] = _spring_force(elong[..., i], spec.stiffnesses[i], spec.cubic)
@@ -252,31 +196,20 @@ def grad_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
 
 
 def hamiltonian_fn(spec: SystemSpec):
-    """Analytic Hamiltonian of the benchmark system as a callable of the state."""
-    if spec.n_masses == 1:
-        return lambda x: duffing_hamiltonian(x, spec)
-    if spec.n_masses == 2:
-        return lambda x: coupled_hamiltonian(x, spec)
+    """Chain Hamiltonian (kinetic energy plus spring potentials) as a callable of the state."""
 
-    def chain_hamiltonian(x):
+    def hamiltonian(x):
         x = np.asarray(x, dtype=float)
         n = spec.n_masses
-        q, p = x[..., :n], x[..., n:]
-        elong = q.copy()
-        elong[..., 1:] = q[..., 1:] - q[..., :-1]
-        h = (p**2 / (2.0 * np.asarray(spec.masses))).sum(axis=-1)
-        for i in range(n):
-            h = h + _spring_potential(elong[..., i], spec.stiffnesses[i], spec.cubic)
-        return h
+        kinetic = x[..., n:] ** 2 / (2.0 * np.asarray(spec.masses))
+        elong = _elongations(x[..., :n])
+        potential = _spring_potential(elong, np.asarray(spec.stiffnesses, dtype=float), spec.cubic)
+        return kinetic.sum(axis=-1) + potential.sum(axis=-1)
 
-    return chain_hamiltonian
+    return hamiltonian
 
 
 def field_fn(spec: SystemSpec):
-    """True state-derivative function of the benchmark system as f(x, u)."""
-    if spec.n_masses == 1:
-        return lambda x, u: duffing_field(x, u, spec)
-    if spec.n_masses == 2:
-        return lambda x, u: coupled_field(x, u, spec)
+    """True state derivative J @ grad H(x) + G @ u of the chain as f(x, u)."""
     S = structure_matrices(spec)
     return lambda x, u: canonical_field(grad_hamiltonian(x, spec), u, S)

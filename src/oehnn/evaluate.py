@@ -1,4 +1,4 @@
-"""Test-set simulation, per-state RMSE, energy drift, and comparison tables."""
+"""Test-set simulation, per-state RMSE, and comparison tables."""
 
 from __future__ import annotations
 
@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from oehnn.data import Dataset, Trajectory
-from oehnn.dynamics import StructureMatrices, SystemSpec, field_fn, structure_matrices
-from oehnn.integrate import rk4_lanes, rollout
-from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, h_value, oe_hnn_field
+from oehnn.dynamics import StructureMatrices, structure_matrices
+from oehnn.integrate import rk4_lanes
+from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
+from oehnn.train import ANCHORS, TrainConfig, fit
 
 __all__ = [
     "Metrics",
@@ -19,7 +20,6 @@ __all__ = [
     "rmse",
     "evaluate",
     "model_field",
-    "energy_drift",
     "compare_estimators",
     "write_metrics_report",
     "write_comparison_csv",
@@ -85,27 +85,21 @@ def evaluate(
         raise ValueError("test split is empty")
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}")
-    refs, anchors = [], []
-    for traj in test:
-        ref = traj.x_true if reference == "true" else traj.y
-        if ref is None:
-            raise ValueError("reference='true' requires stored noiseless states")
-        if anchor == "true":
-            if traj.x_true is None:
-                raise ValueError("anchor='true' requires stored noiseless states")
-            anchors.append(traj.x_true[0])
-        else:
-            anchors.append(traj.y[0])
-        refs.append(ref)
+    if anchor not in ANCHORS:
+        raise ValueError(f"anchor must be one of {ANCHORS}")
+    refs = [traj.x_true if reference == "true" else traj.y for traj in test]
+    anchors = [traj.x_true if anchor == "true" else traj.y for traj in test]
+    if any(states is None for states in refs + anchors):
+        raise ValueError("reference or anchor 'true' requires stored noiseless states")
     d = test[0].y.shape[1]
     per_traj: list[TrajectoryResult | None] = [None] * len(test)
-    squares: list[np.ndarray | None] = [None] * len(test)
+    simulated: dict[int, np.ndarray] = {}  # the non-diverged rollouts
     # every test trajectory is a lane of one rollout (one per distinct length and step)
     groups: dict[tuple[int, float], list[int]] = {}
     for i, traj in enumerate(test):
         groups.setdefault((traj.n_samples, traj.ts), []).append(i)
     for (_, ts), members in groups.items():
-        x0 = np.stack([anchors[i] for i in members])
+        x0 = np.stack([anchors[i][0] for i in members])
         u = np.stack([test[i].u[:-1] for i in members], axis=1)
         states, diverged, _ = rk4_lanes(field_f, x0, u, ts)
         for lane, i in enumerate(members):
@@ -116,29 +110,16 @@ def evaluate(
                     index=i, rmse=np.full(d, np.nan), diverged=True, diverged_step=step
                 )
             else:
-                squares[i] = (states[:, lane] - refs[i]) ** 2
-                per_traj[i] = TrajectoryResult(index=i, rmse=np.sqrt(squares[i].mean(axis=0)))
-    pooled_sq = [sq for sq in squares if sq is not None]
-    if pooled_sq:
-        pooled = np.sqrt(np.concatenate(pooled_sq, axis=0).mean(axis=0))
+                simulated[i] = states[:, lane]
+                per_traj[i] = TrajectoryResult(index=i, rmse=rmse(simulated[i], refs[i]))
+    if simulated:
+        kept = sorted(simulated)
+        pooled = rmse(
+            np.concatenate([simulated[i] for i in kept]), np.concatenate([refs[i] for i in kept])
+        )
     else:
         pooled = np.full(d, np.nan)
     return Metrics(kind=kind, per_state_rmse=pooled, per_trajectory=per_traj, reference=reference)
-
-
-def energy_drift(net: HamiltonianNet, S: StructureMatrices, x0, steps: int, h: float) -> float:
-    """Max |H(x_k) - H(x_0)| along the model's own unforced rollout."""
-    u = np.zeros((steps + 1, S.n_inputs))
-    states = rollout(lambda x, uu: oe_hnn_field(net, S, x, uu), np.asarray(x0, float), u, h)
-    energies = h_value(net, states)
-    return float(np.max(np.abs(energies - energies[0])))
-
-
-def oracle_metrics(
-    system: SystemSpec, test: list[Trajectory], reference: str = "true", anchor: str = "measured"
-) -> Metrics:
-    """Evaluate the true system field as a model (integrator-only baseline)."""
-    return evaluate(field_fn(system), test, reference=reference, anchor=anchor, kind="true-system")
 
 
 def state_labels(n_masses: int) -> list[str]:
@@ -223,8 +204,6 @@ class BenchmarkResult:
 
 def _benchmark_one_seed(job) -> list:
     """Fit every estimator for one training seed (process-pool friendly)."""
-    from oehnn.train import TrainConfig, fit  # local import avoids a cycle
-
     (dataset, seed, n_hidden, oe_stages, baseline_epochs, baseline_patience,
      derivative_source, anchor, reference, kinds, fit_workers, verbose) = job
     S = structure_matrices(dataset.system)

@@ -11,7 +11,6 @@ __all__ = [
     "NoiseSpec",
     "multisine_value",
     "sample_phases",
-    "random_multisine",
     "add_noise",
 ]
 
@@ -52,8 +51,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
+        if not 0 <= self.variance < np.inf:
+            raise ValueError("variance must be non-negative and finite")
 
 
 def multisine_value(t, spec: MultisineSpec):
@@ -70,14 +69,6 @@ def sample_phases(harmonics: int, rng: np.random.Generator) -> np.ndarray:
     if harmonics < 1:
         raise ValueError("need at least one harmonic")
     return rng.uniform(0.0, TWO_PI, size=harmonics)
-
-
-def random_multisine(
-    harmonics: int, f0: float, rng: np.random.Generator, amplitude: float = 1.0
-) -> MultisineSpec:
-    return MultisineSpec(
-        harmonics=harmonics, f0=f0, phases=sample_phases(harmonics, rng), amplitude=amplitude
-    )
 
 
 def add_noise(clean: np.ndarray, spec: NoiseSpec, rng: np.random.Generator | None = None):

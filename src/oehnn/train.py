@@ -43,7 +43,6 @@ __all__ = [
     "init_adam",
     "simulation_loss",
     "simulation_loss_grad",
-    "derivative_loss",
     "derivative_loss_grad",
     "fit",
     "write_history_csv",
@@ -351,7 +350,7 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
+def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight):
     n = net.n_states // 2
     th = np.empty((x.shape[0], net.n_hidden))
     g = h_grad_x(net, x, th)
@@ -361,8 +360,6 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
     n1 = np.linalg.norm(r1, axis=1)
     n2 = np.linalg.norm(r2, axis=1)
     loss = float(np.sum(sample_weight * (n1 + n2)))
-    if not want_grad:
-        return loss, None
     g_cot = np.zeros_like(g)
     s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
     s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
@@ -373,7 +370,7 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, want_grad):
     return loss, acc.flat()
 
 
-def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, want_grad):
+def _derivative_batch_mlp(net, x, dx_target, u, sample_weight):
     xu = np.concatenate([x, u], axis=1)
     z = xu @ net.w1.T + net.b1
     th = np.tanh(z)
@@ -381,8 +378,6 @@ def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, want_grad):
     r = f - dx_target
     nr = np.linalg.norm(r, axis=1)
     loss = float(np.sum(sample_weight * nr))
-    if not want_grad:
-        return loss, None
     scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
     f_cot = scale[:, None] * r
     hidden = (f_cot @ net.w2) * (1.0 - th**2)
@@ -397,22 +392,13 @@ def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, want_grad):
     return loss, grad
 
 
-def derivative_loss(model, S: StructureMatrices, x, dx_target, u) -> float:
-    """Mean per-sample derivative-matching residual.
+def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
+    """Mean per-sample derivative-matching residual and its parameter gradient.
 
     For the Hamiltonian net this is the two-term structured residual
     ||dH/dp - q_dot|| + ||dH/dq + p_dot - G u|| averaged over samples; for
     the black-box net it is the plain regression residual ||f(x, u) - dx||.
     """
-    loss, _ = _derivative_value_grad(model, S, x, dx_target, u, want_grad=False)
-    return loss
-
-
-def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
-    return _derivative_value_grad(model, S, x, dx_target, u, want_grad=True)
-
-
-def _derivative_value_grad(model, S, x, dx_target, u, want_grad):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dx_target = np.atleast_2d(np.asarray(dx_target, dtype=float))
     u = np.asarray(u, dtype=float)
@@ -422,9 +408,9 @@ def _derivative_value_grad(model, S, x, dx_target, u, want_grad):
         u = u[:, None] if u.shape[0] == x.shape[0] else np.atleast_2d(u)
     weight = np.full(x.shape[0], 1.0 / x.shape[0])
     if isinstance(model, HamiltonianNet):
-        return _derivative_batch_hnn(model, S, x, dx_target, u, weight, want_grad)
+        return _derivative_batch_hnn(model, S, x, dx_target, u, weight)
     if isinstance(model, BlackBoxNet):
-        return _derivative_batch_mlp(model, x, dx_target, u, weight, want_grad)
+        return _derivative_batch_mlp(model, x, dx_target, u, weight)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -689,9 +675,9 @@ def fit(
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
         if kind == "hnn":
-            loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit, True)
+            loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit)
         else:
-            loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit, True)
+            loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit)
         return loss, g, False
 
     validate = partial(

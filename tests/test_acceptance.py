@@ -20,7 +20,6 @@ from oehnn.evaluate import (
     compare_estimators,
     evaluate,
     model_field,
-    energy_drift,
 )
 from oehnn.integrate import rollout
 from oehnn.netmodel import (

@@ -90,6 +90,34 @@ class TestGenerateCommand:
         assert code == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n-samples", "0"],
+            ["--n-samples", "1"],
+            ["--n-samples", "abc"],
+            ["--ts", "0"],
+            ["--ts", "nan"],
+            ["--n-train", "30"],
+            ["--harmonics", "0"],
+            ["--f0", "0"],
+            ["--noise-variance", "-1"],
+            ["--max-retries", "0"],
+            ["--init-range", "-1"],
+            ["--masses", "-1"],
+            ["--masses", "1,x"],
+            ["--masses", "1,2"],
+            ["--system", "coupled", "--masses", "1"],
+            ["--master-seed", "-1"],
+        ],
+    )
+    def test_bad_generation_value_is_usage_error(self, tmp_path, capsys, flags):
+        code = run_cli("generate-data", "--out", tmp_path / "d", *GEN_FAST, *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
     def test_config_echo_reruns_identically(self, tmp_path):
         first = tmp_path / "first"
         assert run_cli("generate-data", "--out", first, "--master-seed", 3, *GEN_FAST) == 0
@@ -145,7 +173,14 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--n-hidden", "0"], ["--chunk-length", "1"], ["--max-epochs", "0"], ["--workers", "-1"]],
+        [
+            ["--n-hidden", "0"],
+            ["--chunk-length", "1"],
+            ["--max-epochs", "0"],
+            ["--workers", "-1"],
+            ["--model", "foo"],
+            ["--train-seed", "-1"],
+        ],
     )
     def test_bad_training_value_is_usage_error(self, cli_dataset, tmp_path, capsys, flags):
         code = run_cli("train", "--data", cli_dataset, "--out", tmp_path / "o", *flags)
@@ -166,6 +201,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at least 3 samples" in err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_one_sample_dataset_is_usage_error(self, trained_models, tmp_path, capsys, command):
+        # a two-sample dataset edited into one-sample trajectories
+        data = tmp_path / "one"
+        assert run_cli("generate-data", "--out", data, *GEN_FAST, "--n-samples", "2") == 0
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("n_samples = 2\n", "n_samples = 1\n"))
+        for victim in data.glob("traj_*.csv"):
+            victim.write_text("\n".join(victim.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        extra = (
+            ["--model", "oe-hnn", *TRAIN_FAST] if command == "train"
+            else ["--models", trained_models["oe-hnn"]]
+        )
+        code = run_cli(command, "--data", data, "--out", tmp_path / "o", *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "two samples" in err
 
 
 class TestEvaluateCommand:
@@ -200,6 +255,35 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--reference", "foo"], ["--anchor", "foo"]])
+    def test_bad_evaluation_value_is_usage_error(self, cli_dataset, trained_models, tmp_path,
+                                                 capsys, flags):
+        code = run_cli(
+            "evaluate", "--data", cli_dataset, "--out", tmp_path / "e",
+            "--models", trained_models["oe-hnn"], *flags,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags[0][2:] in err
+
+    @pytest.mark.parametrize("defect", ["empty test split", "no stored truth"])
+    def test_dataset_without_what_evaluate_needs_is_usage_error(self, trained_models, tmp_path,
+                                                               capsys, defect):
+        data = tmp_path / "data"
+        split = ["--n-val", "3", "--n-test", "0"] if defect == "empty test split" else []
+        assert run_cli("generate-data", "--out", data, *GEN_FAST, *split) == 0
+        if defect == "no stored truth":
+            for victim in data.glob("traj_*.csv"):
+                rows = [line.split(",")[:4] for line in victim.read_text().splitlines()]
+                victim.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        capsys.readouterr()
+        code = run_cli("evaluate", "--data", data, "--out", tmp_path / "e",
+                       "--models", trained_models["oe-hnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_row_key_is_usage_error(self, cli_dataset, trained_models, tmp_path,
                                               capsys):
@@ -300,6 +384,65 @@ class TestModelFileContract:
                 err.splitlines()[-1]
             ]
             assert err.count("error:") == 1
+
+
+# generate-data argv: a tiny valid run (at most 4 realizations of 30 samples
+# after at most 200 pre-roll steps), optional flags drawn from valid ranges,
+# mass lists of any length, then up to two flags given an edge value, most of
+# them invalid there (so splits that do not sum, zero, negative, nan, text).
+_EDGE = st.sampled_from(["0", "1", "-1", "-0.5", "nan", "inf", "abc", "", "1,2"])
+_OPTIONAL = {
+    "--system": st.sampled_from(["duffing", "coupled"]),
+    "--masses": st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+    "--stiffnesses": st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+    "--cubic": st.sampled_from(["true", "false"]),
+    "--ts": st.floats(1e-3, 0.05),
+    "--harmonics": st.integers(1, 5),
+    "--f0": st.floats(0.05, 2.0),
+    "--amplitude": st.floats(-1.0, 3.0),
+    "--noise-variance": st.floats(0.0, 0.2),
+    "--init-range": st.floats(0.0, 1.0),
+    "--q-max": st.floats(0.5, 5.0),
+    "--max-retries": st.integers(1, 3),
+    "--master-seed": st.integers(0, 100),
+}
+
+
+def _text(value):
+    return ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def _generate_argv(draw):
+    split = draw(st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 1)))
+    flags = {
+        "--n-realizations": sum(split),
+        "--n-train": split[0],
+        "--n-val": split[1],
+        "--n-test": split[2],
+        "--n-samples": draw(st.integers(2, 30)),
+        "--t-start": draw(st.floats(0.0, 0.2)),
+    }
+    flags.update(draw(st.fixed_dictionaries({}, optional=_OPTIONAL)))
+    for flag in draw(st.lists(st.sampled_from([*flags, *_OPTIONAL]), max_size=2, unique=True)):
+        flags[flag] = draw(_EDGE)
+    return {flag: _text(value) for flag, value in flags.items()}
+
+
+class TestGenerateArgvContract:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=_generate_argv())
+    def test_generate_data_exits_cleanly(self, capsys, flags):
+        # flag=value, since argparse takes "-1e-3" after a bare flag for an option
+        argv = [f"{flag}={value}" for flag, value in flags.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            capsys.readouterr()
+            code = main(["generate-data", "--out", str(Path(tmp) / "d"), *argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSimulateCommand:

@@ -15,6 +15,7 @@ from oehnn.data import (
     read_csv,
     write_csv,
 )
+from oehnn.cli import main
 from oehnn.dynamics import SYSTEM_DEFAULTS, coupled_system, duffing_system, field_fn
 from oehnn.integrate import IntegrationError, rollout
 from oehnn.signals import NoiseSpec
@@ -102,6 +103,44 @@ class TestGenerate:
     def test_split_must_sum(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PROTOCOL, split=(3, 2, 2))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(n_samples=1),
+            dict(ts=float("nan")),
+            dict(t_start=float("inf")),
+            dict(split=(7, -1, 0)),
+            dict(harmonics=0),
+            dict(f0=0.0),
+            dict(amplitude=float("nan")),
+            dict(init_range=-1.0),
+            dict(q_max=float("nan")),
+        ],
+    )
+    def test_invalid_protocol_value(self, change):
+        with pytest.raises(ValueError):
+            dataclasses.replace(TINY_PROTOCOL, **change)
+
+    def test_two_samples_are_one_step(self):
+        protocol = dataclasses.replace(TINY_PROTOCOL, n_samples=2)
+        ds = generate(duffing_system(), protocol, NoiseSpec(variance=0.1), master_seed=2)
+        assert all(tr.n_samples == 2 for tr in ds.all_trajectories())
+        assert ds.train[0].ts == pytest.approx(protocol.ts)
+
+    @pytest.mark.parametrize("name", ["duffing", "coupled"])
+    def test_unset_noise_is_the_systems_default(self, name, tmp_path):
+        # the library default equals what `oehnn generate-data` writes
+        system = {"duffing": duffing_system(), "coupled": coupled_system()}[name]
+        ds = generate(system, master_seed=61)
+        assert ds.noise == NoiseSpec(SYSTEM_DEFAULTS[name]["noise_variance"], seed=61)
+        assert main(["generate-data", "--out", str(tmp_path), "--system", name,
+                     "--master-seed", "61"]) == 0
+        back = read_csv(tmp_path)
+        assert (back.system, back.protocol, back.noise) == (ds.system, ds.protocol, ds.noise)
+        for ta, tb in zip(ds.all_trajectories(), back.all_trajectories(), strict=True):
+            for field in ("t", "u", "y", "x_true", "dx_true"):
+                assert np.array_equal(getattr(ta, field), getattr(tb, field))
 
     @pytest.mark.parametrize("variance", [0.0, 0.1])
     def test_noise_is_the_inline_draw_on_the_realization_stream(self, variance):
@@ -255,6 +294,16 @@ class TestCsvRoundTrip:
         text[5] = ",".join(cells)
         victim.write_text("\n".join(text) + "\n")
         with pytest.raises(DatasetFormatError, match="traj_000.csv"):
+            read_csv(tmp_path)
+
+    def test_one_sample_manifest(self, tiny_duffing_dataset, tmp_path):
+        # a consistent dataset of one-sample trajectories has no step to train on
+        write_csv(tiny_duffing_dataset, tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("n_samples = 40", "n_samples = 1"))
+        for victim in tmp_path.glob("traj_*.csv"):
+            victim.write_text("\n".join(victim.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(DatasetFormatError, match="two samples"):
             read_csv(tmp_path)
 
     def test_missing_trajectory_file(self, tiny_duffing_dataset, tmp_path):

@@ -11,16 +11,15 @@ from oehnn.dynamics import duffing_system, field_fn, structure_matrices
 from oehnn.evaluate import (
     TrainStage,
     compare_estimators,
-    energy_drift,
     evaluate,
     model_field,
-    oracle_metrics,
     rmse,
     state_labels,
     write_comparison_csv,
     write_metrics_report,
 )
-from oehnn.netmodel import HamiltonianNet, flatten_params, init_hamiltonian_net, with_params
+from oehnn.integrate import rollout
+from oehnn.netmodel import init_hamiltonian_net
 
 SPEC = duffing_system()
 S = structure_matrices(SPEC)
@@ -67,9 +66,7 @@ class TestRmse:
 
 class TestEvaluate:
     def test_oracle_model_true_anchor_is_exact(self, tiny_duffing_dataset):
-        metrics = oracle_metrics(
-            tiny_duffing_dataset.system, tiny_duffing_dataset.test, anchor="true"
-        )
+        metrics = evaluate(field_fn(SPEC), tiny_duffing_dataset.test, anchor="true")
         assert np.all(metrics.per_state_rmse < 1e-6)
         assert metrics.n_diverged == 0
 
@@ -78,8 +75,9 @@ class TestEvaluate:
         # remaining error is pure anchor-noise propagation. Frozen once as a
         # regression baseline; it dwarfs the trained-model error bands, which
         # is why the benchmark pipeline anchors at the stored true state.
-        metrics = oracle_metrics(
-            standard_duffing_dataset.system, standard_duffing_dataset.test, anchor="measured"
+        metrics = evaluate(
+            field_fn(standard_duffing_dataset.system), standard_duffing_dataset.test,
+            anchor="measured",
         )
         assert metrics.per_state_rmse[0] == pytest.approx(0.4205616312127116, rel=1e-9)
         assert metrics.per_state_rmse[1] == pytest.approx(0.5701386182705495, rel=1e-9)
@@ -113,34 +111,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(field_fn(SPEC), [], reference="true")
 
+    @pytest.mark.parametrize("option", ["reference", "anchor"])
+    def test_unknown_reference_or_anchor(self, tiny_duffing_dataset, option):
+        with pytest.raises(ValueError, match=option):
+            evaluate(field_fn(SPEC), tiny_duffing_dataset.test, **{option: "foo"})
+
+    def test_rmse_is_the_pooled_and_per_trajectory_metric(self, tiny_duffing_dataset):
+        test = tiny_duffing_dataset.test * 2
+        metrics = evaluate(field_fn(SPEC), test, anchor="true")
+        sims = [rollout(field_fn(SPEC), tr.x_true[0], tr.u, tr.ts) for tr in test]
+        for res, sim, tr in zip(metrics.per_trajectory, sims, test):
+            assert np.array_equal(res.rmse, rmse(sim, tr.x_true))
+        pooled = rmse(np.concatenate(sims), np.concatenate([tr.x_true for tr in test]))
+        assert np.array_equal(metrics.per_state_rmse, pooled)
+
     def test_requires_truth_for_true_reference(self, tiny_duffing_dataset):
         stripped = [
             Trajectory(t=tr.t, u=tr.u, y=tr.y) for tr in tiny_duffing_dataset.test
         ]
         with pytest.raises(ValueError):
             evaluate(field_fn(SPEC), stripped, reference="true")
-
-
-class TestEnergyDrift:
-    def test_zero_net(self):
-        net = HamiltonianNet(np.zeros((4, 2)), np.zeros(4), np.zeros(4), 0.0)
-        assert energy_drift(net, S, [0.3, 0.1], steps=100, h=0.01) == 0.0
-
-    def test_random_net_small_drift(self):
-        rng = np.random.default_rng(0)
-        net = init_hamiltonian_net(2, 16, rng)
-        net = with_params(net, rng.uniform(-0.5, 0.5, flatten_params(net).size))
-        assert energy_drift(net, S, [0.2, -0.3], steps=500, h=0.01) < 1e-6
-
-    def test_fourth_order_step_scaling(self):
-        rng = np.random.default_rng(1)
-        net = init_hamiltonian_net(2, 16, rng)
-        net = with_params(net, rng.uniform(-0.9, 0.9, flatten_params(net).size))
-        x0 = [0.5, -0.4]
-        drift_coarse = energy_drift(net, S, x0, steps=250, h=0.08)
-        drift_fine = energy_drift(net, S, x0, steps=500, h=0.04)
-        order = np.log2(drift_coarse / drift_fine)
-        assert 3.5 <= order <= 4.5
 
 
 class TestReports:

@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from oehnn.dynamics import coupled_system, duffing_hamiltonian, duffing_system, field_fn
+from oehnn.dynamics import (
+    coupled_system,
+    duffing_system,
+    field_fn,
+    hamiltonian_fn,
+    structure_matrices,
+)
 from oehnn.integrate import IntegrationError, rk4_lanes, rollout
+from oehnn.netmodel import (
+    HamiltonianNet,
+    flatten_params,
+    h_value,
+    init_hamiltonian_net,
+    oe_hnn_field,
+    with_params,
+)
 
 
 class TestStep:
@@ -53,7 +67,7 @@ class TestRollout:
     def test_duffing_energy_drift(self):
         spec = duffing_system()
         states = rollout(field_fn(spec), [0.1, 0.0], np.zeros((501, 1)), 0.01)
-        energies = duffing_hamiltonian(states, spec)
+        energies = hamiltonian_fn(spec)(states)
         assert np.max(np.abs(energies - energies[0])) < 1e-9
 
     def test_determinism(self):
@@ -168,3 +182,34 @@ class TestLanes:
             assert np.array_equal(ks[k, :, 0], [k1, k2, k3])
         assert np.array_equal(ks[2, :, 1], np.zeros((3, 2)))
         assert np.all(np.isfinite(ks))
+
+
+class TestEnergyDrift:
+    """Max |H(x_k) - H(x_0)| of a learned energy along its own unforced rollout."""
+
+    S = structure_matrices(duffing_system())
+
+    def drift(self, net, x0, steps, h):
+        field = lambda x, u: oe_hnn_field(net, self.S, x, u)  # noqa: E731
+        energies = h_value(net, rollout(field, x0, np.zeros((steps + 1, 1)), h))
+        return float(np.max(np.abs(energies - energies[0])))
+
+    def test_zero_net(self):
+        net = HamiltonianNet(np.zeros((4, 2)), np.zeros(4), np.zeros(4), 0.0)
+        assert self.drift(net, [0.3, 0.1], steps=100, h=0.01) == 0.0
+
+    def test_random_net_small_drift(self):
+        rng = np.random.default_rng(0)
+        net = init_hamiltonian_net(2, 16, rng)
+        net = with_params(net, rng.uniform(-0.5, 0.5, flatten_params(net).size))
+        assert self.drift(net, [0.2, -0.3], steps=500, h=0.01) < 1e-6
+
+    def test_fourth_order_step_scaling(self):
+        rng = np.random.default_rng(1)
+        net = init_hamiltonian_net(2, 16, rng)
+        net = with_params(net, rng.uniform(-0.9, 0.9, flatten_params(net).size))
+        x0 = [0.5, -0.4]
+        drift_coarse = self.drift(net, x0, steps=250, h=0.08)
+        drift_fine = self.drift(net, x0, steps=500, h=0.04)
+        order = np.log2(drift_coarse / drift_fine)
+        assert 3.5 <= order <= 4.5

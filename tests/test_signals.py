@@ -6,7 +6,6 @@ from oehnn.signals import (
     NoiseSpec,
     add_noise,
     multisine_value,
-    random_multisine,
     sample_phases,
 )
 
@@ -22,7 +21,7 @@ class TestMultisine:
 
     def test_periodicity(self):
         rng = np.random.default_rng(3)
-        spec = random_multisine(20, 0.1, rng)
+        spec = MultisineSpec(20, 0.1, sample_phases(20, rng))
         t = rng.uniform(0.0, 50.0, 100)
         assert np.max(np.abs(multisine_value(t + spec.period, spec) - multisine_value(t, spec))) < 1e-10
 
@@ -43,7 +42,7 @@ class TestMultisine:
     def test_spectral_purity(self):
         # sampled over exactly one period: energy only in bins 1..K
         rng = np.random.default_rng(4)
-        spec = random_multisine(20, 0.1, rng)
+        spec = MultisineSpec(20, 0.1, sample_phases(20, rng))
         ts = 0.01
         n = round(spec.period / ts)
         u = multisine_value(np.arange(n) * ts, spec)

@@ -24,7 +24,6 @@ from oehnn.train import (
     TrainConfig,
     TrainingError,
     adam_step,
-    derivative_loss,
     derivative_loss_grad,
     fit,
     init_adam,
@@ -202,7 +201,7 @@ class TestDerivativeLoss:
         x = rng.uniform(-0.5, 0.5, (12, 2))
         u = rng.normal(size=(12, 1))
         targets = oe_hnn_field(net, S, x, u)
-        assert derivative_loss(net, S, x, targets, u) < 1e-14
+        assert derivative_loss_grad(net, S, x, targets, u)[0] < 1e-14
 
     def test_self_targets_zero_loss_mlp(self):
         rng = np.random.default_rng(31)
@@ -210,7 +209,7 @@ class TestDerivativeLoss:
         x = rng.uniform(-0.5, 0.5, (12, 2))
         u = rng.normal(size=(12, 1))
         targets = blackbox_field(net, x, u)
-        assert derivative_loss(net, S, x, targets, u) < 1e-14
+        assert derivative_loss_grad(net, S, x, targets, u)[0] < 1e-14
 
     def test_zero_net_with_pure_input_targets(self):
         # targets dx = G u vanish in both structured residual terms
@@ -218,12 +217,12 @@ class TestDerivativeLoss:
         u = np.array([[1.0], [2.0], [-0.5]])
         x = np.zeros((3, 2))
         targets = u @ S.G.T
-        assert derivative_loss(net, S, x, targets, u) == 0.0
+        assert derivative_loss_grad(net, S, x, targets, u)[0] == 0.0
 
     def test_single_sample_hand_value(self):
         net = with_params(init_hamiltonian_net(2, 4, np.random.default_rng(0)), np.zeros(17))
         # q_dot target 1, p_dot target 0, no input -> loss 1
-        assert derivative_loss(net, S, [[0.0, 0.0]], [[1.0, 0.0]], [[0.0]]) == 1.0
+        assert derivative_loss_grad(net, S, [[0.0, 0.0]], [[1.0, 0.0]], [[0.0]])[0] == 1.0
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
     def test_gradient_matches_finite_differences(self, kind):
@@ -245,8 +244,8 @@ class TestDerivativeLoss:
             up[i] += eps
             down[i] -= eps
             fd[i] = (
-                derivative_loss(with_params(model, up), S, x, targets, u)
-                - derivative_loss(with_params(model, down), S, x, targets, u)
+                derivative_loss_grad(with_params(model, up), S, x, targets, u)[0]
+                - derivative_loss_grad(with_params(model, down), S, x, targets, u)[0]
             ) / (2 * eps)
         mask = np.maximum(np.abs(grad), np.abs(fd)) > 1e-8
         rel = np.abs(grad - fd)[mask] / np.maximum(np.abs(grad), np.abs(fd))[mask]
@@ -617,7 +616,7 @@ class TestEnergyKernel:
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )[:3])
         (w,) = frozen(np.full(len(x), 1.0 / len(x)))
-        runs = [oehnn.train._derivative_batch_hnn(net, S, x, dx, u, w, True) for _ in range(2)]
+        runs = [oehnn.train._derivative_batch_hnn(net, S, x, dx, u, w) for _ in range(2)]
         assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
@@ -632,12 +631,12 @@ class TestEnergyKernel:
         )
         new = [
             oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
-            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf, True),
+            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
         ]
         monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
         ref = [
             oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
-            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf, True),
+            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
         ]
         for (loss, grad), (ref_loss, ref_grad) in zip(new, ref):
             assert np.array_equal(loss, ref_loss)  # the forward is the same arithmetic
