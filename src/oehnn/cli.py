@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import oehnn
+from oehnn import textio
 from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
@@ -83,6 +85,21 @@ def _config_errors(context: str = ""):
         yield
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}{exc}") from exc
+
+
+_NUMBER_RE = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors (ConfigError) that takes a negative
+    number such as -1e-3, or a list such as -0.3,0, as an option's value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER_RE}(,-?{_NUMBER_RE})*$")
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -199,50 +216,12 @@ class ExperimentConfig:
             )
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    ftype = _FIELD_TYPES[key]
-    lowered = raw.lower()
-    if "tuple" in ftype:
-        if lowered in ("none", ""):
-            return None
-        return tuple(float(v) for v in raw.split(","))
-    if "int | None" in ftype:
-        return None if lowered == "none" else int(raw)
-    if "float | None" in ftype:
-        return None if lowered == "none" else float(raw)
-    if ftype == "bool":
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
+_FIELD_TYPES = textio.field_types(ExperimentConfig)
 
 
 def load_config_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment. Unknown keys are errors."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            with _config_errors(f"{path}:{lineno}: bad value for {key!r}: "):
-                values[key] = _parse_value(key, value)
-    return values
+    return textio.read_sections(path, {"": _FIELD_TYPES.get}, ConfigError)[""]
 
 
 def build_config(args) -> ExperimentConfig:
@@ -253,7 +232,7 @@ def build_config(args) -> ExperimentConfig:
         flag_value = getattr(args, f"cfg_{key}", None)
         if flag_value is not None:
             with _config_errors(f"--{key.replace('_', '-')}: bad value {flag_value!r}: "):
-                values[key] = _parse_value(key, flag_value)
+                values[key] = textio.decode(_FIELD_TYPES[key], flag_value)
     with _config_errors():
         return ExperimentConfig(**values).resolved()
 
@@ -261,17 +240,9 @@ def build_config(args) -> ExperimentConfig:
 def write_config_echo(cfg: ExperimentConfig, directory, command: str) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"# effective config echoed by 'oehnn {command}' (tool version {oehnn.__version__})"]
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = f"{value:.17g}"
-        elif value is None:
-            value = "none"
-        lines.append(f"{f.name} = {value}")
-    (directory / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comment = f"# effective config echoed by 'oehnn {command}' (tool version {oehnn.__version__})"
+    text = textio.sections_text({"": dataclasses.asdict(cfg)})
+    (directory / "config.txt").write_text(f"{comment}\n{text}", encoding="utf-8")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -376,10 +347,8 @@ def cmd_evaluate(args) -> int:
 def _parse_x0(text: str | None, d: int) -> np.ndarray:
     if text is None:
         return np.zeros(d)
-    try:
-        values = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"--x0 must be comma-separated numbers, got {text!r}") from None
+    with _config_errors("--x0: "):
+        values = np.array(textio.decode("tuple[float, ...]", text))
     if values.size != d:
         raise ConfigError(f"--x0 must have {d} comma-separated values, got {values.size}")
     return values
@@ -412,11 +381,13 @@ def cmd_simulate(args) -> int:
     n_steps = args.steps
     if n_steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {n_steps}")
+    cfg.protocol()  # checks the step and the multisine's settings
     t = np.arange(n_steps) * cfg.ts
     if args.input == "zero":
         u = np.zeros((n_steps, m))
     else:
-        rng = np.random.default_rng(args.phase_seed)
+        with _config_errors("--phase-seed: "):
+            rng = np.random.default_rng(args.phase_seed)
         u = np.stack(
             [
                 multisine_value(
@@ -444,8 +415,6 @@ def cmd_simulate(args) -> int:
 def _simulate_like_dataset(args, cfg: ExperimentConfig) -> int:
     """Regenerate the noiseless truth of one dataset realization bit-exactly."""
     dataset_dir = Path(args.like_dataset)
-    if not (dataset_dir / "manifest.txt").exists():
-        raise ConfigError(f"{dataset_dir} does not contain a dataset manifest")
     stored = read_csv(dataset_dir)
     if not 0 <= args.realization < stored.protocol.n_realizations:
         raise ConfigError(
@@ -466,18 +435,11 @@ def _simulate_like_dataset(args, cfg: ExperimentConfig) -> int:
 
 def _write_sim_csv(path, t, u, states, d, diverged_at) -> None:
     m = u.shape[1]
-    lines = []
+    header = ",".join(["t", *(f"u_{j}" for j in range(m)), *(f"x_{j}" for j in range(d))])
     if diverged_at is not None:
-        lines.append(f"# diverged_at_step = {diverged_at}")
-    header = ["t"] + [f"u_{j}" for j in range(m)] + [f"x_{j}" for j in range(d)]
-    lines.append(",".join(header))
-    n_rows = len(t) if states is not None else 0
-    for k in range(n_rows):
-        row = [f"{t[k]:.17g}"]
-        row += [f"{v:.17g}" for v in u[k]]
-        row += [f"{v:.17g}" for v in states[k]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = f"# diverged_at_step = {diverged_at}\n{header}"
+    rows = np.empty((0, 1 + m + d)) if states is None else np.column_stack([t, u, states])
+    textio.write_table(path, header, rows)
 
 
 def _fd_gradient(loss_fn, theta: np.ndarray, step: float) -> np.ndarray:
@@ -493,7 +455,12 @@ def _fd_gradient(loss_fn, theta: np.ndarray, step: float) -> np.ndarray:
 
 def cmd_gradcheck(args) -> int:
     """User-runnable diagnostic: analytic gradients against finite differences."""
-    rng = np.random.default_rng(args.seed)
+    for flag, least in (("--steps", min(args.steps)), ("--long-steps", args.long_steps),
+                        ("--n-hidden", args.n_hidden)):
+        if least < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {least}")
+    with _config_errors("--seed: "):
+        rng = np.random.default_rng(args.seed)
     spec = duffing_system()
     S = structure_matrices(spec)
     flip = -1.0 if args.inject_fault == "sign-flip" else 1.0
@@ -569,7 +536,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oehnn",
         description="Identify input-driven Hamiltonian systems from noisy measurements.",
     )
@@ -624,9 +591,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, DatasetFormatError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

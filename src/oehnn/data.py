@@ -8,14 +8,13 @@ realizations.
 
 from __future__ import annotations
 
-import configparser
-import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from oehnn import textio
 from oehnn.dynamics import SystemSpec, field_fn, system_defaults
 from oehnn.integrate import rk4_lanes
 from oehnn.signals import MultisineSpec, NoiseSpec, add_noise, multisine_value, sample_phases
@@ -283,15 +282,14 @@ def fd_derivatives(y: np.ndarray, ts: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence: one file per trajectory plus an INI manifest. Floats are
-# written as 17-significant-digit decimals, which round-trip float64 exactly.
+# CSV persistence: one CRLF-terminated table per trajectory plus a sectioned
+# manifest, both in `textio`'s formats.
 # ---------------------------------------------------------------------------
 
 MANIFEST_NAME = "manifest.txt"
-
-
-def _g17(v: float) -> str:
-    return f"{float(v):.17g}"
+# the manifest's dataclass sections, each a field of that class per key
+_MANIFEST_CLASSES = {"system": SystemSpec, "protocol": GenerationProtocol, "noise": NoiseSpec}
+_ENTRY = "tuple[str, str, int, int]"  # a [trajectories] entry: file,split,realization,attempt
 
 
 def _traj_header(m: int, d: int, with_truth: bool) -> list[str]:
@@ -310,91 +308,42 @@ def write_csv(dataset: Dataset, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     m = dataset.system.n_inputs
     d = dataset.system.n_states
-
-    manifest = configparser.ConfigParser()
-    manifest["system"] = {
-        "n_masses": str(dataset.system.n_masses),
-        "masses": ",".join(_g17(v) for v in dataset.system.masses),
-        "stiffnesses": ",".join(_g17(v) for v in dataset.system.stiffnesses),
-        "input_map": ",".join(str(i) for i in dataset.system.input_map),
-        "cubic": str(dataset.system.cubic).lower(),
-    }
-    p = dataset.protocol
-    manifest["protocol"] = {
-        "n_realizations": str(p.n_realizations),
-        "n_samples": str(p.n_samples),
-        "ts": _g17(p.ts),
-        "t_start": _g17(p.t_start),
-        "split": ",".join(str(s) for s in p.split),
-        "harmonics": str(p.harmonics),
-        "f0": _g17(p.f0),
-        "amplitude": _g17(p.amplitude),
-        "init_range": _g17(p.init_range),
-        "q_max": _g17(p.q_max),
-        "max_retries": str(p.max_retries),
-    }
-    manifest["noise"] = {
-        "variance": _g17(dataset.noise.variance),
-        "seed": str(dataset.noise.seed),
-    }
-    manifest["seeds"] = {"master_seed": str(dataset.master_seed)}
-    manifest["trajectories"] = {}
-
+    entries = {}
     index = 0
     for split_name in SPLITS:
         for traj in dataset.split(split_name):
             fname = f"traj_{index:03d}.csv"
-            with_truth = traj.x_true is not None
-            with open(directory / fname, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(_traj_header(m, d, with_truth))
-                for k in range(traj.n_samples):
-                    row = [_g17(traj.t[k])]
-                    row += [_g17(v) for v in traj.u[k]]
-                    row += [_g17(v) for v in traj.y[k]]
-                    if with_truth:
-                        row += [_g17(v) for v in traj.x_true[k]]
-                        row += [_g17(v) for v in traj.dx_true[k]]
-                    writer.writerow(row)
-            manifest["trajectories"][str(index)] = (
-                f"{fname},{split_name},{traj.realization},{traj.attempt}"
+            columns = [traj.t, traj.u, traj.y]
+            if traj.x_true is not None:
+                columns += [traj.x_true, traj.dx_true]
+            textio.write_table(
+                directory / fname,
+                ",".join(_traj_header(m, d, traj.x_true is not None)),
+                np.column_stack(columns),
+                newline="\r\n",
             )
+            entries[str(index)] = (fname, split_name, traj.realization, traj.attempt)
             index += 1
-
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        manifest.write(fh)
+    manifest = {name: dataclasses.asdict(getattr(dataset, name)) for name in _MANIFEST_CLASSES}
+    manifest["seeds"] = {"master_seed": dataset.master_seed}
+    manifest["trajectories"] = entries
+    # a blank line closes every section, the last one too
+    text = textio.sections_text(manifest) + "\n"
+    (directory / MANIFEST_NAME).write_text(text, encoding="utf-8")
 
 
 def _read_trajectory(path: Path, m: int, d: int, n_samples: int, realization: int, attempt: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: file is empty") from None
-        if header == _traj_header(m, d, True):
-            with_truth = True
-        elif header == _traj_header(m, d, False):
-            with_truth = False
-        else:
-            raise DatasetFormatError(f"{path}: unexpected column header {header}")
-        n_cols = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected {n_cols} columns, found {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(rows) != n_samples:
+    header, data = textio.read_table(path, DatasetFormatError)
+    with_truth = header == _traj_header(m, d, True)
+    if not with_truth and header != _traj_header(m, d, False):
+        raise DatasetFormatError(f"{path}: unexpected column header {header}")
+    if len(data) != n_samples:
         raise DatasetFormatError(
-            f"{path}: contains {len(rows)} samples, manifest expects {n_samples}"
+            f"{path}: contains {len(data)} samples, manifest expects {n_samples}"
         )
-    data = np.array(rows)
     t = data[:, 0]
+    if not np.all(t[1:] > t[:-1]):
+        raise DatasetFormatError(f"{path}: the time column is not strictly increasing")
     u = data[:, 1 : 1 + m]
     y = data[:, 1 + m : 1 + m + d]
     x_true = dx_true = None
@@ -412,75 +361,36 @@ def read_csv(directory) -> Dataset:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise DatasetFormatError(f"missing manifest {manifest_path}")
-    manifest = configparser.ConfigParser()
+    keys = {name: textio.field_types(cls) for name, cls in _MANIFEST_CLASSES.items()}
+    keys["seeds"] = {"master_seed": "int"}
+    schema = {name: types.get for name, types in keys.items()}
+    schema["trajectories"] = lambda key: _ENTRY if key.isascii() and key.isdigit() else None
+    sections = textio.read_sections(manifest_path, schema, DatasetFormatError)
+    for name in schema:
+        if name not in sections:
+            raise DatasetFormatError(f"{manifest_path}: missing section [{name}]")
+        missing = [key for key in keys.get(name, ()) if key not in sections[name]]
+        if missing:
+            raise DatasetFormatError(f"{manifest_path}: [{name}] has no {missing[0]!r}")
     try:
-        manifest.read(manifest_path)
-    except configparser.Error as exc:
-        raise DatasetFormatError(f"{manifest_path}: {exc}") from exc
-    for section in ("system", "protocol", "noise", "seeds", "trajectories"):
-        if section not in manifest:
-            raise DatasetFormatError(f"{manifest_path}: missing section [{section}]")
-    try:
-        sys_sec = manifest["system"]
-        system = SystemSpec(
-            n_masses=sys_sec.getint("n_masses"),
-            masses=tuple(float(v) for v in sys_sec["masses"].split(",")),
-            stiffnesses=tuple(float(v) for v in sys_sec["stiffnesses"].split(",")),
-            input_map=tuple(int(v) for v in sys_sec["input_map"].split(",")),
-            cubic=sys_sec.getboolean("cubic"),
-        )
-        proto_sec = manifest["protocol"]
-        protocol = GenerationProtocol(
-            n_realizations=proto_sec.getint("n_realizations"),
-            n_samples=proto_sec.getint("n_samples"),
-            ts=proto_sec.getfloat("ts"),
-            t_start=proto_sec.getfloat("t_start"),
-            split=tuple(int(v) for v in proto_sec["split"].split(",")),
-            harmonics=proto_sec.getint("harmonics"),
-            f0=proto_sec.getfloat("f0"),
-            amplitude=proto_sec.getfloat("amplitude"),
-            init_range=proto_sec.getfloat("init_range"),
-            q_max=proto_sec.getfloat("q_max"),
-            max_retries=proto_sec.getint("max_retries"),
-        )
-        noise = NoiseSpec(
-            variance=manifest["noise"].getfloat("variance"),
-            seed=manifest["noise"].getint("seed"),
-        )
-        master_seed = manifest["seeds"].getint("master_seed")
-    except (KeyError, ValueError, TypeError) as exc:
+        specs = {name: cls(**sections[name]) for name, cls in _MANIFEST_CLASSES.items()}
+    except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{manifest_path}: bad manifest entry: {exc}") from exc
+    master_seed = sections["seeds"]["master_seed"]
+    if master_seed < 0:
+        raise DatasetFormatError(f"{manifest_path}: master_seed must be at least 0")
 
+    system, n_samples = specs["system"], specs["protocol"].n_samples
     splits: dict[str, list[Trajectory]] = {name: [] for name in SPLITS}
-    entries = sorted(manifest["trajectories"].items(), key=lambda kv: int(kv[0]))
-    for _, entry in entries:
-        parts = entry.split(",")
-        if len(parts) != 4:
-            raise DatasetFormatError(
-                f"{manifest_path}: trajectory entry {entry!r} must be file,split,realization,attempt"
-            )
-        fname, split_name, realization, attempt = parts
+    entries = sorted(sections["trajectories"].items(), key=lambda kv: int(kv[0]))
+    for _, (fname, split_name, realization, attempt) in entries:
         if split_name not in SPLITS:
             raise DatasetFormatError(f"{manifest_path}: unknown split {split_name!r}")
         path = directory / fname
         if not path.exists():
             raise DatasetFormatError(f"missing trajectory file {path}")
-        splits[split_name].append(
-            _read_trajectory(
-                path,
-                system.n_inputs,
-                system.n_states,
-                protocol.n_samples,
-                int(realization),
-                int(attempt),
-            )
+        trajectory = _read_trajectory(
+            path, system.n_inputs, system.n_states, n_samples, realization, attempt
         )
-    return Dataset(
-        train=splits["train"],
-        validation=splits["validation"],
-        test=splits["test"],
-        system=system,
-        protocol=protocol,
-        noise=noise,
-        master_seed=master_seed,
-    )
+        splits[split_name].append(trajectory)
+    return Dataset(**splits, **specs, master_seed=master_seed)

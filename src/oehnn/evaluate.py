@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+from oehnn import textio
 from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
@@ -131,30 +134,24 @@ def state_labels(n_masses: int) -> list[str]:
 def write_metrics_report(metrics: Metrics, path, labels: list[str] | None = None) -> None:
     """Key-value report: aggregate RMSE, per-trajectory breakdown, divergences."""
     labels = labels or [f"x{i}" for i in range(len(metrics.per_state_rmse))]
-    lines = [
-        f"kind = {metrics.kind}",
-        f"reference = {metrics.reference}",
-        f"n_trajectories = {len(metrics.per_trajectory)}",
-        f"n_diverged = {metrics.n_diverged}",
-    ]
-    for label, value in zip(labels, metrics.per_state_rmse):
-        lines.append(f"rmse_{label} = {value:.17g}")
+    fields = {
+        "kind": metrics.kind,
+        "reference": metrics.reference,
+        "n_trajectories": len(metrics.per_trajectory),
+        "n_diverged": metrics.n_diverged,
+    }
+    fields.update((f"rmse_{label}", value) for label, value in zip(labels, metrics.per_state_rmse))
     for res in metrics.per_trajectory:
-        values = ",".join(f"{v:.17g}" for v in res.rmse)
-        lines.append(f"trajectory_{res.index}_rmse = {values}")
+        fields[f"trajectory_{res.index}_rmse"] = tuple(res.rmse)
         if res.diverged:
-            lines.append(f"trajectory_{res.index}_diverged_at = {res.diverged_step}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            fields[f"trajectory_{res.index}_diverged_at"] = res.diverged_step
+    Path(path).write_text(textio.sections_text({"": fields}), encoding="utf-8")
 
 
 def write_comparison_csv(metrics_list: list[Metrics], path, labels: list[str]) -> None:
     """One row per method, one RMSE column per state coordinate."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method," + ",".join(labels) + "\n")
-        for metrics in metrics_list:
-            values = ",".join(f"{v:.17g}" for v in metrics.per_state_rmse)
-            fh.write(f"{metrics.kind},{values}\n")
+    rows = [("method", *labels)] + [(m.kind, *m.per_state_rmse) for m in metrics_list]
+    Path(path).write_text("".join(textio.encode(row) + "\n" for row in rows), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +199,11 @@ class BenchmarkResult:
         return [self.per_seed[kind][self.median_seed_index] for kind in self.kinds]
 
 
-def _benchmark_one_seed(job) -> list:
+def _benchmark_one_seed(
+    seed, *, dataset, n_hidden, oe_stages, baseline_epochs, baseline_patience,
+    derivative_source, anchor, reference, kinds, fit_workers, verbose,
+) -> list:
     """Fit every estimator for one training seed (process-pool friendly)."""
-    (dataset, seed, n_hidden, oe_stages, baseline_epochs, baseline_patience,
-     derivative_source, anchor, reference, kinds, fit_workers, verbose) = job
     S = structure_matrices(dataset.system)
     out = []
     for kind in kinds:
@@ -269,18 +267,19 @@ def compare_estimators(
     whose helper process then validates off the gradient's path.
     """
     pooled = workers > 1 and len(seeds) > 1
-    jobs = [
-        (dataset, seed, n_hidden, tuple(oe_stages), baseline_epochs, baseline_patience,
-         derivative_source, anchor, reference, tuple(kinds), 1 if pooled else workers, verbose)
-        for seed in seeds
-    ]
+    job = partial(
+        _benchmark_one_seed, dataset=dataset, n_hidden=n_hidden, oe_stages=tuple(oe_stages),
+        baseline_epochs=baseline_epochs, baseline_patience=baseline_patience,
+        derivative_source=derivative_source, anchor=anchor, reference=reference,
+        kinds=tuple(kinds), fit_workers=1 if pooled else workers, verbose=verbose,
+    )
     if pooled:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_benchmark_one_seed, jobs)
+        with multiprocessing.get_context("fork").Pool(min(workers, len(seeds))) as pool:
+            results = pool.map(job, seeds)
     else:
-        results = [_benchmark_one_seed(job) for job in jobs]
+        results = [job(seed) for seed in seeds]
     per_seed: dict = {kind: [] for kind in kinds}
     for seed_result in results:
         for kind, metrics in zip(kinds, seed_result):

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
+from oehnn import textio
 from oehnn.dynamics import StructureMatrices, canonical_field, _input_rows
 
 __all__ = [
@@ -215,8 +217,8 @@ def with_params(model, theta: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Model files: plain text, [meta] section plus named parameter rows with
-# 17-significant-digit decimals (lossless round trip for float64).
+# Model files: `textio` sections, [meta] with the architecture and kind tag,
+# [params] with one row of numbers per named parameter row.
 # ---------------------------------------------------------------------------
 
 
@@ -234,10 +236,6 @@ class SavedModel:
     seed: int | None
 
 
-def _fmt(values) -> str:
-    return " ".join(f"{float(v):.17g}" for v in np.atleast_1d(values))
-
-
 def save_model(model, path, kind: str, n_inputs: int, seed: int | None = None) -> None:
     """Write the model to a text file with architecture metadata and kind tag."""
     if kind not in MODEL_KINDS:
@@ -246,66 +244,32 @@ def save_model(model, path, kind: str, n_inputs: int, seed: int | None = None) -
         raise TypeError(f"kind {kind!r} requires a HamiltonianNet")
     if kind == "mlp" and not isinstance(model, BlackBoxNet):
         raise TypeError("kind 'mlp' requires a BlackBoxNet")
-    lines = ["[meta]"]
-    lines.append(f"kind = {kind}")
-    lines.append(f"n_states = {model.n_states}")
-    lines.append(f"n_inputs = {n_inputs}")
-    lines.append(f"n_hidden = {model.n_hidden}")
+    meta = {"kind": kind, "n_states": model.n_states, "n_inputs": n_inputs,
+            "n_hidden": model.n_hidden}
     if seed is not None:
-        lines.append(f"seed = {seed}")
-    lines.append("normalization = none")
-    lines.append("")
-    lines.append("[params]")
-    for i, row in enumerate(model.w1):
-        lines.append(f"w1.{i} = {_fmt(row)}")
-    lines.append(f"b1 = {_fmt(model.b1)}")
+        meta["seed"] = seed
+    meta["normalization"] = "none"
+    params = {f"w1.{i}": row for i, row in enumerate(model.w1)}
+    params["b1"] = model.b1
     if isinstance(model, HamiltonianNet):
-        lines.append(f"w2 = {_fmt(model.w2)}")
-        lines.append(f"b2 = {_fmt(model.b2)}")
+        params["w2"] = model.w2
     else:
-        for i, row in enumerate(model.w2):
-            lines.append(f"w2.{i} = {_fmt(row)}")
-        lines.append(f"b2 = {_fmt(model.b2)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        params.update((f"w2.{i}", row) for i, row in enumerate(model.w2))
+    params["b2"] = model.b2
+    Path(path).write_text(textio.sections_text({"meta": meta, "params": params}), encoding="utf-8")
 
 
-def _parse_sections(path) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = sections.setdefault(line[1:-1], {})
-                continue
-            if "=" not in line or current is None:
-                raise ModelFormatError(f"{path}:{lineno}: expected 'key = value' inside a section")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in current:
-                raise ModelFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            current[key] = value.strip()
-    return sections
-
-
-def _parse_row(params: dict[str, str], key: str, expected_len: int, path) -> np.ndarray:
-    if key not in params:
-        raise ModelFormatError(f"{path}: missing parameter row {key!r}")
-    try:
-        row = np.array([float(tok) for tok in params[key].split()])
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: cannot parse row {key!r}: {exc}") from exc
-    if row.size != expected_len:
+def _row(params: dict[str, np.ndarray], key: str, expected_len: int, path) -> np.ndarray:
+    if params[key].size != expected_len:
         raise ModelFormatError(
-            f"{path}: row {key!r} has {row.size} values, expected {expected_len}"
+            f"{path}: row {key!r} has {params[key].size} values, expected {expected_len}"
         )
-    return row
+    return params[key]
 
 
-_META_KEYS = ("kind", "n_states", "n_inputs", "n_hidden", "seed", "normalization")
+_META_TYPES = {"kind": "str", "n_states": "int", "n_inputs": "int", "n_hidden": "int",
+               "seed": "int", "normalization": "str"}
+_SCHEMA = {"meta": _META_TYPES.get, "params": lambda key: "ndarray"}  # rows checked below
 
 
 def load_model(path, expect_kind: str | None = None) -> SavedModel:
@@ -314,27 +278,19 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
     Any section other than [meta] and [params], and any [meta] key that
     `save_model` does not write, is an error rather than silently ignored.
     """
-    sections = _parse_sections(path)
+    sections = textio.read_sections(path, _SCHEMA, ModelFormatError)
     if "meta" not in sections or "params" not in sections:
         raise ModelFormatError(f"{path}: missing [meta] or [params] section")
-    extra = [name for name in sections if name not in ("meta", "params")]
-    if extra:
-        raise ModelFormatError(f"{path}: unknown section [{extra[0]}]")
     meta = sections["meta"]
     params = sections["params"]
-    unknown = [k for k in meta if k not in _META_KEYS]
-    if unknown:
-        raise ModelFormatError(f"{path}: unknown meta key {unknown[0]!r}")
     try:
         kind = meta["kind"]
-        n_states = int(meta["n_states"])
-        n_inputs = int(meta["n_inputs"])
-        n_hidden = int(meta["n_hidden"])
-        seed = int(meta["seed"]) if "seed" in meta else None
+        n_states = meta["n_states"]
+        n_inputs = meta["n_inputs"]
+        n_hidden = meta["n_hidden"]
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing meta key {exc}") from exc
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad meta value: {exc}") from exc
+    seed = meta.get("seed")
     if min(n_states, n_inputs, n_hidden) < 1:
         raise ModelFormatError(f"{path}: n_states, n_inputs and n_hidden must be positive")
     if kind not in MODEL_KINDS:
@@ -361,18 +317,18 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
     if unknown:
         raise ModelFormatError(f"{path}: unknown parameter key {unknown[0]!r}")
     if hamiltonian:
-        w1 = np.stack([_parse_row(params, f"w1.{i}", n_states, path) for i in range(n_hidden)])
-        b1 = _parse_row(params, "b1", n_hidden, path)
-        w2 = _parse_row(params, "w2", n_hidden, path)
-        b2 = float(_parse_row(params, "b2", 1, path)[0])
+        w1 = np.stack([_row(params, f"w1.{i}", n_states, path) for i in range(n_hidden)])
+        b1 = _row(params, "b1", n_hidden, path)
+        w2 = _row(params, "w2", n_hidden, path)
+        b2 = float(_row(params, "b2", 1, path)[0])
         model: object = HamiltonianNet(w1=w1, b1=b1, w2=w2, b2=b2)
     else:
         w1 = np.stack(
-            [_parse_row(params, f"w1.{i}", n_states + n_inputs, path) for i in range(n_hidden)]
+            [_row(params, f"w1.{i}", n_states + n_inputs, path) for i in range(n_hidden)]
         )
-        b1 = _parse_row(params, "b1", n_hidden, path)
-        w2 = np.stack([_parse_row(params, f"w2.{i}", n_hidden, path) for i in range(n_states)])
-        b2 = _parse_row(params, "b2", n_states, path)
+        b1 = _row(params, "b1", n_hidden, path)
+        w2 = np.stack([_row(params, f"w2.{i}", n_hidden, path) for i in range(n_states)])
+        b2 = _row(params, "b2", n_states, path)
         model = BlackBoxNet(w1=w1, b1=b1, w2=w2, b2=b2)
     return SavedModel(
         model=model,

@@ -20,6 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
+from oehnn import textio
 from oehnn.data import Dataset, Trajectory, fd_derivatives
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
@@ -55,6 +56,8 @@ DERIVATIVE_SOURCES = ("fd", "true")
 # inline, which validates each window of this many epochs in one rollout.
 _RUN_AHEAD = 16
 _INLINE_WINDOW = 8
+# The loss a training or validation lane scores when its rollout diverges.
+DIVERGENCE_PENALTY = 1e6
 
 
 class TrainingError(RuntimeError):
@@ -76,15 +79,14 @@ class TrainConfig:
     seed: int = 0
     derivative_source: str = "fd"
     anchor: str = "measured"
-    divergence_penalty: float = 1e6
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.patience < 1:
@@ -338,7 +340,7 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
         raise ValueError("trajectory must contain at least 2 samples")
     x0, gu, y, h, weight = _traj_arrays([trajectory], S, anchor)
     lane_loss, grad, diverged = _sim_batch(
-        net, S, x0, gu, y, h, weight, penalty=1e6, want_grad=want_grad
+        net, S, x0, gu, y, h, weight, penalty=DIVERGENCE_PENALTY, want_grad=want_grad
     )
     if diverged[0] >= 0:
         raise TrainingError(f"model rollout diverged at step {diverged[0]}")
@@ -429,10 +431,8 @@ class FitResult:
 
 
 def write_history_csv(history: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, train_loss, val_loss in history:
-            fh.write(f"{int(epoch)},{train_loss:.17g},{val_loss:.17g}\n")
+    # the number format writes a whole-number epoch without a decimal point
+    textio.write_table(path, "epoch,train_loss,val_loss", history)
 
 
 def _derivative_training_set(trajs, source, ts):
@@ -667,7 +667,7 @@ def fit(
             n_lanes = 0
             for x0, gu, y, h, weight in train_groups:
                 lane_loss, g, diverged = _sim_batch(
-                    model, S, x0, gu, y, h, weight, config.divergence_penalty, True
+                    model, S, x0, gu, y, h, weight, DIVERGENCE_PENALTY, True
                 )
                 total += float(lane_loss.sum())
                 grad += g
@@ -682,7 +682,7 @@ def fit(
 
     validate = partial(
         _val_losses, template, kind=kind, S=S, groups=val_groups,
-        penalty=config.divergence_penalty,
+        penalty=DIVERGENCE_PENALTY,
     )
     history = []
     best_theta = theta.copy()

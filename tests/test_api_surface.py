@@ -80,3 +80,23 @@ def test_every_exported_name_has_a_caller():
     used = set().union(*(_used_names(path, tree) for path, tree in sources.items()))
     unused = [name for name in exported if name not in used | EXEMPT]
     assert unused == [], f"exported but called only by tests: {unused}"
+
+
+def test_only_textio_owns_the_text_formats():
+    """The number format and the file parsers live in `textio` alone."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        if "17g" in text:
+            found.append(f"{path.name} spells the number format")
+        for node in ast.walk(ast.parse(text)):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            found += [f"{path.name} imports {name}" for name in names
+                      if name.split(".")[0] in ("csv", "configparser")]
+    assert found == []

@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -59,6 +60,23 @@ class TestConfig:
         path.write_text("learning_rte = 0.001\n")
         with pytest.raises(ConfigError, match="learning_rte"):
             load_config_file(path)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("n_hidden = 3\nn_hidden = 4\n", "exp.txt:2: duplicate key 'n_hidden'"),
+            ("n_hidden = 3\nlearning_rte = 0.1\n", "exp.txt:2: unknown key 'learning_rte'"),
+            ("[train]\nn_hidden = 3\n", "exp.txt:1: unknown section [train]"),
+            ("n_hidden = 3\ncubic = maybe\n", "exp.txt:2: bad value for 'cubic'"),
+        ],
+        ids=["duplicate", "unknown", "section", "value"],
+    )
+    def test_bad_line_is_named(self, tmp_path, text, named):
+        path = tmp_path / "exp.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config_file(path)
+        assert named in str(excinfo.value)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "exp.txt"
@@ -180,6 +198,9 @@ class TestTrainCommand:
             ["--workers", "-1"],
             ["--model", "foo"],
             ["--train-seed", "-1"],
+            ["--learning-rate", "nan"],
+            ["--learning-rate", "inf"],
+            ["--epsilon", "nan"],
         ],
     )
     def test_bad_training_value_is_usage_error(self, cli_dataset, tmp_path, capsys, flags):
@@ -386,6 +407,133 @@ class TestModelFileContract:
             assert err.count("error:") == 1
 
 
+def _exits_cleanly(capsys, argv):
+    """Run `main`: it returns 0, 1 or 2, and an error is one `error:` line."""
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_on_dataset(capsys, data, out, model, trained_models):
+    train = ["train", "--data", data, "--out", out / "t", "--model", model, *TRAIN_FAST,
+             "--workers", 1]
+    _exits_cleanly(capsys, train)
+    _exits_cleanly(capsys, ["evaluate", "--data", data, "--out", out / "e",
+                            "--models", trained_models[model]])
+
+
+def _corrupt_table(lines, corruption):
+    """`_corrupt`, but a new value on a table row goes into one of its cells,
+    counted from the last (a small `donor` leaves the time column alone)."""
+    op, at, donor, text = corruption
+    row = lines[at % len(lines)]
+    if op != "revalue" or "=" in row:
+        return _corrupt(lines, corruption)
+    cells = row.split(",")
+    cells[-1 - donor % len(cells)] = text
+    return lines[: at % len(lines)] + [",".join(cells)] + lines[at % len(lines) + 1 :]
+
+
+# mostly new values, most of which a dataset reads, so that training and
+# evaluation see them
+_DATASET_CORRUPTION = st.tuples(
+    st.sampled_from(["truncate", "delete", "replace", "insert", "copy"] + ["revalue"] * 5),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    _VALUE,
+)
+
+
+class TestCorruptDataset:
+    def _copy(self, cli_dataset, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        return data
+
+    @pytest.mark.parametrize(
+        "defect, named",
+        [
+            ("non-integer realization", "manifest.txt:29"),
+            ("non-integer trajectory key", "manifest.txt:29: unknown trajectories key 'zero'"),
+            ("non-UTF-8 manifest", "manifest.txt: not UTF-8"),
+            ("non-UTF-8 trajectory", "traj_001.csv: not UTF-8"),
+            ("repeated time stamp", "traj_000.csv: the time column is not strictly increasing"),
+            ("unknown manifest key", "manifest.txt:12: unknown protocol key 'tss'"),
+            ("duplicate manifest key", "manifest.txt:12: duplicate key 'ts'"),
+            ("missing manifest key", "manifest.txt: [protocol] has no 'ts'"),
+        ],
+        ids=["realization", "trajectory-key", "manifest-bytes", "trajectory-bytes", "time-stamp",
+             "unknown-key", "duplicate-key", "missing-key"],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
+    def test_is_usage_error(self, cli_dataset, trained_models, tmp_path, capsys, defect, named,
+                            command):
+        data = self._copy(cli_dataset, tmp_path)
+        manifest = data / "manifest.txt"
+        text = manifest.read_text()
+        if defect == "non-integer realization":
+            manifest.write_text(text.replace("traj_000.csv,train,0,", "traj_000.csv,train,x,"))
+        elif defect == "non-integer trajectory key":
+            manifest.write_text(text.replace("\n0 = traj_000", "\nzero = traj_000"))
+        elif defect == "non-UTF-8 manifest":
+            manifest.write_bytes(text.encode() + b"\xff")
+        elif defect == "non-UTF-8 trajectory":
+            victim = data / "traj_001.csv"
+            victim.write_bytes(victim.read_bytes() + b"\xff")
+        elif defect == "repeated time stamp":
+            victim = data / "traj_000.csv"
+            lines = victim.read_text().splitlines()
+            lines[2] = lines[1].split(",")[0] + "," + lines[2].split(",", 1)[1]
+            victim.write_text("\n".join(lines) + "\n")
+        elif defect == "unknown manifest key":
+            manifest.write_text(text.replace("\nts = 0.01\n", "\nts = 0.01\ntss = 0.02\n"))
+        elif defect == "duplicate manifest key":
+            manifest.write_text(text.replace("\nts = 0.01\n", "\nts = 0.01\nts = 0.02\n"))
+        else:
+            manifest.write_text(text.replace("\nts = 0.01\n", "\n"))
+        capsys.readouterr()
+        extra = {
+            "train": ["--model", "oe-hnn", *TRAIN_FAST],
+            "evaluate": ["--models", trained_models["oe-hnn"]],
+            "simulate": [],
+        }[command]
+        source = "--like-dataset" if command == "simulate" else "--data"
+        code = run_cli(command, source, data, "--out", tmp_path / "o", *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        victim=st.integers(0, 10**6),
+        corruption=_DATASET_CORRUPTION,
+        bad_byte=st.sampled_from([None] * 4 + [0]).flatmap(
+            lambda at: st.none() if at is None else st.integers(0, 10**6)
+        ),
+        model=st.sampled_from(["oe-hnn", "hnn", "mlp"]),
+    )
+    def test_exits_cleanly(self, cli_dataset, trained_models, capsys, victim, corruption,
+                           bad_byte, model):
+        # one file of the dataset corrupted as `_corrupt_table` does, and
+        # perhaps a byte that is not UTF-8 put into it
+        with tempfile.TemporaryDirectory() as tmp:
+            data = self._copy(cli_dataset, Path(tmp))
+            files = sorted(data.glob("traj_*.csv")) + [data / "manifest.txt"]
+            path = files[victim % len(files)]
+            lines = path.read_text().splitlines()
+            text = ("\n".join(_corrupt_table(lines, corruption)) + "\n").encode()
+            if bad_byte is not None:
+                at = bad_byte % (len(text) + 1)
+                text = text[:at] + b"\xff" + text[at:]
+            path.write_bytes(text)
+            _run_on_dataset(capsys, data, Path(tmp), model, trained_models)
+
+
 # generate-data argv: a tiny valid run (at most 4 realizations of 30 samples
 # after at most 200 pre-roll steps), optional flags drawn from valid ranges,
 # mass lists of any length, then up to two flags given an edge value, most of
@@ -434,8 +582,7 @@ class TestGenerateArgvContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(flags=_generate_argv())
     def test_generate_data_exits_cleanly(self, capsys, flags):
-        # flag=value, since argparse takes "-1e-3" after a bare flag for an option
-        argv = [f"{flag}={value}" for flag, value in flags.items()]
+        argv = [token for flag, value in flags.items() for token in (flag, value)]
         with tempfile.TemporaryDirectory() as tmp:
             capsys.readouterr()
             code = main(["generate-data", "--out", str(Path(tmp) / "d"), *argv])
@@ -443,6 +590,88 @@ class TestGenerateArgvContract:
         assert code in (0, 1, 2)
         if code != 0:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# train, evaluate and simulate argv, as for generate-data: a tiny valid run,
+# optional flags from valid ranges, then up to two flags given an edge value
+# (a negative exponent too) or, last, no value at all.
+_ARGV_EDGE = st.sampled_from(["0", "1", "-1", "-0.5", "-1e-3", "nan", "inf", "abc", "", "1,2",
+                              None])
+_TRAIN_OPTIONAL = {
+    "--model": st.sampled_from(["oe-hnn", "hnn", "mlp"]),
+    "--learning-rate": st.floats(1e-4, 0.1),
+    "--beta1": st.floats(0.0, 0.99),
+    "--beta2": st.floats(0.0, 0.999),
+    "--epsilon": st.floats(1e-10, 1e-6),
+    "--chunk-length": st.integers(2, 40),
+    "--train-seed": st.integers(0, 100),
+    "--derivative-source": st.sampled_from(["fd", "true"]),
+    "--anchor": st.sampled_from(["measured", "true"]),
+    "--workers": st.integers(0, 2),
+}
+_EVALUATE_OPTIONAL = {
+    "--reference": st.sampled_from(["true", "measured"]),
+    "--anchor": st.sampled_from(["measured", "true"]),
+    "--system": st.sampled_from(["duffing", "coupled"]),
+    "--workers": st.integers(0, 2),
+}
+_SIMULATE_OPTIONAL = {
+    "--x0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+    "--input": st.sampled_from(["multisine", "zero"]),
+    "--phase-seed": st.integers(0, 100),
+    "--ts": st.floats(1e-3, 0.05),
+    "--harmonics": st.integers(1, 5),
+    "--f0": st.floats(0.05, 2.0),
+    "--amplitude": st.floats(-1.0, 3.0),
+    "--system": st.sampled_from(["duffing", "coupled"]),
+    "--masses": st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+    "--cubic": st.sampled_from(["true", "false"]),
+}
+
+
+@st.composite
+def _argv(draw, base, optional):
+    flags = {flag: draw(value) for flag, value in base.items()}
+    flags.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    for flag in draw(st.lists(st.sampled_from([*flags, *optional]), max_size=2, unique=True)):
+        flags[flag] = draw(_ARGV_EDGE)
+    valued = [tok for flag, value in flags.items() if value is not None
+              for tok in (flag, _text(value))]
+    return valued + [flag for flag, value in flags.items() if value is None]
+
+
+class TestArgvContract:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv({"--n-hidden": st.integers(1, 6), "--max-epochs": st.integers(1, 3),
+                       "--patience": st.integers(1, 3)}, _TRAIN_OPTIONAL))
+    def test_train_exits_cleanly(self, cli_dataset, capsys, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            _exits_cleanly(capsys, ["train", "--data", cli_dataset, "--out", tmp, *argv])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(models=st.lists(st.sampled_from(["oe-hnn", "hnn", "mlp"]), max_size=3),
+           argv=_argv({}, _EVALUATE_OPTIONAL))
+    def test_evaluate_exits_cleanly(self, cli_dataset, trained_models, capsys, models, argv):
+        paths = [trained_models[kind] for kind in models]
+        with tempfile.TemporaryDirectory() as tmp:
+            _exits_cleanly(capsys, ["evaluate", "--data", cli_dataset, "--out", tmp, *argv,
+                                    "--models", *paths])
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=st.sampled_from(["true-system", "model-file", "like-dataset"]),
+           argv=_argv({"--steps": st.integers(1, 40), "--realization": st.integers(0, 6)},
+                      _SIMULATE_OPTIONAL))
+    def test_simulate_exits_cleanly(self, cli_dataset, trained_models, capsys, source, argv):
+        origin = {
+            "true-system": ["--true-system"],
+            "model-file": ["--model-file", trained_models["hnn"]],
+            "like-dataset": ["--like-dataset", cli_dataset],
+        }[source]
+        with tempfile.TemporaryDirectory() as tmp:
+            _exits_cleanly(capsys, ["simulate", *origin, "--out", Path(tmp) / "s.csv", *argv])
 
 
 class TestSimulateCommand:
@@ -492,9 +721,40 @@ class TestSimulateCommand:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (15, 4)
 
+    def test_negative_values_in_a_list(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run_cli(
+            "simulate", "--true-system", "--input", "zero", "--steps", 2, "--x0", "-0.3,-1e-2",
+            "--out", out,
+        ) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[0, 2:], [-0.3, -1e-2])
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code = run_cli("simulate", "--out", tmp_path / "x.csv")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ts", "0"],
+            ["--ts", "nan"],
+            ["--ts", "inf"],
+            ["--harmonics", "0"],
+            ["--f0", "0"],
+            ["--phase-seed", "-1"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--true-system", "--model-file"])
+    def test_bad_signal_setting_is_usage_error(self, trained_models, tmp_path, capsys, flags,
+                                               source):
+        model = [trained_models["oe-hnn"]] if source == "--model-file" else []
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", source, *model, "--steps", 5, *flags, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--steps", 0], ["--x0", "0.1,abc"]])
     def test_bad_steps_or_x0_is_usage_error(self, tmp_path, capsys, flags):
@@ -516,6 +776,43 @@ class TestGradcheckCommand:
             "--n-hidden", 8, "--inject-fault", "sign-flip",
         ) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "flags", [["--steps", "0"], ["--steps", "2", "0"], ["--long-steps", "0"],
+                  ["--n-hidden", "-1"], ["--seed", "-1"]],
+    )
+    def test_bad_setting_is_usage_error(self, capsys, flags):
+        code = run_cli("gradcheck", "--cases", 1, "--steps", 2, "--long-steps", 3,
+                       "--n-hidden", 2, *flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "d", "--out", "o", "--n-hidden"],
+            ["evaluate", "--data", "d", "--out", "o", "--models"],
+            ["train", "--data", "d"],
+            ["simulate", "--true-system", "--steps", "abc", "--out", "x.csv"],
+            ["train", "--data", "d", "--out", "o", "--no-such-flag", "1"],
+            ["no-such-command"],
+            [],
+        ],
+    )
+    def test_argparse_error_is_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_exponent_is_a_value(self, cli_dataset, tmp_path, capsys):
+        code = run_cli("train", "--data", cli_dataset, "--out", tmp_path / "o",
+                       "--learning-rate", "-1e-3")
+        assert code == 2
+        assert capsys.readouterr().err == "error: learning_rate must be positive and finite\n"
 
 
 def test_console_entry_point_runs():

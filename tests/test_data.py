@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -305,6 +306,66 @@ class TestCsvRoundTrip:
             victim.write_text("\n".join(victim.read_text().splitlines()[:2]) + "\n")
         with pytest.raises(DatasetFormatError, match="two samples"):
             read_csv(tmp_path)
+
+    def test_special_values_round_trip(self, tiny_duffing_dataset, tmp_path):
+        # signed zeros, infinities, NaN, subnormals and the extremes read back bit for bit
+        ds = copy.deepcopy(tiny_duffing_dataset)
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                   np.finfo(float).max, 0.1, 1 / 3]
+        ds.train[0].y[: len(special), 0] = special
+        ds.train[0].u[: len(special), 0] = special[::-1]
+        write_csv(ds, tmp_path)
+        back = read_csv(tmp_path)
+        for ta, tb in zip(ds.all_trajectories(), back.all_trajectories(), strict=True):
+            for name in ("t", "u", "y", "x_true", "dx_true"):
+                a, b = getattr(ta, name), getattr(tb, name)
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_file_layout(self, tiny_duffing_dataset, tmp_path):
+        # CRLF trajectory tables and an INI-style manifest whose sections each end in a blank line
+        write_csv(tiny_duffing_dataset, tmp_path)
+        table = (tmp_path / "traj_000.csv").read_bytes()
+        assert table.startswith(b"t,u_0,y_0,y_1,x_0,x_1,dx_0,dx_1\r\n0.5,")
+        assert table.count(b"\r\n") == table.count(b"\n") == 41
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert manifest.startswith(
+            "[system]\nn_masses = 1\nmasses = 1\nstiffnesses = 1\ninput_map = 0\ncubic = true\n\n"
+            "[protocol]\nn_realizations = 6\nn_samples = 40\nts = 0.01\nt_start = 0.5\n"
+            "split = 3,2,1\nharmonics = 20\nf0 = 0.10000000000000001\n"
+            "amplitude = 0.14999999999999999\n"
+        )
+        assert manifest.endswith("\n[trajectories]\n0 = traj_000.csv,train,0,0\n"
+                                 "1 = traj_001.csv,train,1,0\n2 = traj_002.csv,train,2,0\n"
+                                 "3 = traj_003.csv,validation,3,0\n4 = traj_004.csv,validation,4,0\n"
+                                 "5 = traj_005.csv,test,5,0\n\n")
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda t: t.replace("\nts = 0.01\n", "\nts = 0.01\nts = 0.02\n"),
+             "manifest.txt:12: duplicate key 'ts'"),
+            (lambda t: t.replace("\nts = 0.01\n", "\nts = 0.01\nTS = 0.02\n"),
+             "manifest.txt:12: unknown protocol key 'TS'"),
+            (lambda t: t.replace("[seeds]", "[seeds]\nseed = 3"), "unknown seeds key 'seed'"),
+            (lambda t: t.replace("\n0 = traj", "\n-1 = traj"), "unknown trajectories key '-1'"),
+            (lambda t: t.replace("\n0 = traj", "\n1 = traj"), "duplicate key '1'"),
+            (lambda t: t + "[extra]\n", "unknown section [extra]"),
+            (lambda t: t.replace("split = 3,2,1", "split = 3,3"), "expected 3 comma-separated"),
+            (lambda t: t.replace("harmonics = 20\n", ""), "[protocol] has no 'harmonics'"),
+            (lambda t: t.replace("[noise]", "[noisy]"), "unknown section [noisy]"),
+            (lambda t: t.replace("master_seed = 42", "master_seed = -1"),
+             "master_seed must be at least 0"),
+        ],
+        ids=["duplicate", "unknown", "unknown-seed", "negative-entry", "duplicate-entry",
+             "section", "split", "missing", "renamed-section", "negative-seed"],
+    )
+    def test_bad_manifest_line(self, tiny_duffing_dataset, tmp_path, edit, named):
+        write_csv(tiny_duffing_dataset, tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(DatasetFormatError) as excinfo:
+            read_csv(tmp_path)
+        assert named in str(excinfo.value)
 
     def test_missing_trajectory_file(self, tiny_duffing_dataset, tmp_path):
         write_csv(tiny_duffing_dataset, tmp_path)
