@@ -276,6 +276,8 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     train_cfg = cfg.train_config()
     dataset = read_csv(args.data)
+    if not dataset.train or not dataset.validation:
+        raise ConfigError(f"{args.data}: dataset needs non-empty train and validation splits")
     if cfg.model in ("hnn", "mlp"):
         if cfg.derivative_source == "fd" and any(tr.n_samples < 3 for tr in dataset.train):
             raise ConfigError(

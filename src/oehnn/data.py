@@ -333,7 +333,7 @@ def write_csv(dataset: Dataset, directory) -> None:
 
 
 def _read_trajectory(path: Path, m: int, d: int, n_samples: int, realization: int, attempt: int):
-    header, data = textio.read_table(path, DatasetFormatError)
+    header, data = textio.read_table(path, DatasetFormatError, finite=True)
     with_truth = header == _traj_header(m, d, True)
     if not with_truth and header != _traj_header(m, d, False):
         raise DatasetFormatError(f"{path}: unexpected column header {header}")
@@ -356,7 +356,11 @@ def _read_trajectory(path: Path, m: int, d: int, n_samples: int, realization: in
 
 
 def read_csv(directory) -> Dataset:
-    """Rebuild a dataset from the files produced by write_csv, bit-exactly."""
+    """Rebuild a dataset from the files produced by write_csv, bit-exactly.
+
+    A trajectory cell that is NaN or infinite raises `DatasetFormatError`
+    naming its line, since no model can be fitted to or judged on it.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():

@@ -149,6 +149,11 @@ def _input_rows(u, like: np.ndarray, m: int) -> np.ndarray:
     raise ValueError(f"input has shape {u.shape}, expected trailing dimension {m}")
 
 
+def _j_apply(g: np.ndarray, n: int) -> np.ndarray:
+    """J @ g per row for the canonical block structure, n masses."""
+    return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
+
+
 def canonical_field(grad_h: np.ndarray, u, S: StructureMatrices) -> np.ndarray:
     """Assemble the state derivative J @ grad_h + G @ u."""
     grad_h = np.asarray(grad_h, dtype=float)
@@ -157,7 +162,7 @@ def canonical_field(grad_h: np.ndarray, u, S: StructureMatrices) -> np.ndarray:
             f"gradient has trailing dimension {grad_h.shape[-1]}, expected {S.n_states}"
         )
     u = _input_rows(u, grad_h, S.n_inputs)
-    return grad_h @ S.J.T + u @ S.G.T
+    return _j_apply(grad_h, S.n_states // 2) + u @ S.G.T
 
 
 def _spring_force(delta: np.ndarray, k: float, cubic: bool) -> np.ndarray:

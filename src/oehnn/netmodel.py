@@ -94,17 +94,24 @@ def h_value(net: HamiltonianNet, x: np.ndarray):
     return value if np.ndim(value) else float(value)
 
 
-def h_grad_x(net: HamiltonianNet, x: np.ndarray, th_out: np.ndarray | None = None) -> np.ndarray:
+def h_grad_x(
+    net: HamiltonianNet,
+    x: np.ndarray,
+    th_out: np.ndarray | None = None,
+    s_out: np.ndarray | None = None,
+) -> np.ndarray:
     """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
 
     With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is computed in
-    place there, e.g. in a stage record. Never writes `x`. A stacked net
-    takes x of shape (K, B, d).
+    place there, e.g. in a stage record; with `s_out` (the same shape), the
+    w2 * sech^2 term is computed there, and it holds nothing afterwards that
+    a caller needs. Without them both are allocated. Never writes `x`. A
+    stacked net takes x of shape (K, B, d).
     """
     th = np.matmul(np.asarray(x, dtype=float), net.w1.mT, out=th_out)
     th += net.b1
     np.tanh(th, out=th)
-    s = th * th
+    s = np.multiply(th, th, out=s_out)
     np.subtract(1.0, s, out=s)
     s *= net.w2
     return s @ net.w1

@@ -5,9 +5,15 @@ output residual; its gradient is the adjoint of the discrete unrolled
 computation (reverse sweep over every solver stage), so it is exact for the
 loss actually computed. Nothing is recomputed: the forward records k1..k3 and
 the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
-The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only arrays it allocates
-and, in the forward, the tanh slot it is handed; the reverse sweep only reads
-the record, and no caller's states or cotangents are ever written.
+The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
+handed (or allocates when it is handed none): in the forward, the tanh slot of
+the record and a (B, n_hidden) scratch array; in the reverse sweep, that
+scratch array and one more of the same shape, which each `_sim_batch` call
+allocates once and every RK4 stage reuses. The derivative batches write only
+the (N, n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once
+with the fit's G u or [x, u] rows. Every buffer is overwritten before it is
+read, so no value carries from one call to the next; the reverse sweep only
+reads the record, and no caller's states or cotangents are ever written.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from oehnn import textio
 from oehnn.data import Dataset, Trajectory, fd_derivatives
-from oehnn.dynamics import StructureMatrices, structure_matrices
+from oehnn.dynamics import StructureMatrices, _j_apply, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
     BlackBoxNet,
@@ -137,11 +143,6 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def _j_apply(g: np.ndarray, n: int) -> np.ndarray:
-    """J @ g per row for the canonical block structure."""
-    return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
-
-
 def _jt_apply(v: np.ndarray, n: int) -> np.ndarray:
     """J.T @ v = -J @ v per row."""
     return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
@@ -160,19 +161,22 @@ class _ThetaGrad:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, np.array([self.b2])])
 
 
-def _grad_vjp(net, x, th, w, acc: _ThetaGrad):
+def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
     """Accumulate the parameter pullback of a cotangent w on dH/dx(x).
 
     `th` is tanh(z), z = w1 @ x + b1. Returns p = (w2 * s'(z)) * (w @ w1.T),
     s'(z) = -2 tanh(z) sech^2(z), so p @ w1 is the state pullback. The w2
     gradient comes from sech^2(z).T @ w, which the w1 gradient needs anyway.
-    Writes only arrays it allocates, never `x`, `th` or `w`.
+    `scratch`, two arrays shaped like `th`, receives the sech^2 terms and p
+    (both are allocated when it is None), so the returned p is its second
+    array. Writes nothing else, never `x`, `th` or `w`.
     """
-    s = th * th
+    s, p = scratch or (None, None)
+    s = np.multiply(th, th, out=s)
     np.subtract(1.0, s, out=s)
     sw = s.T @ w
     s *= th
-    p = w @ (net.w1 * (-2.0 * net.w2)[:, None]).T
+    p = np.matmul(w, (net.w1 * (-2.0 * net.w2)[:, None]).T, out=p)
     p *= s
     acc.w2 += (sw * net.w1).sum(axis=1)
     acc.b1 += p.sum(axis=0)
@@ -180,11 +184,11 @@ def _grad_vjp(net, x, th, w, acc: _ThetaGrad):
     return p
 
 
-def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad):
+def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad, scratch=None):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
-    `th` is this stage's forward tanh(w1 @ x + b1)."""
-    return _grad_vjp(net, x, th, _jt_apply(v, n), acc) @ net.w1
+    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`."""
+    return _grad_vjp(net, x, th, _jt_apply(v, n), acc, scratch=scratch) @ net.w1
 
 
 def _lane_loss(xs, y, diverged, weight, penalty):
@@ -215,10 +219,12 @@ def _sim_batch(
     each lane's residual-norm sum. Returns (per-lane loss, flat grad or None,
     diverged step per lane with -1 for clean lanes). The forward pass runs on
     the shared RK4 kernel, whose stage record (k1..k3 and each stage's tanh
-    activations) the reverse sweep reads.
+    activations) the reverse sweep reads. Every RK4 stage of both passes
+    reuses the same (B, n_hidden) scratch arrays.
     """
     n_steps, B, d = gu.shape
     n = d // 2
+    scratch = (np.empty((B, net.n_hidden)), np.empty((B, net.n_hidden)) if want_grad else None)
     if want_grad:
         ks = np.empty((n_steps, 3, B, d))
         # forward-pass tanh activations per stage, reused by the reverse sweep
@@ -229,7 +235,7 @@ def _sim_batch(
         slots, stages = repeat(None), None
 
     def field(x, g_in):
-        return _j_apply(h_grad_x(net, x, next(slots)), n) + g_in
+        return _j_apply(h_grad_x(net, x, next(slots), scratch[0]), n) + g_in
 
     xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
@@ -249,10 +255,10 @@ def _sim_batch(
         x2 = x + (h / 2.0) * k1
         x3 = x + (h / 2.0) * k2
         x4 = x + h * k3
-        x4_bar = _stage_vjp(net, x4, th4, (h / 6.0) * lam, n, acc)
-        x3_bar = _stage_vjp(net, x3, th3, (h / 3.0) * lam + h * x4_bar, n, acc)
-        x2_bar = _stage_vjp(net, x2, th2, (h / 3.0) * lam + (h / 2.0) * x3_bar, n, acc)
-        x1_bar = _stage_vjp(net, x, th1, (h / 6.0) * lam + (h / 2.0) * x2_bar, n, acc)
+        x4_bar = _stage_vjp(net, x4, th4, (h / 6.0) * lam, n, acc, scratch)
+        x3_bar = _stage_vjp(net, x3, th3, (h / 3.0) * lam + h * x4_bar, n, acc, scratch)
+        x2_bar = _stage_vjp(net, x2, th2, (h / 3.0) * lam + (h / 2.0) * x3_bar, n, acc, scratch)
+        x1_bar = _stage_vjp(net, x, th1, (h / 6.0) * lam + (h / 2.0) * x2_bar, n, acc, scratch)
         lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
     return lane_loss, acc.flat(), diverged
 
@@ -352,12 +358,23 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight):
+def _derivative_buffers(net, S: StructureMatrices, x, u):
+    """What a derivative batch on rows (x, u) computes once and reuses: its
+    input term, G u for the energy net or the rows [x, u] for the black-box
+    net, then the (N, n_hidden) arrays it writes, three for the energy net
+    and two for the black-box net. A batch overwrites every one of them
+    before reading it, so none carries a value from one call to the next."""
+    rows = (len(x), net.n_hidden)
+    if isinstance(net, HamiltonianNet):
+        return u @ S.G.T, np.empty(rows), np.empty(rows), np.empty(rows)
+    return np.concatenate([x, u], axis=1), np.empty(rows), np.empty(rows)
+
+
+def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, out=None):
+    gu, th, s, p = out or _derivative_buffers(net, S, x, u)
     n = net.n_states // 2
-    th = np.empty((x.shape[0], net.n_hidden))
-    g = h_grad_x(net, x, th)
+    g = h_grad_x(net, x, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
-    gu = u @ S.G.T
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
     n1 = np.linalg.norm(r1, axis=1)
     n2 = np.linalg.norm(r2, axis=1)
@@ -368,26 +385,31 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight):
     g_cot[:, n:] = s1[:, None] * r1
     g_cot[:, :n] = s2[:, None] * r2
     acc = _ThetaGrad(net)
-    _grad_vjp(net, x, th, g_cot, acc)
+    _grad_vjp(net, x, th, g_cot, acc, scratch=(s, p))
     return loss, acc.flat()
 
 
-def _derivative_batch_mlp(net, x, dx_target, u, sample_weight):
-    xu = np.concatenate([x, u], axis=1)
-    z = xu @ net.w1.T + net.b1
-    th = np.tanh(z)
+def _derivative_batch_mlp(net, S, x, dx_target, u, sample_weight, out=None):
+    xu, th, hidden = out or _derivative_buffers(net, S, x, u)
+    np.matmul(xu, net.w1.T, out=th)
+    th += net.b1
+    np.tanh(th, out=th)
     f = th @ net.w2.T + net.b2
     r = f - dx_target
     nr = np.linalg.norm(r, axis=1)
     loss = float(np.sum(sample_weight * nr))
     scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
     f_cot = scale[:, None] * r
-    hidden = (f_cot @ net.w2) * (1.0 - th**2)
+    w2_grad = f_cot.T @ th
+    np.matmul(f_cot, net.w2, out=hidden)
+    np.multiply(th, th, out=th)  # th is read no more: it takes sech^2
+    np.subtract(1.0, th, out=th)
+    hidden *= th
     grad = np.concatenate(
         [
             (hidden.T @ xu).ravel(),
             hidden.sum(axis=0),
-            (f_cot.T @ th).ravel(),
+            w2_grad.ravel(),
             f_cot.sum(axis=0),
         ]
     )
@@ -412,7 +434,7 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     if isinstance(model, HamiltonianNet):
         return _derivative_batch_hnn(model, S, x, dx_target, u, weight)
     if isinstance(model, BlackBoxNet):
-        return _derivative_batch_mlp(model, x, dx_target, u, weight)
+        return _derivative_batch_mlp(model, S, x, dx_target, u, weight)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -583,6 +605,21 @@ def _overlap_validation(workers: int) -> bool:
     return True
 
 
+def _check_first_loss(split: str, loss: float) -> None:
+    """A loss that is not finite at the first epoch comes from the data (a
+    value whose residual norm overflows), not from training, so no epoch
+    could improve on it."""
+    if not np.isfinite(loss):
+        raise TrainingError(
+            f"the {split} loss at epoch 1 is {loss}; the {split} data may hold "
+            "values too large for its residual norms"
+        )
+
+
+# `fit` reports a loss or gradient that overflows itself (the divergence
+# penalty, `_check_first_loss`, the non-finite gradient check), so numpy's
+# warnings would only repeat it; the forked validation helper inherits this.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     kind: str,
     dataset: Dataset,
@@ -608,7 +645,9 @@ def fit(
     epoch e discards every gradient computed past e. A non-finite gradient
     raises `TrainingError` only once every earlier epoch is settled and none
     of them stopped the fit, as without run-ahead; an all-diverged first
-    epoch raises at once.
+    epoch, or a training loss that is not finite at the first epoch, raises
+    at once, and a validation loss that is not finite at the first epoch
+    raises when that epoch is settled.
 
     `workers` sets how many processes the fit may use. With 1, this process
     validates each window of `_INLINE_WINDOW` epochs after their gradients.
@@ -657,6 +696,8 @@ def fit(
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
         )
+        batch = _derivative_batch_hnn if kind == "hnn" else _derivative_batch_mlp
+        buffers = _derivative_buffers(template, S, x_fit, u_fit)
     val_groups = [_traj_arrays(dataset.validation, S, config.anchor)]
 
     def train_loss_grad(model):
@@ -674,10 +715,7 @@ def fit(
                 n_dead += int((diverged >= 0).sum())
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
-        if kind == "hnn":
-            loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit)
-        else:
-            loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit)
+        loss, g = batch(model, S, x_fit, dx_fit, u_fit, w_fit, buffers)
         return loss, g, False
 
     validate = partial(
@@ -708,6 +746,8 @@ def fit(
                     "every training rollout diverged at the first epoch; "
                     "reduce the learning rate or set a chunk_length"
                 )
+            if epoch == 1:
+                _check_first_loss("training", tr_loss)
             pending.append((epoch, theta, tr_loss))
             # settle every epoch before the last one or before a non-finite
             # gradient is refused, else just enough to stay within the limit
@@ -722,6 +762,8 @@ def fit(
                     losses.extend(fetch(block=True))
                 ep, th, tr = pending.popleft()
                 v_loss = losses.popleft()
+                if ep == 1:
+                    _check_first_loss("validation", v_loss)
                 n_due -= 1
                 history.append((ep, tr, v_loss))
                 if v_loss < best_val:

@@ -209,6 +209,62 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_empty_split_is_usage_error(self, cli_dataset, tmp_path, capsys, split):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(ln for ln in lines if f",{split}," not in ln) + "\n")
+        code = run_cli("train", "--data", data, "--out", tmp_path / "o", *TRAIN_FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-empty train and validation splits" in err
+        assert not (tmp_path / "o").exists()
+
+    @staticmethod
+    def _set_cell(cli_dataset, tmp_path, victim, value):
+        """A copy of the dataset with the first output cell of the fifth data
+        row (line 6) of trajectory `victim` set to `value`."""
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        path = data / f"traj_{victim:03d}.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        cells = lines[5].split(b",")
+        cells[2] = value.encode()
+        lines[5] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        return data
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_usage_error(self, cli_dataset, tmp_path, capsys, value):
+        data = self._set_cell(cli_dataset, tmp_path, 0, value)
+        code = run_cli("train", "--data", data, "--out", tmp_path / "o", *TRAIN_FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "traj_000.csv:6: y_0 is not a finite number" in err
+
+    # numpy's overflow warnings would add lines to the one `error:` line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "victim, model, split",
+        [(0, "oe-hnn", "training"), (1, "hnn", "training"), (3, "mlp", "validation")],
+    )
+    def test_overflowing_cell_is_runtime_error(self, cli_dataset, tmp_path, capsys, victim,
+                                               model, split):
+        # a finite cell whose squared residual overflows the loss
+        data = self._set_cell(cli_dataset, tmp_path, victim, "1e300")
+        out = tmp_path / "o"
+        code = run_cli("train", "--data", data, "--out", out, "--model", model, *TRAIN_FAST,
+                       "--workers", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"the {split} loss at epoch 1 is inf" in err
+        assert not (out / "model.txt").exists()
+
 
     @pytest.mark.parametrize("model", ["hnn", "mlp"])
     def test_fd_targets_on_two_sample_trajectories_is_usage_error(self, tmp_path, capsys, model):

@@ -308,10 +308,11 @@ class TestCsvRoundTrip:
             read_csv(tmp_path)
 
     def test_special_values_round_trip(self, tiny_duffing_dataset, tmp_path):
-        # signed zeros, infinities, NaN, subnormals and the extremes read back bit for bit
+        # signed zeros, subnormals and the extremes read back bit for bit;
+        # infinities and NaN are written as they are but refused on reading
         ds = copy.deepcopy(tiny_duffing_dataset)
-        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
-                   np.finfo(float).max, 0.1, 1 / 3]
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, np.finfo(float).max,
+                   -np.finfo(float).max, 0.1, 1 / 3]
         ds.train[0].y[: len(special), 0] = special
         ds.train[0].u[: len(special), 0] = special[::-1]
         write_csv(ds, tmp_path)
@@ -320,6 +321,12 @@ class TestCsvRoundTrip:
             for name in ("t", "u", "y", "x_true", "dx_true"):
                 a, b = getattr(ta, name), getattr(tb, name)
                 assert a.tobytes() == b.tobytes(), name
+        for row, value in enumerate([np.inf, -np.inf, np.nan]):
+            bad = copy.deepcopy(ds)
+            bad.train[1].u[row, 0] = value
+            write_csv(bad, tmp_path)
+            with pytest.raises(DatasetFormatError, match=rf"traj_001.csv:{row + 2}: u_0 is not"):
+                read_csv(tmp_path)
 
     def test_file_layout(self, tiny_duffing_dataset, tmp_path):
         # CRLF trajectory tables and an INI-style manifest whose sections each end in a blank line

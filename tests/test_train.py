@@ -533,10 +533,10 @@ def reference_h_grad_x(net, x):
     return (net.w2 * (1.0 - np.tanh(x @ net.w1.T + net.b1) ** 2)) @ net.w1
 
 
-def reference_grad_vjp(net, x, th, w, acc):
+def reference_grad_vjp(net, x, th, w, acc, scratch=None):
     """The parameter VJP as first written: a = w @ w1.T, s = sech^2, s' =
     -2 tanh sech^2; returns (w2 * s') * a, whose product with w1 is the state
-    pullback."""
+    pullback. It allocates its own arrays and ignores `scratch`."""
     s = 1.0 - th**2
     sp = -2.0 * th * s
     a = w @ net.w1.T
@@ -577,6 +577,16 @@ def saturated_hnet(rng, n_hidden):
     return dataclasses.replace(net, b1=b1)
 
 
+class NumpyWithEmpty:
+    """numpy, but with `empty` replaced, to stand in for it in one module."""
+
+    def __init__(self, empty):
+        self.empty = empty
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 class TestEnergyKernel:
     def test_forward_writes_tanh_into_the_given_slot_only(self):
         rng = np.random.default_rng(70)
@@ -610,6 +620,27 @@ class TestEnergyKernel:
         first, second = simulation_loss_grad(net, S, traj), simulation_loss_grad(net, S, traj)
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
+    def test_simulation_gradient_ignores_stale_buffers(self, tiny_duffing_dataset, monkeypatch):
+        # `_sim_batch` takes its stage record and RK4-stage scratch arrays
+        # from np.empty; hand it the arrays another model's call has filled
+        args = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)[0]
+        rng = np.random.default_rng(76)
+        nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
+        for want_grad in (True, False):
+            fresh = oehnn.train._sim_batch(nets[0], S, *args, 1e6, want_grad)
+            handed = []
+            monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(
+                lambda shape: handed.append(np.empty(shape)) or handed[-1]
+            ))
+            oehnn.train._sim_batch(nets[1], S, *args, 1e6, want_grad)
+            assert len(handed) == (4 if want_grad else 1)
+            monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(lambda shape: handed.pop(0)))
+            stale = oehnn.train._sim_batch(nets[0], S, *args, 1e6, want_grad)
+            monkeypatch.undo()
+            assert not handed
+            for a, b in zip(stale, fresh):
+                assert np.array_equal(a, b)
+
     def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
         net = random_hnet(np.random.default_rng(73), n_hidden=6)
         x, dx, u = frozen(*oehnn.train._derivative_training_set(
@@ -618,6 +649,38 @@ class TestEnergyKernel:
         (w,) = frozen(np.full(len(x), 1.0 / len(x)))
         runs = [oehnn.train._derivative_batch_hnn(net, S, x, dx, u, w) for _ in range(2)]
         assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
+
+    def test_mlp_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
+        net = init_blackbox_net(2, 1, 6, np.random.default_rng(73))
+        x, dx, u = frozen(*oehnn.train._derivative_training_set(
+            tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
+        )[:3])
+        (w,) = frozen(np.full(len(x), 1.0 / len(x)))
+        runs = [oehnn.train._derivative_batch_mlp(net, S, x, dx, u, w) for _ in range(2)]
+        assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_derivative_batch_ignores_stale_buffers(self, tiny_duffing_dataset, kind):
+        # buffers that another model's batch has just filled give the bits
+        # of fresh ones, as when `fit` reuses them from one epoch to the next
+        rng = np.random.default_rng(75)
+        if kind == "hnn":
+            batch = oehnn.train._derivative_batch_hnn
+            nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
+        else:
+            batch = oehnn.train._derivative_batch_mlp
+            nets = [init_blackbox_net(2, 1, 6, rng) for _ in range(2)]
+        x, dx, u, w = oehnn.train._derivative_training_set(
+            tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
+        )
+        buffers = oehnn.train._derivative_buffers(nets[0], S, x, u)
+        for arr in buffers[1:]:
+            arr.fill(np.nan)
+        # the first net runs on NaN, the second on the first net's values
+        for net in nets:
+            loss, grad = batch(net, S, x, dx, u, w, buffers)
+            fresh_loss, fresh_grad = batch(net, S, x, dx, u, w)
+            assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
     def test_matches_the_closed_form(self, tiny_duffing_dataset, monkeypatch, saturated):
