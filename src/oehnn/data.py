@@ -333,7 +333,7 @@ def write_csv(dataset: Dataset, directory) -> None:
 
 
 def _read_trajectory(path: Path, m: int, d: int, n_samples: int, realization: int, attempt: int):
-    header, data = textio.read_table(path, DatasetFormatError, finite=True)
+    header, data = textio.read_table(path, DatasetFormatError)
     with_truth = header == _traj_header(m, d, True)
     if not with_truth and header != _traj_header(m, d, False):
         raise DatasetFormatError(f"{path}: unexpected column header {header}")

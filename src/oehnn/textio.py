@@ -136,20 +136,19 @@ def write_table(path, header: str, rows: np.ndarray, newline: str = "\n") -> Non
                    comments="")
 
 
-def read_table(
-    path, error: type[Exception], finite: bool = False
-) -> tuple[list[str], np.ndarray]:
+def read_table(path, error: type[Exception]) -> tuple[list[str], np.ndarray]:
     """The column names and (rows, columns) numbers of a table below a header
-    line, bit-exactly. Blank lines are skipped; a row of another width or a
-    cell that is not a number, and with `finite` a NaN or infinite cell,
-    raises `error` naming `path:line`."""
+    line, bit-exactly. Blank lines are skipped; a row of another width, or a
+    cell that is not a number or is NaN or infinite, raises `error` naming
+    `path:line`. Every table oehnn reads is a dataset trajectory, and no
+    model can be fitted to or judged on a cell that is not finite."""
     lines = _read_lines(path, error)
     columns, rows = lines[0].split(","), lines[1:]
     if not any(line.strip() for line in rows):
         return columns, np.empty((0, len(columns)))
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        if data.shape[1] == len(columns) and (not finite or np.isfinite(data).all()):
+        if data.shape[1] == len(columns) and np.isfinite(data).all():
             return columns, data
     except ValueError:
         pass
@@ -163,7 +162,7 @@ def read_table(
             values = list(map(float, cells))
         except ValueError as exc:
             raise error(f"{path}:{lineno}: {exc}") from None
-        if finite and not all(map(math.isfinite, values)):
-            column = next(c for c, v in zip(columns, values) if not math.isfinite(v))
-            raise error(f"{path}:{lineno}: {column} is not a finite number")
+        bad = [column for column, v in zip(columns, values) if not math.isfinite(v)]
+        if bad:
+            raise error(f"{path}:{lineno}: {bad[0]} is not a finite number")
     raise error(f"{path}: not a table of numbers")

@@ -358,20 +358,21 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_buffers(net, S: StructureMatrices, x, u):
-    """What a derivative batch on rows (x, u) computes once and reuses: its
-    input term, G u for the energy net or the rows [x, u] for the black-box
-    net, then the (N, n_hidden) arrays it writes, three for the energy net
-    and two for the black-box net. A batch overwrites every one of them
-    before reading it, so none carries a value from one call to the next."""
+def _derivative_buffers(net, x, v):
+    """What a derivative batch on rows x computes once and reuses: its input
+    term, the rows G u for the energy net (`v`, kept as it is) or [x, u] for
+    the black-box net (`v` is u), then the (N, n_hidden) arrays it writes,
+    three for the energy net and two for the black-box net. A batch
+    overwrites every one of them before reading it, so none carries a value
+    from one call to the next."""
     rows = (len(x), net.n_hidden)
     if isinstance(net, HamiltonianNet):
-        return u @ S.G.T, np.empty(rows), np.empty(rows), np.empty(rows)
-    return np.concatenate([x, u], axis=1), np.empty(rows), np.empty(rows)
+        return v, np.empty(rows), np.empty(rows), np.empty(rows)
+    return np.concatenate([x, v], axis=1), np.empty(rows), np.empty(rows)
 
 
 def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, out=None):
-    gu, th, s, p = out or _derivative_buffers(net, S, x, u)
+    gu, th, s, p = out or _derivative_buffers(net, x, u @ S.G.T)
     n = net.n_states // 2
     g = h_grad_x(net, x, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
@@ -389,8 +390,8 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, out=None):
     return loss, acc.flat()
 
 
-def _derivative_batch_mlp(net, S, x, dx_target, u, sample_weight, out=None):
-    xu, th, hidden = out or _derivative_buffers(net, S, x, u)
+def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, out=None):
+    xu, th, hidden = out or _derivative_buffers(net, x, u)
     np.matmul(xu, net.w1.T, out=th)
     th += net.b1
     np.tanh(th, out=th)
@@ -434,7 +435,7 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     if isinstance(model, HamiltonianNet):
         return _derivative_batch_hnn(model, S, x, dx_target, u, weight)
     if isinstance(model, BlackBoxNet):
-        return _derivative_batch_mlp(model, S, x, dx_target, u, weight)
+        return _derivative_batch_mlp(model, x, dx_target, u, weight)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -696,8 +697,7 @@ def fit(
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
         )
-        batch = _derivative_batch_hnn if kind == "hnn" else _derivative_batch_mlp
-        buffers = _derivative_buffers(template, S, x_fit, u_fit)
+        buffers = _derivative_buffers(template, x_fit, u_fit @ S.G.T if kind == "hnn" else u_fit)
     val_groups = [_traj_arrays(dataset.validation, S, config.anchor)]
 
     def train_loss_grad(model):
@@ -715,7 +715,10 @@ def fit(
                 n_dead += int((diverged >= 0).sum())
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
-        loss, g = batch(model, S, x_fit, dx_fit, u_fit, w_fit, buffers)
+        if kind == "hnn":
+            loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit, buffers)
+        else:
+            loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit, buffers)
         return loss, g, False
 
     validate = partial(

@@ -78,9 +78,17 @@ def test_table_errors_name_the_line(tmp_path):
 
 def test_table_round_trip_skips_blank_lines(tmp_path):
     path = tmp_path / "table.csv"
-    rows = np.array([[-0.0, np.inf, np.nan], [5e-324, 1 / 3, -1e300]])
+    rows = np.array([[-0.0, np.finfo(float).max, 0.1], [5e-324, 1 / 3, -1e300]])
     textio.write_table(path, "a,b,c", rows, newline="\r\n")
     path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n", 1) + b"\n")
     columns, back = textio.read_table(path, ValueError)
     assert columns == ["a", "b", "c"]
     assert back.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_table_refuses_non_finite_cells(tmp_path, value):
+    path = tmp_path / "table.csv"
+    textio.write_table(path, "a,b,c", np.array([[1.0, 2.0, 3.0], [4.0, value, 6.0]]))
+    with pytest.raises(ValueError, match="table.csv:3: b is not a finite number"):
+        textio.read_table(path, ValueError)

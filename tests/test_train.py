@@ -656,7 +656,7 @@ class TestEnergyKernel:
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )[:3])
         (w,) = frozen(np.full(len(x), 1.0 / len(x)))
-        runs = [oehnn.train._derivative_batch_mlp(net, S, x, dx, u, w) for _ in range(2)]
+        runs = [oehnn.train._derivative_batch_mlp(net, x, dx, u, w) for _ in range(2)]
         assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
@@ -664,22 +664,23 @@ class TestEnergyKernel:
         # buffers that another model's batch has just filled give the bits
         # of fresh ones, as when `fit` reuses them from one epoch to the next
         rng = np.random.default_rng(75)
-        if kind == "hnn":
-            batch = oehnn.train._derivative_batch_hnn
-            nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
-        else:
-            batch = oehnn.train._derivative_batch_mlp
-            nets = [init_blackbox_net(2, 1, 6, rng) for _ in range(2)]
         x, dx, u, w = oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )
-        buffers = oehnn.train._derivative_buffers(nets[0], S, x, u)
+        if kind == "hnn":
+            batch = partial(oehnn.train._derivative_batch_hnn, S=S)
+            nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
+            buffers = oehnn.train._derivative_buffers(nets[0], x, u @ S.G.T)
+        else:
+            batch = oehnn.train._derivative_batch_mlp
+            nets = [init_blackbox_net(2, 1, 6, rng) for _ in range(2)]
+            buffers = oehnn.train._derivative_buffers(nets[0], x, u)
         for arr in buffers[1:]:
             arr.fill(np.nan)
         # the first net runs on NaN, the second on the first net's values
         for net in nets:
-            loss, grad = batch(net, S, x, dx, u, w, buffers)
-            fresh_loss, fresh_grad = batch(net, S, x, dx, u, w)
+            loss, grad = batch(net, x=x, dx_target=dx, u=u, sample_weight=w, out=buffers)
+            fresh_loss, fresh_grad = batch(net, x=x, dx_target=dx, u=u, sample_weight=w)
             assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
