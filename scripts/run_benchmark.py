@@ -39,9 +39,9 @@ def main():
     parser.add_argument("--master-seed", type=int, default=0)
     parser.add_argument("--derivative-source", choices=("true", "fd"), default="true",
                         help="baseline targets: stored truth or noisy finite differences")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel seeds (fits in a seed pool run in one process "
-                             "each); results identical for any value")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="process budget, 0 for every usable core (see "
+                             "compare_estimators); results identical for any value")
     parser.add_argument("--quick", action="store_true", help="short schedule for smoke runs")
     parser.add_argument("--out", default=None, help="output directory (default: results/<system>)")
     args = parser.parse_args()

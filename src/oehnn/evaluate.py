@@ -13,7 +13,7 @@ from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
-from oehnn.train import ANCHORS, TrainConfig, fit
+from oehnn.train import ANCHORS, TrainConfig, _process_budget, fit
 
 __all__ = [
     "Metrics",
@@ -70,6 +70,7 @@ def model_field(model, S: StructureMatrices):
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     field_f,
     test: list[Trajectory],
@@ -82,7 +83,8 @@ def evaluate(
     Rollouts start from the anchor sample of each trajectory under its
     recorded inputs, all of them as lanes of one batch. The aggregate RMSE
     pools the squared errors of all non-diverged trajectories; diverged ones
-    are flagged per trajectory instead of contaminating the pool.
+    are flagged per trajectory instead of contaminating the pool. A finite
+    rollout whose RMSE overflows raises `ValueError`, not numpy's warning.
     """
     if not test:
         raise ValueError("test split is empty")
@@ -114,7 +116,10 @@ def evaluate(
                 )
             else:
                 simulated[i] = states[:, lane]
-                per_traj[i] = TrajectoryResult(index=i, rmse=rmse(simulated[i], refs[i]))
+                error = rmse(simulated[i], refs[i])
+                if not np.isfinite(error).all():
+                    raise ValueError(f"test trajectory {i}: its RMSE against {reference} overflows")
+                per_traj[i] = TrajectoryResult(index=i, rmse=error)
     if simulated:
         kept = sorted(simulated)
         pooled = rmse(
@@ -201,7 +206,7 @@ class BenchmarkResult:
 
 def _benchmark_one_seed(
     seed, *, dataset, n_hidden, oe_stages, baseline_epochs, baseline_patience,
-    derivative_source, anchor, reference, kinds, fit_workers, verbose,
+    derivative_source, anchor, reference, kinds, workers, verbose,
 ) -> list:
     """Fit every estimator for one training seed (process-pool friendly)."""
     S = structure_matrices(dataset.system)
@@ -219,7 +224,7 @@ def _benchmark_one_seed(
                     seed=seed,
                     anchor=anchor,
                 )
-                model = fit(kind, dataset, cfg, initial_model=model, workers=fit_workers).model
+                model = fit(kind, dataset, cfg, initial_model=model, workers=workers).model
         else:
             cfg = TrainConfig(
                 max_epochs=baseline_epochs,
@@ -229,7 +234,7 @@ def _benchmark_one_seed(
                 anchor=anchor,
                 derivative_source=derivative_source,
             )
-            model = fit(kind, dataset, cfg, workers=fit_workers).model
+            model = fit(kind, dataset, cfg, workers=workers).model
         metrics = evaluate(
             model_field(model, S), dataset.test, reference=reference, anchor=anchor, kind=kind
         )
@@ -250,7 +255,7 @@ def compare_estimators(
     anchor: str = "true",
     reference: str = "true",
     kinds: tuple[str, ...] = ("oe-hnn", "hnn", "mlp"),
-    workers: int = 1,
+    workers: int = 0,
     verbose: bool = False,
 ) -> BenchmarkResult:
     """Fit every estimator once per seed and evaluate on the test split.
@@ -259,24 +264,23 @@ def compare_estimators(
     staged schedule; the derivative-matching baselines default to the stored
     noiseless states and derivatives (the classical setting those methods
     assume). The median seed is the one whose simulation-error model attains
-    the median mean RMSE. Seeds run in parallel when workers > 1; results
-    are identical for any worker count (fixed gather order). The fits inside
-    that seed pool run with `fit(workers=1)`, because a pool worker may not
-    fork: each validates its epochs inline, a window at a time, in one
-    stacked rollout. Seeds run in this process pass `workers` on to `fit`,
-    whose helper process then validates off the gradient's path.
+    the median mean RMSE. `workers` is the process budget of `fit`. When it
+    covers two seeds or more, a fork pool of min(budget, len(seeds))
+    processes fits the seeds, and each fit in it, a pool worker, validates
+    inline; otherwise each fit here spends the budget. Results are identical
+    for any `workers` (fixed gather order).
     """
-    pooled = workers > 1 and len(seeds) > 1
     job = partial(
         _benchmark_one_seed, dataset=dataset, n_hidden=n_hidden, oe_stages=tuple(oe_stages),
         baseline_epochs=baseline_epochs, baseline_patience=baseline_patience,
         derivative_source=derivative_source, anchor=anchor, reference=reference,
-        kinds=tuple(kinds), fit_workers=1 if pooled else workers, verbose=verbose,
+        kinds=tuple(kinds), workers=workers, verbose=verbose,
     )
-    if pooled:
+    n_pool = min(_process_budget(workers), len(seeds))
+    if n_pool >= 2:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(min(workers, len(seeds))) as pool:
+        with multiprocessing.get_context("fork").Pool(n_pool) as pool:
             results = pool.map(job, seeds)
     else:
         results = [job(seed) for seed in seeds]

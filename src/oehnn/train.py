@@ -143,11 +143,6 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def _jt_apply(v: np.ndarray, n: int) -> np.ndarray:
-    """J.T @ v = -J @ v per row."""
-    return np.concatenate([-v[..., n:], v[..., :n]], axis=-1)
-
-
 class _ThetaGrad:
     """Accumulator for gradients in HamiltonianNet layout."""
 
@@ -187,8 +182,8 @@ def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
 def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad, scratch=None):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
-    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`."""
-    return _grad_vjp(net, x, th, _jt_apply(v, n), acc, scratch=scratch) @ net.w1
+    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`; J.T = -J."""
+    return _grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch=scratch) @ net.w1
 
 
 def _lane_loss(xs, y, diverged, weight, penalty):
@@ -590,20 +585,18 @@ class _ValidationHelper:
         self._proc.join()
 
 
-def _overlap_validation(workers: int) -> bool:
-    """Whether `workers` asks for the validation helper process."""
+def _process_budget(workers: int) -> int:
+    """The processes `workers` allows: its value, every usable core for 0, and
+    always 1 in a daemonic process (a pool worker), which may not fork."""
     if workers < 0:
         raise ValueError("workers must be at least 0")
-    if workers == 1:
-        return False
-    if workers == 0:
-        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-            return False
-        import multiprocessing
+    import multiprocessing
 
-        # a daemonic process (a pool worker) may not fork children
-        return not multiprocessing.current_process().daemon
-    return True
+    if multiprocessing.current_process().daemon:
+        return 1
+    if workers == 0:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return workers
 
 
 def _check_first_loss(split: str, loss: float) -> None:
@@ -650,17 +643,17 @@ def fit(
     at once, and a validation loss that is not finite at the first epoch
     raises when that epoch is settled.
 
-    `workers` sets how many processes the fit may use. With 1, this process
-    validates each window of `_INLINE_WINDOW` epochs after their gradients.
-    With 2 or more, one forked helper process validates while this process
-    computes gradients: each epoch's parameters go to the helper as the
-    epoch starts, the helper validates everything queued for it in one
-    rollout, and this process waits only when `_RUN_AHEAD` epochs await
-    validation, at the last epoch and before refusing a non-finite
-    gradient. With 0 (the default), the helper is used when this process
-    may run on at least two cores and is not itself a daemonic pool
-    worker, which cannot fork. Each stacked member's loss has the bits of
-    validating that model alone, so `history` and the returned model are
+    `workers` is a process budget: its value, every usable core for 0 (the
+    default), and always 1 in a daemonic process such as a pool worker,
+    which may not fork; a negative value raises `ValueError`. With a budget
+    of 1, this process validates each window of `_INLINE_WINDOW` epochs
+    after their gradients. With 2 or more, one forked helper process
+    validates while this process computes gradients: each epoch's
+    parameters go to the helper as the epoch starts, the helper validates
+    everything queued for it in one rollout, and this process waits only
+    when `_RUN_AHEAD` epochs await validation, at the last epoch and before
+    refusing a non-finite gradient. Each stacked member's loss has the bits
+    of validating that model alone, so `history` and the returned model are
     bit-identical for every `workers` and every batching. The helper is
     stopped when `fit` returns or raises; if it dies, `fit` raises
     `TrainingError`.
@@ -668,7 +661,7 @@ def fit(
     config = config or TrainConfig()
     if kind not in ("oe-hnn", "hnn", "mlp"):
         raise ValueError(f"unknown model kind {kind!r}")
-    overlap = _overlap_validation(workers)
+    overlap = _process_budget(workers) >= 2
     if not dataset.train or not dataset.validation:
         raise TrainingError("dataset needs non-empty train and validation splits")
 

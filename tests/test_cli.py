@@ -362,6 +362,21 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # numpy's overflow warnings would add lines to the one `error:` line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_reference_is_usage_error(self, cli_dataset, trained_models, tmp_path,
+                                                  capsys):
+        # a finite measured cell of the test trajectory whose squared error overflows
+        data = TestTrainCommand._set_cell(cli_dataset, tmp_path, 5, "1e300")
+        out = tmp_path / "e"
+        code = run_cli("evaluate", "--data", data, "--out", out, "--reference", "measured",
+                       "--models", trained_models["hnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: test trajectory 0:") and err.count("\n") == 1
+        assert "RMSE against measured overflows" in err
+        assert not (out / "comparison.csv").exists()
+
     def test_malformed_row_key_is_usage_error(self, cli_dataset, trained_models, tmp_path,
                                               capsys):
         bad = tmp_path / "model.txt"

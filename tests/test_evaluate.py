@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -177,8 +178,14 @@ def test_compare_estimators_workers_do_not_change_results(tiny_duffing_dataset):
         baseline_epochs=3,
         baseline_patience=3,
     )
-    one = compare_estimators(tiny_duffing_dataset, workers=1, **kwargs)
-    two = compare_estimators(tiny_duffing_dataset, workers=2, **kwargs)
-    assert one.median_seed_index == two.median_seed_index
-    for kind in one.kinds:
-        assert np.array_equal(one.rmse_array(kind), two.rmse_array(kind))
+    one, *others = [
+        compare_estimators(tiny_duffing_dataset, workers=workers, **kwargs)
+        for workers in (1, 0, 2)
+    ]
+    for other in others:
+        assert one.median_seed_index == other.median_seed_index
+        for kind in one.kinds:
+            assert np.array_equal(one.rmse_array(kind), other.rmse_array(kind))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="workers"):
+        compare_estimators(tiny_duffing_dataset, workers=-1, **kwargs)

@@ -18,7 +18,7 @@ def run_script(name, *args, timeout=600):
 def test_run_benchmark_quick(tmp_path):
     result = run_script(
         "run_benchmark.py",
-        "--system", "duffing", "--quick", "--seeds", "1",
+        "--system", "duffing", "--quick", "--seeds", "1", "2",
         "--n-hidden", "16", "--n-train", "3", "--out", tmp_path,
     )
     assert result.returncode == 0, result.stderr
@@ -26,8 +26,9 @@ def test_run_benchmark_quick(tmp_path):
     assert table[0] == "method,q,p"
     assert len(table) == 4
     summary = json.loads((tmp_path / "per_seed_rmse.json").read_text())
-    assert summary["seeds"] == [1]
+    assert summary["seeds"] == [1, 2]
     assert set(summary["per_seed_rmse"]) == {"oe-hnn", "hnn", "mlp"}
+    assert all(len(rows) == 2 for rows in summary["per_seed_rmse"].values())
 
 
 def test_self_consistency_quick():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import multiprocessing
 import os
 from functools import partial
@@ -478,6 +479,25 @@ class TestWorkers:
     def test_negative_workers_rejected(self, tiny_duffing_dataset):
         with pytest.raises(ValueError, match="workers"):
             fit("hnn", tiny_duffing_dataset, TrainConfig(n_hidden=4, max_epochs=1), workers=-1)
+
+    @pytest.mark.parametrize("kind, chunk", [("oe-hnn", 10), ("hnn", None)])
+    def test_fit_in_a_pool_worker_validates_inline(self, tiny_duffing_dataset, kind, chunk):
+        # a daemonic pool worker may not fork the helper, whatever `workers` asks
+        cfg = TrainConfig(n_hidden=8, max_epochs=5, patience=5, chunk_length=chunk, seed=2)
+        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply(fit, (kind, tiny_duffing_dataset, cfg), {"workers": 2})
+        assert np.array_equal(inline.history, pooled.history)
+        assert np.array_equal(flatten_params(inline.model), flatten_params(pooled.model))
+        assert multiprocessing.active_children() == []
+
+    def test_workers_default_is_zero_everywhere(self):
+        from oehnn.cli import ExperimentConfig
+        from oehnn.evaluate import compare_estimators
+
+        for f in (fit, compare_estimators):
+            assert inspect.signature(f).parameters["workers"].default == 0
+        assert ExperimentConfig().workers == 0
 
 
 class TestLossDecomposition:
