@@ -5,15 +5,26 @@ output residual; its gradient is the adjoint of the discrete unrolled
 computation (reverse sweep over every solver stage), so it is exact for the
 loss actually computed. Nothing is recomputed: the forward records k1..k3 and
 the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
+
+The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
+of both passes reuses, comes from `_stage_record`. `fit` allocates one record
+per fit, sized for its largest lane group, and every group's gradient in every
+epoch uses the front of it; a caller that hands none, such as
+`simulation_loss_grad`, gets one per call. The forward forms w1 @ x + b1 in
+scratch and writes only its tanh to the record. Before its loop the reverse
+sweep computes, in whole-array passes, each step's residual pullback (lane
+scale times residual) and stage states x + (h/2) k1, x + (h/2) k2 and
+x + h k3; `_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T
+and w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
+these is the operation the loop would otherwise repeat, on the same operands,
+so the bits do not depend on where it runs. The sweep only reads the record.
+
 The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
-handed (or allocates when it is handed none): in the forward, the tanh slot of
-the record and a (B, n_hidden) scratch array; in the reverse sweep, that
-scratch array and one more of the same shape, which each `_sim_batch` call
-allocates once and every RK4 stage reuses. The derivative batches write only
+handed, or allocates when it is handed none. The derivative batches write only
 the (N, n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once
 with the fit's G u or [x, u] rows. Every buffer is overwritten before it is
-read, so no value carries from one call to the next; the reverse sweep only
-reads the record, and no caller's states or cotangents are ever written.
+read, so no value carries from one call to the next, and no caller's states or
+cotangents are ever written.
 """
 
 from __future__ import annotations
@@ -144,13 +155,20 @@ def adam_step(
 
 
 class _ThetaGrad:
-    """Accumulator for gradients in HamiltonianNet layout."""
+    """Accumulator for gradients in HamiltonianNet layout.
+
+    It also holds the net's factors that `_grad_vjp` reads at every call:
+    (w1 * -2 w2[:, None]).T, whose product with a cotangent gives the VJP's
+    p before its sech^2 factor, and w2 as a column.
+    """
 
     def __init__(self, net: HamiltonianNet):
         self.w1 = np.zeros_like(net.w1)
         self.b1 = np.zeros_like(net.b1)
         self.w2 = np.zeros_like(net.w2)
         self.b2 = 0.0
+        self.p_factor = (net.w1 * (-2.0 * net.w2)[:, None]).T
+        self.w2_column = net.w2[:, None]
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2, np.array([self.b2])])
@@ -166,16 +184,16 @@ def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
     (both are allocated when it is None), so the returned p is its second
     array. Writes nothing else, never `x`, `th` or `w`.
     """
-    s, p = scratch or (None, None)
+    s, p = scratch if scratch is not None else (None, None)
     s = np.multiply(th, th, out=s)
     np.subtract(1.0, s, out=s)
     sw = s.T @ w
     s *= th
-    p = np.matmul(w, (net.w1 * (-2.0 * net.w2)[:, None]).T, out=p)
+    p = np.matmul(w, acc.p_factor, out=p)
     p *= s
     acc.w2 += (sw * net.w1).sum(axis=1)
     acc.b1 += p.sum(axis=0)
-    acc.w1 += sw * net.w2[:, None] + p.T @ x
+    acc.w1 += sw * acc.w2_column + p.T @ x
     return p
 
 
@@ -196,6 +214,19 @@ def _lane_loss(xs, y, diverged, weight, penalty):
     return np.where(diverged < 0, weight * norms.sum(axis=0), penalty), resid, norms
 
 
+def _stage_record(n_rows: int, n_lanes: int, d: int, n_hidden: int):
+    """Flat storage for `_sim_batch` gradients of at most `n_rows` lane-steps
+    (steps times lanes) and `n_lanes` lanes: k1..k3 and the four stages' tanh
+    of every lane-step, then two (lanes, n_hidden) scratch arrays. A call
+    views the front of each array in its own shape and overwrites what it
+    reads, so calls that run one after another can share one record."""
+    return (
+        np.empty(n_rows * 3 * d),
+        np.empty(n_rows * 4 * n_hidden),
+        np.empty(2 * n_lanes * n_hidden),
+    )
+
+
 def _sim_batch(
     net: HamiltonianNet,
     S: StructureMatrices,
@@ -206,6 +237,7 @@ def _sim_batch(
     weight: np.ndarray,
     penalty: float,
     want_grad: bool,
+    record=None,
 ):
     """Loss and parameter gradient of batched model rollouts.
 
@@ -214,46 +246,59 @@ def _sim_batch(
     each lane's residual-norm sum. Returns (per-lane loss, flat grad or None,
     diverged step per lane with -1 for clean lanes). The forward pass runs on
     the shared RK4 kernel, whose stage record (k1..k3 and each stage's tanh
-    activations) the reverse sweep reads. Every RK4 stage of both passes
-    reuses the same (B, n_hidden) scratch arrays.
+    activations) the reverse sweep reads; `record`, from `_stage_record`
+    sized for at least T * B lane-steps and B lanes, holds it and the
+    (B, n_hidden) scratch arrays every RK4 stage of both passes reuses (it is
+    allocated when None, and unused without `want_grad`).
     """
     n_steps, B, d = gu.shape
-    n = d // 2
-    scratch = (np.empty((B, net.n_hidden)), np.empty((B, net.n_hidden)) if want_grad else None)
+    n, n_hidden = d // 2, net.n_hidden
     if want_grad:
-        ks = np.empty((n_steps, 3, B, d))
-        # forward-pass tanh activations per stage, reused by the reverse sweep
-        ths = np.empty((n_steps, 4, B, net.n_hidden))
-        slots = iter(ths.reshape(4 * n_steps, B, net.n_hidden))
+        k_flat, th_flat, scratch_flat = record or _stage_record(n_steps * B, B, d, n_hidden)
+        ks = k_flat[: n_steps * 3 * B * d].reshape(n_steps, 3, B, d)
+        ths = th_flat[: n_steps * 4 * B * n_hidden].reshape(n_steps, 4, B, n_hidden)
+        scratch = scratch_flat[: 2 * B * n_hidden].reshape(2, B, n_hidden)
+        slots = iter(ths.reshape(4 * n_steps, B, n_hidden))
         stages = (ks, ths)
     else:
-        slots, stages = repeat(None), None
+        scratch = np.empty((2, B, n_hidden))
+        slots, stages = repeat(scratch[0]), None
+    z, s = scratch
 
     def field(x, g_in):
-        return _j_apply(h_grad_x(net, x, next(slots), scratch[0]), n) + g_in
+        # the arithmetic of `h_grad_x`, with w1 @ x + b1 formed in scratch
+        # so that only its tanh is written to the record
+        np.matmul(x, net.w1.mT, out=z)
+        np.add(z, net.b1, out=z)
+        th = np.tanh(z, out=next(slots))
+        np.multiply(th, th, out=s)
+        np.subtract(1.0, s, out=s)
+        np.multiply(s, net.w2, out=s)
+        return _j_apply(s @ net.w1, n) + g_in
 
     xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
     if not want_grad:
         return lane_loss, None, diverged
 
+    # everything the reverse sweep reads that no cotangent changes, in
+    # whole-array passes: each step's residual pullback and stage states
+    live_w = np.where(diverged < 0, weight, 0.0)
+    scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
+    pulls = scale[:, :, None] * resid
+    x_stages = xs[:-1, None] + np.array([h / 2.0, h / 2.0, h])[:, None, None] * ks
     acc = _ThetaGrad(net)
     lam = np.zeros((B, d))
-    live_w = np.where(diverged < 0, weight, 0.0)
-    for k in range(n_steps, 0, -1):
-        nk = norms[k - 1]
-        scale = np.where(nk > 0.0, live_w / np.maximum(nk, 1e-300), 0.0)
-        lam = lam + scale[:, None] * resid[k - 1]
-        x = xs[k - 1]
-        k1, k2, k3 = ks[k - 1]
-        th1, th2, th3, th4 = ths[k - 1]
-        x2 = x + (h / 2.0) * k1
-        x3 = x + (h / 2.0) * k2
-        x4 = x + h * k3
-        x4_bar = _stage_vjp(net, x4, th4, (h / 6.0) * lam, n, acc, scratch)
-        x3_bar = _stage_vjp(net, x3, th3, (h / 3.0) * lam + h * x4_bar, n, acc, scratch)
-        x2_bar = _stage_vjp(net, x2, th2, (h / 3.0) * lam + (h / 2.0) * x3_bar, n, acc, scratch)
-        x1_bar = _stage_vjp(net, x, th1, (h / 6.0) * lam + (h / 2.0) * x2_bar, n, acc, scratch)
+    for k in range(n_steps - 1, -1, -1):
+        lam = lam + pulls[k]
+        lam6 = (h / 6.0) * lam
+        lam3 = (h / 3.0) * lam
+        x2, x3, x4 = x_stages[k]
+        th1, th2, th3, th4 = ths[k]
+        x4_bar = _stage_vjp(net, x4, th4, lam6, n, acc, scratch)
+        x3_bar = _stage_vjp(net, x3, th3, lam3 + h * x4_bar, n, acc, scratch)
+        x2_bar = _stage_vjp(net, x2, th2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
+        x1_bar = _stage_vjp(net, xs[k], th1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
         lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
     return lane_loss, acc.flat(), diverged
 
@@ -686,6 +731,14 @@ def fit(
             train_groups = [_traj_arrays(dataset.train, S, config.anchor)]
         else:
             train_groups = _chunk_arrays(dataset.train, S, config.anchor, config.chunk_length)
+        # one stage record for the whole fit: the groups' gradients run one
+        # after another, so the largest group's size serves them all
+        record = _stage_record(
+            max(gu.shape[0] * gu.shape[1] for _, gu, *_ in train_groups),
+            max(len(x0) for x0, *_ in train_groups),
+            d,
+            template.n_hidden,
+        )
     else:
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
@@ -701,7 +754,7 @@ def fit(
             n_lanes = 0
             for x0, gu, y, h, weight in train_groups:
                 lane_loss, g, diverged = _sim_batch(
-                    model, S, x0, gu, y, h, weight, DIVERGENCE_PENALTY, True
+                    model, S, x0, gu, y, h, weight, DIVERGENCE_PENALTY, True, record
                 )
                 total += float(lane_loss.sum())
                 grad += g

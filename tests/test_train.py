@@ -3,13 +3,14 @@ import inspect
 import multiprocessing
 import os
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 import oehnn.train
 from oehnn.data import Trajectory, generate
-from oehnn.dynamics import coupled_system, duffing_system, structure_matrices
+from oehnn.dynamics import _j_apply, coupled_system, duffing_system, structure_matrices
 from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import (
     _blackbox_rows,
@@ -17,6 +18,7 @@ from oehnn.netmodel import (
     init_blackbox_net,
     init_hamiltonian_net,
     blackbox_field,
+    h_grad_x,
     oe_hnn_field,
     with_params,
 )
@@ -39,8 +41,8 @@ SPEC = duffing_system()
 S = structure_matrices(SPEC)
 
 
-def random_hnet(rng, n_hidden=4, scale=0.5):
-    net = init_hamiltonian_net(2, n_hidden, rng)
+def random_hnet(rng, n_hidden=4, scale=0.5, n_states=2):
+    net = init_hamiltonian_net(n_states, n_hidden, rng)
     return with_params(net, rng.uniform(-scale, scale, flatten_params(net).size))
 
 
@@ -154,30 +156,45 @@ class TestSimulationLoss:
             simulation_loss(net, S, make_traj(np.zeros((1, 2))))
 
 
+def assert_matches_central_differences(spec, n_steps, rng):
+    """simulation_loss_grad of a random width-4 net on random measurements
+    and inputs agrees with central differences of simulation_loss."""
+    S_sys = structure_matrices(spec)
+    net = random_hnet(rng, n_hidden=4, n_states=spec.n_states)
+    traj = make_traj(
+        rng.normal(0, 0.5, (n_steps + 1, spec.n_states)),
+        rng.normal(0, 1, (n_steps + 1, spec.n_inputs)),
+    )
+    loss, grad = simulation_loss_grad(net, S_sys, traj)
+    assert loss > 0
+    theta = flatten_params(net)
+    eps = 1e-5
+    fd = np.zeros_like(theta)
+    for i in range(theta.size):
+        up, down = theta.copy(), theta.copy()
+        up[i] += eps
+        down[i] -= eps
+        fd[i] = (
+            simulation_loss(with_params(net, up), S_sys, traj)
+            - simulation_loss(with_params(net, down), S_sys, traj)
+        ) / (2 * eps)
+    mask = np.maximum(np.abs(grad), np.abs(fd)) > 1e-8
+    rel = np.abs(grad - fd)[mask] / np.maximum(np.abs(grad), np.abs(fd))[mask]
+    assert rel.max() < 1e-5
+
+
 class TestSimulationLossGrad:
     @pytest.mark.parametrize("n_steps", [2, 10, 50])
     def test_matches_finite_differences(self, n_steps):
-        rng = np.random.default_rng(10 + n_steps)
-        net = random_hnet(rng, n_hidden=4)
-        traj = make_traj(
-            rng.normal(0, 0.5, (n_steps + 1, 2)), rng.normal(0, 1, (n_steps + 1, 1))
+        assert_matches_central_differences(SPEC, n_steps, np.random.default_rng(10 + n_steps))
+
+    @pytest.mark.parametrize("n_steps", [2, 10, 50])
+    def test_matches_finite_differences_coupled(self, n_steps):
+        # two masses with an input: a J^T block order that is wrong for
+        # n = 2 shows here and nowhere in the one-mass check above
+        assert_matches_central_differences(
+            coupled_system(), n_steps, np.random.default_rng(110 + n_steps)
         )
-        loss, grad = simulation_loss_grad(net, S, traj)
-        assert loss > 0
-        theta = flatten_params(net)
-        eps = 1e-5
-        fd = np.zeros_like(theta)
-        for i in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[i] += eps
-            down[i] -= eps
-            fd[i] = (
-                simulation_loss(with_params(net, up), S, traj)
-                - simulation_loss(with_params(net, down), S, traj)
-            ) / (2 * eps)
-        mask = np.maximum(np.abs(grad), np.abs(fd)) > 1e-8
-        rel = np.abs(grad - fd)[mask] / np.maximum(np.abs(grad), np.abs(fd))[mask]
-        assert rel.max() < 1e-5
 
     def test_zero_residual_gives_zero_gradient(self):
         rng = np.random.default_rng(20)
@@ -350,6 +367,25 @@ class TestFit:
         ds = dataclasses.replace(tiny_duffing_dataset, train=[bad], validation=[traj], test=[])
         with pytest.raises(TrainingError, match="diverged"):
             fit("oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=3, patience=3))
+
+    def test_chunked_fit_allocates_its_stage_record_once(self, tiny_duffing_dataset,
+                                                          monkeypatch):
+        # every epoch's gradients, on both chunk lengths, share one record
+        made, handed = [], []
+        stage_record, sim_batch = oehnn.train._stage_record, oehnn.train._sim_batch
+
+        def spy(*args, **kwargs):
+            handed.append(inspect.signature(sim_batch).bind(*args, **kwargs).arguments["record"])
+            return sim_batch(*args, **kwargs)
+
+        monkeypatch.setattr(oehnn.train, "_stage_record",
+                            lambda *args: made.append(stage_record(*args)) or made[-1])
+        monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
+        cfg = TrainConfig(n_hidden=6, max_epochs=4, patience=4, chunk_length=10)
+        result = fit("oe-hnn", tiny_duffing_dataset, cfg, workers=1)
+        assert len(result.history) == 4
+        assert len(made) == 1
+        assert len(handed) == 4 * 2 and all(record is made[0] for record in handed)
 
     def test_empty_split_rejected(self, tiny_duffing_dataset):
         ds = dataclasses.replace(tiny_duffing_dataset, validation=[])
@@ -566,6 +602,79 @@ def reference_grad_vjp(net, x, th, w, acc, scratch=None):
     return (net.w2 * sp) * a
 
 
+def reference_buffered_grad_vjp(net, x, th, w, acc, scratch):
+    """The parameter VJP before its net factors moved into the accumulator:
+    the same arithmetic as `_grad_vjp`, with (w1 * -2 w2[:, None]).T and
+    w2[:, None] formed at every call."""
+    s, p = scratch
+    s = np.multiply(th, th, out=s)
+    np.subtract(1.0, s, out=s)
+    sw = s.T @ w
+    s *= th
+    p = np.matmul(w, (net.w1 * (-2.0 * net.w2)[:, None]).T, out=p)
+    p *= s
+    acc.w2 += (sw * net.w1).sum(axis=1)
+    acc.b1 += p.sum(axis=0)
+    acc.w1 += sw * net.w2[:, None] + p.T @ x
+    return p
+
+
+def reference_sim_batch(net, S, x0, gu, y, h, weight, penalty, want_grad):
+    """`_sim_batch` before its stage record could be handed in: it allocates
+    the record every call, the forward writes w1 @ x + b1 into the record
+    slot and takes its tanh there (`h_grad_x`), and the reverse sweep forms
+    every step's residual scale, stage states and VJP factors inside its
+    loop. `_sim_batch` must give the same bits."""
+    n_steps, B, d = gu.shape
+    n = d // 2
+    scratch = (np.empty((B, net.n_hidden)), np.empty((B, net.n_hidden)) if want_grad else None)
+    if want_grad:
+        ks = np.empty((n_steps, 3, B, d))
+        ths = np.empty((n_steps, 4, B, net.n_hidden))
+        slots = iter(ths.reshape(4 * n_steps, B, net.n_hidden))
+        stages = (ks, ths)
+    else:
+        slots, stages = repeat(None), None
+
+    def field(x, g_in):
+        return _j_apply(h_grad_x(net, x, next(slots), scratch[0]), n) + g_in
+
+    def stage_vjp(x, th, v):
+        return reference_buffered_grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch) @ net.w1
+
+    xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
+    lane_loss, resid, norms = oehnn.train._lane_loss(xs, y, diverged, weight, penalty)
+    if not want_grad:
+        return lane_loss, None, diverged
+    acc = oehnn.train._ThetaGrad(net)
+    lam = np.zeros((B, d))
+    live_w = np.where(diverged < 0, weight, 0.0)
+    for k in range(n_steps, 0, -1):
+        nk = norms[k - 1]
+        scale = np.where(nk > 0.0, live_w / np.maximum(nk, 1e-300), 0.0)
+        lam = lam + scale[:, None] * resid[k - 1]
+        x = xs[k - 1]
+        k1, k2, k3 = ks[k - 1]
+        th1, th2, th3, th4 = ths[k - 1]
+        x2 = x + (h / 2.0) * k1
+        x3 = x + (h / 2.0) * k2
+        x4 = x + h * k3
+        x4_bar = stage_vjp(x4, th4, (h / 6.0) * lam)
+        x3_bar = stage_vjp(x3, th3, (h / 3.0) * lam + h * x4_bar)
+        x2_bar = stage_vjp(x2, th2, (h / 3.0) * lam + (h / 2.0) * x3_bar)
+        x1_bar = stage_vjp(x, th1, (h / 6.0) * lam + (h / 2.0) * x2_bar)
+        lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
+    return lane_loss, acc.flat(), diverged
+
+
+def assert_same_bits(new, ref):
+    """Equal arrays of equal dtype and shape, byte for byte: signed zeros
+    and NaN payloads included."""
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()
+
+
 def rel_err(new, ref):
     return np.max(np.abs(new - ref)) / np.max(np.abs(ref))
 
@@ -589,10 +698,10 @@ def frozen(*arrays):
     return out
 
 
-def saturated_hnet(rng, n_hidden):
+def saturated_hnet(rng, n_hidden, n_states=2):
     # |w1 x + b1| is about 20 for states of order one, so tanh is +-1 or
     # within a few ulps of it, and sech^2 is 0 or a few ulps
-    net = random_hnet(rng, n_hidden=n_hidden)
+    net = random_hnet(rng, n_hidden=n_hidden, n_states=n_states)
     b1 = rng.choice([-1.0, 1.0], n_hidden) * rng.uniform(17.0, 21.0, n_hidden)
     return dataclasses.replace(net, b1=b1)
 
@@ -641,25 +750,42 @@ class TestEnergyKernel:
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
     def test_simulation_gradient_ignores_stale_buffers(self, tiny_duffing_dataset, monkeypatch):
-        # `_sim_batch` takes its stage record and RK4-stage scratch arrays
-        # from np.empty; hand it the arrays another model's call has filled
-        args = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)[0]
+        # a gradient reads the stage record it is handed, as `fit` shares one
+        # across its groups and epochs: a record filled with NaN, then one
+        # that another net's calls on every group have just filled, give the
+        # bits of a record the call allocates itself
+        groups = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)
+        assert len(groups) == 2
         rng = np.random.default_rng(76)
         nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
-        for want_grad in (True, False):
-            fresh = oehnn.train._sim_batch(nets[0], S, *args, 1e6, want_grad)
-            handed = []
-            monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(
-                lambda shape: handed.append(np.empty(shape)) or handed[-1]
-            ))
-            oehnn.train._sim_batch(nets[1], S, *args, 1e6, want_grad)
-            assert len(handed) == (4 if want_grad else 1)
-            monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(lambda shape: handed.pop(0)))
-            stale = oehnn.train._sim_batch(nets[0], S, *args, 1e6, want_grad)
-            monkeypatch.undo()
-            assert not handed
-            for a, b in zip(stale, fresh):
-                assert np.array_equal(a, b)
+        record = oehnn.train._stage_record(
+            max(gu.shape[0] * gu.shape[1] for _, gu, *_ in groups),
+            max(len(x0) for x0, *_ in groups), 2, 6,
+        )
+        for arr in record:
+            arr.fill(np.nan)
+        for net in nets:
+            for args in groups:
+                fresh = oehnn.train._sim_batch(net, S, *args, 1e6, True)
+                stale = oehnn.train._sim_batch(net, S, *args, 1e6, True, record)
+                for a, b in zip(stale, fresh):
+                    assert_same_bits(a, b)
+        # without a gradient there is no record, and the one scratch array
+        # comes from np.empty: hand it the values another net's call left
+        args = groups[1]
+        fresh = oehnn.train._sim_batch(nets[0], S, *args, 1e6, False)
+        handed = []
+        monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(
+            lambda shape: handed.append(np.empty(shape)) or handed[-1]
+        ))
+        oehnn.train._sim_batch(nets[1], S, *args, 1e6, False)
+        assert len(handed) == 1
+        monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(lambda shape: handed.pop(0)))
+        stale = oehnn.train._sim_batch(nets[0], S, *args, 1e6, False)
+        monkeypatch.undo()
+        assert not handed
+        assert_same_bits(stale[0], fresh[0])
+        assert_same_bits(stale[2], fresh[2])
 
     def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
         net = random_hnet(np.random.default_rng(73), n_hidden=6)
@@ -739,6 +865,65 @@ class TestEnergyKernel:
         ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, *args, 1e6, True)
         assert np.array_equal(loss, ref_loss)
         assert_blocks_match(grad, ref_grad, 200, 1e-13)
+
+
+def with_dead_lanes(x0, gu):
+    """Copies in which lane 0 is dead at step 0 (a NaN anchor) and lane 1
+    dies mid-rollout (an input injection of 1e308 at its middle step)."""
+    x0, gu = x0.copy(), gu.copy()
+    x0[0, 0] = np.nan
+    gu[len(gu) // 2, 1] = 1e308
+    return x0, gu
+
+
+class TestReverseSweepBits:
+    """`_sim_batch` gives the bits of `reference_sim_batch`, with a record it
+    allocates and with one it is handed that holds stale values."""
+
+    def check(self, net, S_sys, args):
+        ref = reference_sim_batch(net, S_sys, *args, 1e6, True)
+        x0, gu = args[:2]
+        record = oehnn.train._stage_record(
+            gu.shape[0] * gu.shape[1] + 7, len(x0) + 1, len(x0[0]), net.n_hidden
+        )
+        for arr in record:
+            arr.fill(np.nan)
+        for handed in (None, record):
+            new = oehnn.train._sim_batch(net, S_sys, *args, 1e6, True, handed)
+            for a, b in zip(new, ref):
+                assert_same_bits(a, b)
+        forward = oehnn.train._sim_batch(net, S_sys, *args, 1e6, False)
+        assert forward[1] is None
+        assert_same_bits(forward[0], ref[0])
+        assert_same_bits(forward[2], ref[2])
+        return ref
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
+    @pytest.mark.parametrize("system", ["duffing", "coupled"])
+    def test_matches_the_reference(
+        self, tiny_duffing_dataset, tiny_coupled_dataset, system, saturated
+    ):
+        ds = tiny_duffing_dataset if system == "duffing" else tiny_coupled_dataset
+        S_sys = structure_matrices(ds.system)
+        d = ds.system.n_states
+        rng = np.random.default_rng(90)
+        net = saturated_hnet(rng, 9, d) if saturated else random_hnet(rng, 9, n_states=d)
+        groups = oehnn.train._chunk_arrays(ds.train, S_sys, "measured", 10)
+        groups.append(oehnn.train._traj_arrays(ds.train, S_sys, "measured"))
+        for x0, gu, y, h, weight in groups:
+            _, grad, diverged = self.check(net, S_sys, (x0, gu, y, h, weight))
+            assert (diverged < 0).all() and np.abs(grad).max() > 0.0
+            x0_dead, gu_dead = with_dead_lanes(x0, gu)
+            _, _, diverged = self.check(net, S_sys, (x0_dead, gu_dead, y, h, weight))
+            assert diverged[0] == 0 and diverged[1] == len(gu) // 2 + 1
+            assert (diverged[2:] < 0).all()
+
+    def test_matches_the_reference_at_benchmark_shape(self, standard_duffing_dataset):
+        args = max(oehnn.train._chunk_arrays(standard_duffing_dataset.train, S, "measured", 50),
+                   key=lambda group: len(group[0]))
+        assert args[1].shape[:2] == (50, 135)
+        net = init_hamiltonian_net(2, 200, np.random.default_rng(42))
+        self.check(net, S, args)
 
 
 def one_model_val_loss(net, kind, S, groups, penalty):
