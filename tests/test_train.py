@@ -878,7 +878,7 @@ def with_dead_lanes(x0, gu):
 
 class TestReverseSweepBits:
     """`_sim_batch` gives the bits of `reference_sim_batch`, with a record it
-    allocates and with one it is handed that holds stale values."""
+    allocates and with an oversized one, filled with NaN, that it is handed."""
 
     def check(self, net, S_sys, args):
         ref = reference_sim_batch(net, S_sys, *args, 1e6, True)
