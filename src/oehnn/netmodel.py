@@ -102,16 +102,17 @@ def h_grad_x(
 ) -> np.ndarray:
     """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
 
-    With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is computed in
-    place there, e.g. in a stage record; with `s_out` (the same shape), the
-    w2 * sech^2 term is computed there, and it holds nothing afterwards that
-    a caller needs. Without them both are allocated. Never writes `x`. A
-    stacked net takes x of shape (K, B, d).
+    With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is written
+    there, e.g. into a stage record, and nothing else is; with `s_out` (the
+    same shape), w1 @ x + b1 and then the w2 * sech^2 term are computed
+    there, and it holds nothing afterwards that a caller needs. Without them
+    both are allocated. Never writes `x`. A stacked net takes x of shape
+    (K, B, d).
     """
-    th = np.matmul(np.asarray(x, dtype=float), net.w1.mT, out=th_out)
-    th += net.b1
-    np.tanh(th, out=th)
-    s = np.multiply(th, th, out=s_out)
+    z = np.matmul(np.asarray(x, dtype=float), net.w1.mT, out=s_out)
+    z += net.b1
+    th = np.tanh(z, out=th_out)
+    s = np.multiply(th, th, out=z)
     np.subtract(1.0, s, out=s)
     s *= net.w2
     return s @ net.w1

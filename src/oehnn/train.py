@@ -10,14 +10,15 @@ The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
 per fit, sized for its largest lane group, and every group's gradient in every
 epoch uses the front of it; a caller that hands none, such as
-`simulation_loss_grad`, gets one per call. The forward forms w1 @ x + b1 in
-scratch and writes only its tanh to the record. Before its loop the reverse
-sweep computes, in whole-array passes, each step's residual pullback (lane
-scale times residual) and stage states x + (h/2) k1, x + (h/2) k2 and
-x + h k3; `_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T
-and w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
-these is the operation the loop would otherwise repeat, on the same operands,
-so the bits do not depend on where it runs. The sweep only reads the record.
+`simulation_loss_grad`, gets one per call. The forward's dH/dx is
+`h_grad_x`, which forms w1 @ x + b1 in scratch and writes only its tanh to
+the record. Before its loop the reverse sweep computes, in whole-array
+passes, each step's residual pullback (lane scale times residual) and stage
+states x + (h/2) k1, x + (h/2) k2 and x + h k3; `_ThetaGrad` holds the VJP's
+net factors (w1 * -2 w2[:, None]).T and w2[:, None]; each step forms
+(h/6) lambda and (h/3) lambda once. Each of these is the operation the loop
+would otherwise repeat, on the same operands, so the bits do not depend on
+where it runs. The sweep only reads the record.
 
 The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
 handed, or allocates when it is handed none. The derivative batches write only
@@ -263,18 +264,9 @@ def _sim_batch(
     else:
         scratch = np.empty((2, B, n_hidden))
         slots, stages = repeat(scratch[0]), None
-    z, s = scratch
 
     def field(x, g_in):
-        # the arithmetic of `h_grad_x`, with w1 @ x + b1 formed in scratch
-        # so that only its tanh is written to the record
-        np.matmul(x, net.w1.mT, out=z)
-        np.add(z, net.b1, out=z)
-        th = np.tanh(z, out=next(slots))
-        np.multiply(th, th, out=s)
-        np.subtract(1.0, s, out=s)
-        np.multiply(s, net.w2, out=s)
-        return _j_apply(s @ net.w1, n) + g_in
+        return _j_apply(h_grad_x(net, x, next(slots), scratch[1]), n) + g_in
 
     xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)

@@ -18,7 +18,6 @@ from oehnn.netmodel import (
     init_blackbox_net,
     init_hamiltonian_net,
     blackbox_field,
-    h_grad_x,
     oe_hnn_field,
     with_params,
 )
@@ -622,7 +621,7 @@ def reference_buffered_grad_vjp(net, x, th, w, acc, scratch):
 def reference_sim_batch(net, S, x0, gu, y, h, weight, penalty, want_grad):
     """`_sim_batch` before its stage record could be handed in: it allocates
     the record every call, the forward writes w1 @ x + b1 into the record
-    slot and takes its tanh there (`h_grad_x`), and the reverse sweep forms
+    slot and takes its tanh there, and the reverse sweep forms
     every step's residual scale, stage states and VJP factors inside its
     loop. `_sim_batch` must give the same bits."""
     n_steps, B, d = gu.shape
@@ -637,7 +636,13 @@ def reference_sim_batch(net, S, x0, gu, y, h, weight, penalty, want_grad):
         slots, stages = repeat(None), None
 
     def field(x, g_in):
-        return _j_apply(h_grad_x(net, x, next(slots), scratch[0]), n) + g_in
+        th = np.matmul(x, net.w1.mT, out=next(slots))
+        th += net.b1
+        np.tanh(th, out=th)
+        s = np.multiply(th, th, out=scratch[0])
+        np.subtract(1.0, s, out=s)
+        s *= net.w2
+        return _j_apply(s @ net.w1, n) + g_in
 
     def stage_vjp(x, th, v):
         return reference_buffered_grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch) @ net.w1
@@ -721,11 +726,15 @@ class TestEnergyKernel:
         rng = np.random.default_rng(70)
         net = random_hnet(rng, n_hidden=7)
         (x,) = frozen(rng.normal(size=(5, 2)))
-        th = np.full((5, 7), np.nan)
+        th, th_both, s = np.full((3, 5, 7), np.nan)
         g = oehnn.train.h_grad_x(net, x, th)
         assert np.array_equal(th, np.tanh(x @ net.w1.T + net.b1))
         assert np.array_equal(g, oehnn.train.h_grad_x(net, x))
         assert np.array_equal(g, reference_h_grad_x(net, x))
+        # with a scratch array for the pre-activation, the slot still gets
+        # exactly tanh and the gradient keeps its bits
+        assert_same_bits(oehnn.train.h_grad_x(net, x, th_both, s), g)
+        assert_same_bits(th_both, th)
 
     def test_vjp_writes_neither_states_record_nor_cotangent(self):
         rng = np.random.default_rng(71)
