@@ -319,12 +319,13 @@ def cmd_evaluate(args) -> int:
     metrics_list = []
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    system = dataset.system
     for i, model_path in enumerate(args.models):
         saved = load_model(model_path)
-        if saved.n_states != dataset.system.n_states:
+        if (saved.n_states, saved.n_inputs) != (system.n_states, system.n_inputs):
             raise ConfigError(
-                f"{model_path}: model has {saved.n_states} states but the dataset "
-                f"system has {dataset.system.n_states}"
+                f"{model_path}: model has {saved.n_states} states and {saved.n_inputs} inputs "
+                f"but the dataset system has {system.n_states} and {system.n_inputs}"
             )
         with _config_errors(f"{args.data}: "):  # an empty test split, or no stored truth
             metrics = evaluate(

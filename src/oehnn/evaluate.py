@@ -13,7 +13,7 @@ from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
-from oehnn.train import ANCHORS, TrainConfig, _process_budget, fit
+from oehnn.train import ANCHORS, TrainConfig, _lane_groups, _process_budget, fit
 
 __all__ = [
     "Metrics",
@@ -81,10 +81,11 @@ def evaluate(
     """Simulate each test trajectory and report per-state RMSE.
 
     Rollouts start from the anchor sample of each trajectory under its
-    recorded inputs, all of them as lanes of one batch. The aggregate RMSE
-    pools the squared errors of all non-diverged trajectories; diverged ones
-    are flagged per trajectory instead of contaminating the pool. A finite
-    rollout whose RMSE overflows raises `ValueError`, not numpy's warning.
+    recorded inputs, as the lanes of `train._lane_groups`: one batch per
+    distinct length and step. The aggregate RMSE pools the squared errors of
+    all non-diverged trajectories; diverged ones are flagged per trajectory
+    instead of contaminating the pool. A finite rollout whose RMSE overflows
+    raises `ValueError`, not numpy's warning.
     """
     if not test:
         raise ValueError("test split is empty")
@@ -92,22 +93,15 @@ def evaluate(
         raise ValueError(f"reference must be one of {REFERENCES}")
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
-    refs = [traj.x_true if reference == "true" else traj.y for traj in test]
-    anchors = [traj.x_true if anchor == "true" else traj.y for traj in test]
-    if any(states is None for states in refs + anchors):
+    if "true" in (reference, anchor) and any(traj.x_true is None for traj in test):
         raise ValueError("reference or anchor 'true' requires stored noiseless states")
+    refs = [traj.x_true if reference == "true" else traj.y for traj in test]
     d = test[0].y.shape[1]
     per_traj: list[TrajectoryResult | None] = [None] * len(test)
     simulated: dict[int, np.ndarray] = {}  # the non-diverged rollouts
-    # every test trajectory is a lane of one rollout (one per distinct length and step)
-    groups: dict[tuple[int, float], list[int]] = {}
-    for i, traj in enumerate(test):
-        groups.setdefault((traj.n_samples, traj.ts), []).append(i)
-    for (_, ts), members in groups.items():
-        x0 = np.stack([anchors[i][0] for i in members])
-        u = np.stack([test[i].u[:-1] for i in members], axis=1)
-        states, diverged, _ = rk4_lanes(field_f, x0, u, ts)
-        for lane, i in enumerate(members):
+    for lanes in _lane_groups(test, anchor):
+        states, diverged, _ = rk4_lanes(field_f, lanes.x0, lanes.u, lanes.h)
+        for lane, i in enumerate(lanes.source.tolist()):
             if diverged[lane] >= 0:
                 # the input row whose update diverged, as `rollout` reports it
                 step = max(int(diverged[lane]) - 1, 0)
@@ -263,13 +257,16 @@ def compare_estimators(
     The simulation-error model trains on the noisy measurements through the
     staged schedule; the derivative-matching baselines default to the stored
     noiseless states and derivatives (the classical setting those methods
-    assume). The median seed is the one whose simulation-error model attains
-    the median mean RMSE. `workers` is the process budget of `fit`. When it
-    covers two seeds or more, a fork pool of min(budget, len(seeds))
-    processes fits the seeds, and each fit in it, a pool worker, validates
-    inline; otherwise each fit here spends the budget. Results are identical
-    for any `workers` (fixed gather order).
+    assume). The median seed is the one whose model of the first kind in
+    `kinds` attains the median mean RMSE; no seeds raise `ValueError`.
+    `workers` is the process budget of `fit`. When it covers two seeds or
+    more, a fork pool of min(budget, len(seeds)) processes fits the seeds,
+    and each fit in it, a pool worker, validates inline; otherwise each fit
+    here spends the budget. Results are identical for any `workers` (fixed
+    gather order).
     """
+    if not seeds:
+        raise ValueError("compare_estimators needs at least one seed")
     job = partial(
         _benchmark_one_seed, dataset=dataset, n_hidden=n_hidden, oe_stages=tuple(oe_stages),
         baseline_epochs=baseline_epochs, baseline_patience=baseline_patience,

@@ -1,9 +1,9 @@
 """Learnable models: scalar Hamiltonian network and black-box derivative net.
 
 The Hamiltonian network is a single hidden tanh layer producing a scalar
-energy; its state gradient and Hessian-vector products are implemented in
-closed form so that training can differentiate through them without a
-generic autodiff engine.
+energy; its state gradient and Hessian-vector product are in closed form,
+with no autodiff engine. Training differentiates through `h_grad_x` with its
+own pullback (`train._grad_vjp`); only the benchmark calls `h_hess_vec`.
 
 A stacked net (`with_params` on a (K, P) array) carries K models along a
 leading axis of every parameter; its per-unit vectors are (K, 1, n), so

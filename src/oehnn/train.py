@@ -6,19 +6,24 @@ computation (reverse sweep over every solver stage), so it is exact for the
 loss actually computed. Nothing is recomputed: the forward records k1..k3 and
 the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
 
+`_lane_groups` alone turns trajectories into RK4 lanes, whole or in
+re-anchored segments, for training, validation, `simulation_loss(_grad)`
+and `evaluate`. `_energy_rollout` is the one energy-net forward, plain or
+stacked, with or without a stage record; its dH/dx is `h_grad_x`, which
+forms w1 @ x + b1 in scratch and writes only tanh to the stage's slot.
+
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
 per fit, sized for its largest lane group, and every group's gradient in every
 epoch uses the front of it; a caller that hands none, such as
-`simulation_loss_grad`, gets one per call. The forward's dH/dx is
-`h_grad_x`, which forms w1 @ x + b1 in scratch and writes only its tanh to
-the record. Before its loop the reverse sweep computes, in whole-array
-passes, each step's residual pullback (lane scale times residual) and stage
-states x + (h/2) k1, x + (h/2) k2 and x + h k3; `_ThetaGrad` holds the VJP's
-net factors (w1 * -2 w2[:, None]).T and w2[:, None]; each step forms
-(h/6) lambda and (h/3) lambda once. Each of these is the operation the loop
-would otherwise repeat, on the same operands, so the bits do not depend on
-where it runs. The sweep only reads the record.
+`simulation_loss_grad`, gets one per call. Before its loop the reverse sweep
+computes, in whole-array passes, each step's residual pullback (lane scale
+times residual) and stage states x + (h/2) k1, x + (h/2) k2 and x + h k3;
+`_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T and
+w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
+these is the operation the loop would otherwise repeat, on the same
+operands, so the bits do not depend on where it runs. The sweep only reads
+the record.
 
 The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
 handed, or allocates when it is handed none. The derivative batches write only
@@ -35,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,50 +234,97 @@ def _stage_record(n_rows: int, n_lanes: int, d: int, n_hidden: int):
     )
 
 
+class _LaneGroup(NamedTuple):
+    """RK4 lanes of one segment length and step, from `_lane_groups`."""
+
+    x0: np.ndarray  # (B, d) anchor states
+    u: np.ndarray  # (T, B, m) recorded inputs, row k held over step k
+    y: np.ndarray  # (T + 1, B, d) measured outputs, row 0 unused
+    h: float
+    weight: np.ndarray  # (B,) 1/N of each lane's trajectory, N its samples
+    source: np.ndarray  # (B,) each lane's trajectory index
+
+
+def _lane_groups(
+    trajs: list[Trajectory], anchor: str, chunk: int | None = None
+) -> list[_LaneGroup]:
+    """Cut trajectories into RK4 lanes: whole trajectories, or with `chunk`
+    segments of that many transitions, each re-anchored at its first sample.
+
+    Every residual sample keeps its trajectory's 1/N weight, so the chunked
+    loss sums the same residual terms as the full rollout, just along shorter
+    horizons. There is one group per (segment length, step), in ascending
+    order, and its lanes keep the order of `trajs` and of their segments.
+    """
+    if anchor not in ANCHORS:
+        raise ValueError(f"anchor must be one of {ANCHORS}")
+    segments: dict[tuple[int, float], list] = {}
+    for i, tr in enumerate(trajs):
+        n = tr.n_samples
+        anchors = tr.y if anchor == "measured" else tr.x_true
+        if anchors is None:
+            raise TrainingError("anchor='true' requires stored noiseless states")
+        step = chunk or n - 1
+        for k0 in range(0, n - 1, step):
+            length = min(step, n - 1 - k0)
+            segments.setdefault((length, tr.ts), []).append(
+                (anchors[k0], tr.u[k0 : k0 + length], tr.y[k0 : k0 + length + 1], 1.0 / n, i)
+            )
+    groups = []
+    for (_, h), segs in sorted(segments.items()):
+        x0, u, y, weight, source = zip(*segs)
+        stacked = np.stack(x0), np.stack(u, axis=1), np.stack(y, axis=1)
+        groups.append(_LaneGroup(*stacked, h, np.array(weight), np.array(source)))
+    return groups
+
+
+def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=None):
+    """RK4 states and diverged steps of J dH/dx + G u from anchors x0 (B, d)
+    under injections gu (T, B, d); a stacked net of K members steps K * B
+    lanes, member k's block from x0, each block as the plain net would.
+    `stages` (k1..k3 and tanh arrays of a stage record) gets each stage's
+    tanh in its own slot, else `scratch[0]` takes every tanh; `scratch[1]`
+    takes w1 @ x + b1. `scratch` is allocated when None."""
+    B, d = x0.shape
+    lead = net.w1.shape[:-2]  # (K,) for a stacked net
+    block = (*lead, B, d)
+    if scratch is None:
+        scratch = np.empty((2, *lead, B, net.n_hidden))
+    slots = repeat(scratch[0]) if stages is None else iter(stages[1].reshape(-1, *scratch[0].shape))
+
+    def field(x, g_in):
+        g = h_grad_x(net, x.reshape(block), next(slots), scratch[1])
+        return (_j_apply(g, d // 2) + g_in).reshape(x.shape)
+
+    return rk4_lanes(field, np.broadcast_to(x0, block).reshape(-1, d), gu, h, stages=stages)[:2]
+
+
 def _sim_batch(
     net: HamiltonianNet,
     S: StructureMatrices,
-    x0: np.ndarray,
-    gu: np.ndarray,
-    y: np.ndarray,
-    h: float,
-    weight: np.ndarray,
+    lanes: _LaneGroup,
     penalty: float,
-    want_grad: bool,
     record=None,
 ):
-    """Loss and parameter gradient of batched model rollouts.
+    """Loss and exact parameter gradient of a group of model rollouts.
 
-    x0: (B, d) anchors; gu: (T, B, d) input injections G @ u per transition;
-    y: (T+1, B, d) reference outputs (row 0 unused); weight: (B,) scale on
-    each lane's residual-norm sum. Returns (per-lane loss, flat grad or None,
-    diverged step per lane with -1 for clean lanes). The forward pass runs on
-    the shared RK4 kernel, whose stage record (k1..k3 and each stage's tanh
-    activations) the reverse sweep reads; `record`, from `_stage_record`
-    sized for at least T * B lane-steps and B lanes, holds it and the
-    (B, n_hidden) scratch arrays every RK4 stage of both passes reuses (it is
-    allocated when None, and unused without `want_grad`).
+    Each lane's loss is its weight times its residual-norm sum. Returns
+    (per-lane loss, flat grad, diverged step per lane with -1 for clean
+    lanes). The forward, `_energy_rollout`, fills the stage record (k1..k3
+    and each stage's tanh) that the reverse sweep reads; `record`, from
+    `_stage_record` sized for at least T * B lane-steps and B lanes, holds it
+    and the (B, n_hidden) scratch arrays every RK4 stage of both passes
+    reuses (it is allocated when None).
     """
-    n_steps, B, d = gu.shape
+    x0, u, y, h, weight, _ = lanes
+    n_steps, B, d = len(u), *x0.shape
     n, n_hidden = d // 2, net.n_hidden
-    if want_grad:
-        k_flat, th_flat, scratch_flat = record or _stage_record(n_steps * B, B, d, n_hidden)
-        ks = k_flat[: n_steps * 3 * B * d].reshape(n_steps, 3, B, d)
-        ths = th_flat[: n_steps * 4 * B * n_hidden].reshape(n_steps, 4, B, n_hidden)
-        scratch = scratch_flat[: 2 * B * n_hidden].reshape(2, B, n_hidden)
-        slots = iter(ths.reshape(4 * n_steps, B, n_hidden))
-        stages = (ks, ths)
-    else:
-        scratch = np.empty((2, B, n_hidden))
-        slots, stages = repeat(scratch[0]), None
-
-    def field(x, g_in):
-        return _j_apply(h_grad_x(net, x, next(slots), scratch[1]), n) + g_in
-
-    xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
+    k_flat, th_flat, scratch_flat = record or _stage_record(n_steps * B, B, d, n_hidden)
+    ks = k_flat[: n_steps * 3 * B * d].reshape(n_steps, 3, B, d)
+    ths = th_flat[: n_steps * 4 * B * n_hidden].reshape(n_steps, 4, B, n_hidden)
+    scratch = scratch_flat[: 2 * B * n_hidden].reshape(2, B, n_hidden)
+    xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (ks, ths), scratch)
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
-    if not want_grad:
-        return lane_loss, None, diverged
 
     # everything the reverse sweep reads that no cotangent changes, in
     # whole-array passes: each step's residual pullback and stage states
@@ -295,59 +348,6 @@ def _sim_batch(
     return lane_loss, acc.flat(), diverged
 
 
-def _anchor_state(traj: Trajectory, anchor: str) -> np.ndarray:
-    if anchor == "measured":
-        return traj.y[0]
-    if anchor == "true":
-        if traj.x_true is None:
-            raise TrainingError("anchor='true' requires stored noiseless states")
-        return traj.x_true[0]
-    raise ValueError(f"anchor must be one of {ANCHORS}")
-
-
-def _traj_arrays(trajs: list[Trajectory], S: StructureMatrices, anchor: str):
-    """Stack equal-length trajectories into lane-batched rollout arrays."""
-    n = trajs[0].n_samples
-    if any(tr.n_samples != n for tr in trajs):
-        raise TrainingError("trajectories in one batch must share a common length")
-    h = trajs[0].ts
-    x0 = np.stack([_anchor_state(tr, anchor) for tr in trajs])
-    u = np.stack([tr.u[:-1] for tr in trajs], axis=1)  # (T, B, m)
-    gu = u @ S.G.T
-    y = np.stack([tr.y for tr in trajs], axis=1)  # (T+1, B, d)
-    weight = np.full(len(trajs), 1.0 / n)
-    return x0, gu, y, h, weight
-
-
-def _chunk_arrays(trajs: list[Trajectory], S: StructureMatrices, anchor: str, chunk: int):
-    """Cut trajectories into sub-rollouts re-anchored at measured samples.
-
-    Every residual sample keeps its 1/N weight, so the chunked loss sums the
-    same residual terms as the full rollout, just along shorter horizons.
-    Returns one (x0, gu, y, h, weight) group per distinct segment length.
-    """
-    groups: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]] = {}
-    h = trajs[0].ts
-    for tr in trajs:
-        n = tr.n_samples
-        anchors = tr.y if anchor == "measured" else tr.x_true
-        if anchors is None:
-            raise TrainingError("anchor='true' requires stored noiseless states")
-        for k0 in range(0, n - 1, chunk):
-            length = min(chunk, n - 1 - k0)
-            groups.setdefault(length, []).append(
-                (anchors[k0], tr.u[k0 : k0 + length], tr.y[k0 : k0 + length + 1], 1.0 / n)
-            )
-    out = []
-    for length, segs in sorted(groups.items()):
-        x0 = np.stack([s[0] for s in segs])
-        u = np.stack([s[1] for s in segs], axis=1)
-        y = np.stack([s[2] for s in segs], axis=1)
-        weight = np.array([s[3] for s in segs])
-        out.append((x0, u @ S.G.T, y, h, weight))
-    return out
-
-
 def simulation_loss(
     net: HamiltonianNet,
     S: StructureMatrices,
@@ -359,8 +359,7 @@ def simulation_loss(
     The model starts from the anchor sample and is driven by the recorded
     inputs; the loss is (1/N) * sum_{k>=1} ||y_k - y_hat_k||_2.
     """
-    loss, _ = _sim_loss_value_grad(net, S, trajectory, anchor, want_grad=False)
-    return loss
+    return _sim_loss_value_grad(net, S, trajectory, anchor, want_grad=False)[0]
 
 
 def simulation_loss_grad(
@@ -376,10 +375,13 @@ def simulation_loss_grad(
 def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
     if trajectory.n_samples < 2:
         raise ValueError("trajectory must contain at least 2 samples")
-    x0, gu, y, h, weight = _traj_arrays([trajectory], S, anchor)
-    lane_loss, grad, diverged = _sim_batch(
-        net, S, x0, gu, y, h, weight, penalty=DIVERGENCE_PENALTY, want_grad=want_grad
-    )
+    (lanes,) = _lane_groups([trajectory], anchor)
+    if want_grad:
+        lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
+    else:
+        xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
+        lane_loss = _lane_loss(xs, lanes.y, diverged, lanes.weight, DIVERGENCE_PENALTY)[0]
+        grad = None
     if diverged[0] >= 0:
         raise TrainingError(f"model rollout diverged at step {diverged[0]}")
     return float(lane_loss[0]), grad
@@ -523,25 +525,19 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
     # a lone model runs as a plain net, whose 2-D matmuls cost less per call
     net = with_params(template, thetas[0] if K == 1 else thetas)
     totals = [0.0] * K
-    for x0, gu, y, h, weight in groups:
+    for x0, u, y, h, weight, _ in groups:
         B, d = x0.shape
-        block = (B, d) if K == 1 else (K, B, d)
         if kind == "mlp":
-            # the black-box net takes raw inputs: G has orthonormal columns
-            u = gu @ S.G
+            block = (B, d) if K == 1 else (K, B, d)
             if K > 1:
                 u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
 
             def field(x, uk):
                 return _blackbox_rows(net, x.reshape(block), uk).reshape(K * B, d)
 
+            xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
         else:
-            u = gu
-
-            def field(x, g_in):
-                return (_j_apply(h_grad_x(net, x.reshape(block)), d // 2) + g_in).reshape(K * B, d)
-
-        xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
+            xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h)
         xs = xs.reshape(len(xs), K, B, d)
         diverged = diverged.reshape(K, B)
         for k in range(K):
@@ -719,15 +715,12 @@ def fit(
     adam = init_adam(theta.size)
 
     if kind == "oe-hnn":
-        if config.chunk_length is None:
-            train_groups = [_traj_arrays(dataset.train, S, config.anchor)]
-        else:
-            train_groups = _chunk_arrays(dataset.train, S, config.anchor, config.chunk_length)
+        train_groups = _lane_groups(dataset.train, config.anchor, config.chunk_length)
         # one stage record for the whole fit: the groups' gradients run one
         # after another, so the largest group's size serves them all
         record = _stage_record(
-            max(gu.shape[0] * gu.shape[1] for _, gu, *_ in train_groups),
-            max(len(x0) for x0, *_ in train_groups),
+            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups),
+            max(len(lanes.x0) for lanes in train_groups),
             d,
             template.n_hidden,
         )
@@ -736,7 +729,7 @@ def fit(
             dataset.train, config.derivative_source, dataset.ts
         )
         buffers = _derivative_buffers(template, x_fit, u_fit @ S.G.T if kind == "hnn" else u_fit)
-    val_groups = [_traj_arrays(dataset.validation, S, config.anchor)]
+    val_groups = _lane_groups(dataset.validation, config.anchor)
 
     def train_loss_grad(model):
         if kind == "oe-hnn":
@@ -744,10 +737,8 @@ def fit(
             grad = np.zeros_like(theta)
             n_dead = 0
             n_lanes = 0
-            for x0, gu, y, h, weight in train_groups:
-                lane_loss, g, diverged = _sim_batch(
-                    model, S, x0, gu, y, h, weight, DIVERGENCE_PENALTY, True, record
-                )
+            for lanes in train_groups:
+                lane_loss, g, diverged = _sim_batch(model, S, lanes, DIVERGENCE_PENALTY, record)
                 total += float(lane_loss.sum())
                 grad += g
                 n_dead += int((diverged >= 0).sum())

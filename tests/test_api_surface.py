@@ -1,9 +1,10 @@
-"""Public-API audit: every exported name has a caller outside the tests.
+"""API audit: every exported name, and every module-level function and class
+of the package, private ones included, has a caller outside the tests.
 
-A name in a module's `__all__` counts as used when, outside its own
-definition, it is loaded by name in its own module, imported by name from
-that module, or read as `module.name`, anywhere in `src/oehnn` (the
-package `__init__` re-exports do not count), `scripts/` or `perfbench/`.
+A name counts as used when, outside its own definition, it is loaded by
+name in its own module, imported by name from that module, or read as
+`module.name`, anywhere in `src/oehnn` (the package `__init__` re-exports
+do not count), `scripts/` or `perfbench/`.
 """
 
 import ast
@@ -80,6 +81,22 @@ def test_every_exported_name_has_a_caller():
     used = set().union(*(_used_names(path, tree) for path, tree in sources.items()))
     unused = [name for name in exported if name not in used | EXEMPT]
     assert unused == [], f"exported but called only by tests: {unused}"
+
+
+def test_every_module_level_definition_has_a_caller():
+    """Private helpers too: a function or class that nothing but the tests
+    uses is an orphan, whether or not its module exports it."""
+    sources = _sources()
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path, tree in sources.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    used = set().union(*(_used_names(path, tree) for path, tree in sources.items()))
+    unused = [name for name in defined if name not in used | EXEMPT]
+    assert unused == [], f"defined but called only by tests: {unused}"
 
 
 def test_only_textio_owns_the_text_formats():

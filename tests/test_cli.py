@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
 from oehnn.data import read_csv
+from oehnn.netmodel import init_blackbox_net, save_model
 
 GEN_FAST = [
     "--n-realizations", "6", "--n-train", "3", "--n-val", "2", "--n-test", "1",
@@ -332,6 +333,25 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "states" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_input_count_mismatch_names_the_model(self, cli_dataset, trained_models, tmp_path,
+                                                  capsys, kind):
+        # a model file for two inputs, on a one-input dataset
+        bad = tmp_path / "model.txt"
+        if kind == "hnn":
+            text = trained_models["hnn"].read_text()
+            assert "n_inputs = 1\n" in text
+            bad.write_text(text.replace("n_inputs = 1\n", "n_inputs = 2\n"))
+        else:
+            net = init_blackbox_net(2, 2, 6, np.random.default_rng(0))
+            save_model(net, bad, "mlp", n_inputs=2)
+        capsys.readouterr()
+        code = run_cli("evaluate", "--data", cli_dataset, "--out", tmp_path / "e", "--models", bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: model has 2 states and 2 inputs "
+                       "but the dataset system has 2 and 1\n")
 
     @pytest.mark.parametrize("flags", [["--reference", "foo"], ["--anchor", "foo"]])
     def test_bad_evaluation_value_is_usage_error(self, cli_dataset, trained_models, tmp_path,

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
@@ -189,3 +190,13 @@ def test_compare_estimators_workers_do_not_change_results(tiny_duffing_dataset):
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="workers"):
         compare_estimators(tiny_duffing_dataset, workers=-1, **kwargs)
+
+
+def test_compare_estimators_needs_a_seed(tiny_duffing_dataset, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    # the package's `evaluate` attribute is the function, so reach the module
+    monkeypatch.setattr(sys.modules["oehnn.evaluate"], "fit", no_fit)
+    with pytest.raises(ValueError, match="seed"):
+        compare_estimators(tiny_duffing_dataset, seeds=())

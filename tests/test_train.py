@@ -10,7 +10,13 @@ import pytest
 
 import oehnn.train
 from oehnn.data import Trajectory, generate
-from oehnn.dynamics import _j_apply, coupled_system, duffing_system, structure_matrices
+from oehnn.dynamics import (
+    _j_apply,
+    coupled_system,
+    duffing_system,
+    field_fn,
+    structure_matrices,
+)
 from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import (
     _blackbox_rows,
@@ -283,12 +289,12 @@ class TestChunking:
         assert result.history[0, 1] < 1e-10
 
     def test_chunk_covers_every_residual_exactly_once(self):
-        from oehnn.train import _chunk_arrays
+        from oehnn.train import _lane_groups
 
         rng = np.random.default_rng(41)
         traj = make_traj(rng.normal(size=(23, 2)), rng.normal(size=(23, 1)))
-        groups = _chunk_arrays([traj], S, "measured", 5)
-        total = sum(gu.shape[0] * gu.shape[1] for _, gu, _, _, _ in groups)
+        groups = _lane_groups([traj], "measured", 5)
+        total = sum(lanes.u.shape[0] * lanes.u.shape[1] for lanes in groups)
         assert total == 22  # N-1 transitions
 
 
@@ -551,11 +557,41 @@ class TestLossDecomposition:
         net = random_hnet(rng, n_hidden=6)
         trajs = tiny_duffing_dataset.train
         grads = [simulation_loss_grad(net, S, tr)[1] for tr in trajs]
-        from oehnn.train import _sim_batch, _traj_arrays
+        from oehnn.train import _lane_groups, _sim_batch
 
-        x0, gu, y, h, w = _traj_arrays(trajs, S, "measured")
-        _, batched, _ = _sim_batch(net, S, x0, gu, y, h, w, 1e6, True)
+        (lanes,) = _lane_groups(trajs, "measured")
+        _, batched, _ = _sim_batch(net, S, lanes, 1e6)
         assert np.allclose(batched, np.sum(grads, axis=0), atol=1e-12)
+
+    def test_full_horizon_takes_trajectories_of_two_lengths(self, tiny_duffing_dataset):
+        # one lane group per length: the fit's loss is still the sum of the
+        # per-trajectory losses, and `evaluate` still scores each trajectory
+        # as a rollout of its own
+        from oehnn.evaluate import evaluate, model_field
+
+        def cut(tr, n):
+            return Trajectory(t=tr.t[:n], u=tr.u[:n], y=tr.y[:n], x_true=tr.x_true[:n],
+                              dx_true=tr.dx_true[:n])
+
+        ds = tiny_duffing_dataset
+        train = [ds.train[0], cut(ds.train[1], 25), ds.train[2]]
+        validation = [cut(ds.validation[0], 31), ds.validation[1]]
+        mixed = dataclasses.replace(ds, train=train, validation=validation)
+        net = random_hnet(np.random.default_rng(62), n_hidden=6)
+        cfg = TrainConfig(n_hidden=6, max_epochs=1, patience=1)
+        epoch = fit("oe-hnn", mixed, cfg, initial_model=net).history[0]
+        assert epoch[1] == pytest.approx(sum(simulation_loss(net, S, tr) for tr in train),
+                                         rel=1e-12)
+        assert epoch[2] == pytest.approx(sum(simulation_loss(net, S, tr) for tr in validation),
+                                         rel=1e-12)
+        for field, exact in ((field_fn(SPEC), True), (model_field(net, S), False)):
+            metrics = evaluate(field, train, anchor="true")
+            for tr, res in zip(train, metrics.per_trajectory):
+                alone = evaluate(field, [tr], anchor="true").per_trajectory[0].rmse
+                if exact:  # a lane of the true field has the bits of its rollout alone
+                    assert np.array_equal(res.rmse, alone)
+                else:
+                    assert np.allclose(res.rmse, alone, rtol=1e-12, atol=0.0)
 
 
 def test_history_csv(tmp_path):
@@ -748,10 +784,10 @@ class TestEnergyKernel:
 
     def test_simulation_gradient_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
         net = random_hnet(np.random.default_rng(72), n_hidden=6)
-        groups = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)
-        x0, gu, y, h, w = groups[0]
-        x0, gu, y, w = frozen(x0, gu, y, w)
-        runs = [oehnn.train._sim_batch(net, S, x0, gu, y, h, w, 1e6, True) for _ in range(2)]
+        lanes = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)[0]
+        x0, u, y, w = frozen(lanes.x0, lanes.u, lanes.y, lanes.weight)
+        lanes = lanes._replace(x0=x0, u=u, y=y, weight=w)
+        runs = [oehnn.train._sim_batch(net, S, lanes, 1e6) for _ in range(2)]
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
         traj = tiny_duffing_dataset.train[0]
@@ -763,38 +799,39 @@ class TestEnergyKernel:
         # across its groups and epochs: a record filled with NaN, then one
         # that another net's calls on every group have just filled, give the
         # bits of a record the call allocates itself
-        groups = oehnn.train._chunk_arrays(tiny_duffing_dataset.train, S, "measured", 10)
+        groups = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)
         assert len(groups) == 2
         rng = np.random.default_rng(76)
         nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
         record = oehnn.train._stage_record(
-            max(gu.shape[0] * gu.shape[1] for _, gu, *_ in groups),
-            max(len(x0) for x0, *_ in groups), 2, 6,
+            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in groups),
+            max(len(lanes.x0) for lanes in groups), 2, 6,
         )
         for arr in record:
             arr.fill(np.nan)
         for net in nets:
-            for args in groups:
-                fresh = oehnn.train._sim_batch(net, S, *args, 1e6, True)
-                stale = oehnn.train._sim_batch(net, S, *args, 1e6, True, record)
+            for lanes in groups:
+                fresh = oehnn.train._sim_batch(net, S, lanes, 1e6)
+                stale = oehnn.train._sim_batch(net, S, lanes, 1e6, record)
                 for a, b in zip(stale, fresh):
                     assert_same_bits(a, b)
-        # without a gradient there is no record, and the one scratch array
-        # comes from np.empty: hand it the values another net's call left
-        args = groups[1]
-        fresh = oehnn.train._sim_batch(nets[0], S, *args, 1e6, False)
+        # the forward alone keeps no record, and its two scratch arrays come
+        # from one np.empty: hand it the values another net's call left
+        lanes = groups[1]
+        args = (lanes.x0, lanes.u @ S.G.T, lanes.h)
+        fresh = oehnn.train._energy_rollout(nets[0], *args)
         handed = []
         monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(
             lambda shape: handed.append(np.empty(shape)) or handed[-1]
         ))
-        oehnn.train._sim_batch(nets[1], S, *args, 1e6, False)
+        oehnn.train._energy_rollout(nets[1], *args)
         assert len(handed) == 1
         monkeypatch.setattr(oehnn.train, "np", NumpyWithEmpty(lambda shape: handed.pop(0)))
-        stale = oehnn.train._sim_batch(nets[0], S, *args, 1e6, False)
+        stale = oehnn.train._energy_rollout(nets[0], *args)
         monkeypatch.undo()
         assert not handed
         assert_same_bits(stale[0], fresh[0])
-        assert_same_bits(stale[2], fresh[2])
+        assert_same_bits(stale[1], fresh[1])
 
     def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
         net = random_hnet(np.random.default_rng(73), n_hidden=6)
@@ -844,17 +881,17 @@ class TestEnergyKernel:
         net = saturated_hnet(rng, 9) if saturated else random_hnet(rng, n_hidden=9)
         x = rng.normal(size=(40, 2))
         assert rel_err(oehnn.train.h_grad_x(net, x), reference_h_grad_x(net, x)) <= 1e-12
-        args = oehnn.train._traj_arrays(tiny_duffing_dataset.train, S, "measured")
+        (lanes,) = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured")
         xf, dxf, uf, wf = oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )
         new = [
-            oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
+            oehnn.train._sim_batch(net, S, lanes, 1e6)[:2],
             oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
         ]
         monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
         ref = [
-            oehnn.train._sim_batch(net, S, *args, 1e6, True)[:2],
+            oehnn.train._sim_batch(net, S, lanes, 1e6)[:2],
             oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
         ]
         for (loss, grad), (ref_loss, ref_grad) in zip(new, ref):
@@ -865,46 +902,46 @@ class TestEnergyKernel:
                                                         monkeypatch):
         # 15 trajectories of 500 samples cut at 50: 135 lanes of 50 steps, width 200
         ds = standard_duffing_dataset
-        args = max(oehnn.train._chunk_arrays(ds.train, S, "measured", 50),
-                   key=lambda group: len(group[0]))
-        assert args[1].shape[:2] == (50, 135)
+        lanes = max(oehnn.train._lane_groups(ds.train, "measured", 50),
+                    key=lambda group: len(group.x0))
+        assert lanes.u.shape[:2] == (50, 135)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(41))
-        loss, grad, _ = oehnn.train._sim_batch(net, S, *args, 1e6, True)
+        loss, grad, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
         monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
-        ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, *args, 1e6, True)
+        ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
         assert np.array_equal(loss, ref_loss)
         assert_blocks_match(grad, ref_grad, 200, 1e-13)
 
 
-def with_dead_lanes(x0, gu):
-    """Copies in which lane 0 is dead at step 0 (a NaN anchor) and lane 1
-    dies mid-rollout (an input injection of 1e308 at its middle step)."""
-    x0, gu = x0.copy(), gu.copy()
+def with_dead_lanes(lanes):
+    """A copy in which lane 0 is dead at step 0 (a NaN anchor) and lane 1
+    dies mid-rollout (an input of 1e308 at its middle step)."""
+    x0, u = lanes.x0.copy(), lanes.u.copy()
     x0[0, 0] = np.nan
-    gu[len(gu) // 2, 1] = 1e308
-    return x0, gu
+    u[len(u) // 2, 1] = 1e308
+    return lanes._replace(x0=x0, u=u)
 
 
 class TestReverseSweepBits:
     """`_sim_batch` gives the bits of `reference_sim_batch`, with a record it
     allocates and with an oversized one, filled with NaN, that it is handed."""
 
-    def check(self, net, S_sys, args):
-        ref = reference_sim_batch(net, S_sys, *args, 1e6, True)
-        x0, gu = args[:2]
+    def check(self, net, S_sys, lanes):
+        x0, u, y, h, weight, _ = lanes
+        ref = reference_sim_batch(net, S_sys, x0, u @ S_sys.G.T, y, h, weight, 1e6, True)
         record = oehnn.train._stage_record(
-            gu.shape[0] * gu.shape[1] + 7, len(x0) + 1, len(x0[0]), net.n_hidden
+            u.shape[0] * u.shape[1] + 7, len(x0) + 1, len(x0[0]), net.n_hidden
         )
         for arr in record:
             arr.fill(np.nan)
         for handed in (None, record):
-            new = oehnn.train._sim_batch(net, S_sys, *args, 1e6, True, handed)
+            new = oehnn.train._sim_batch(net, S_sys, lanes, 1e6, handed)
             for a, b in zip(new, ref):
                 assert_same_bits(a, b)
-        forward = oehnn.train._sim_batch(net, S_sys, *args, 1e6, False)
-        assert forward[1] is None
-        assert_same_bits(forward[0], ref[0])
-        assert_same_bits(forward[2], ref[2])
+        # the forward alone, as validation and `simulation_loss` run it
+        xs, diverged = oehnn.train._energy_rollout(net, x0, u @ S_sys.G.T, h)
+        assert_same_bits(oehnn.train._lane_loss(xs, y, diverged, weight, 1e6)[0], ref[0])
+        assert_same_bits(diverged, ref[2])
         return ref
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
@@ -917,34 +954,34 @@ class TestReverseSweepBits:
         d = ds.system.n_states
         rng = np.random.default_rng(90)
         net = saturated_hnet(rng, 9, d) if saturated else random_hnet(rng, 9, n_states=d)
-        groups = oehnn.train._chunk_arrays(ds.train, S_sys, "measured", 10)
-        groups.append(oehnn.train._traj_arrays(ds.train, S_sys, "measured"))
-        for x0, gu, y, h, weight in groups:
-            _, grad, diverged = self.check(net, S_sys, (x0, gu, y, h, weight))
+        groups = oehnn.train._lane_groups(ds.train, "measured", 10)
+        groups += oehnn.train._lane_groups(ds.train, "measured")
+        for lanes in groups:
+            _, grad, diverged = self.check(net, S_sys, lanes)
             assert (diverged < 0).all() and np.abs(grad).max() > 0.0
-            x0_dead, gu_dead = with_dead_lanes(x0, gu)
-            _, _, diverged = self.check(net, S_sys, (x0_dead, gu_dead, y, h, weight))
-            assert diverged[0] == 0 and diverged[1] == len(gu) // 2 + 1
+            _, _, diverged = self.check(net, S_sys, with_dead_lanes(lanes))
+            assert diverged[0] == 0 and diverged[1] == len(lanes.u) // 2 + 1
             assert (diverged[2:] < 0).all()
 
     def test_matches_the_reference_at_benchmark_shape(self, standard_duffing_dataset):
-        args = max(oehnn.train._chunk_arrays(standard_duffing_dataset.train, S, "measured", 50),
-                   key=lambda group: len(group[0]))
-        assert args[1].shape[:2] == (50, 135)
+        lanes = max(oehnn.train._lane_groups(standard_duffing_dataset.train, "measured", 50),
+                    key=lambda group: len(group.x0))
+        assert lanes.u.shape[:2] == (50, 135)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(42))
-        self.check(net, S, args)
+        self.check(net, S, lanes)
 
 
 def one_model_val_loss(net, kind, S, groups, penalty):
     """Validation loss of one model, as `fit` computed it before validation
-    was stacked: one rollout per group, lane losses summed per group."""
+    was stacked: one rollout per group, on the reference forward for the
+    energy net, lane losses summed per group."""
     total = 0.0
-    for x0, gu, y, h, weight in groups:
+    for x0, u, y, h, weight, _ in groups:
         if kind == "mlp":
-            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), x0, gu @ S.G, h)
+            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), x0, u, h)
             lane_loss = oehnn.train._lane_loss(xs, y, diverged, weight, penalty)[0]
         else:
-            lane_loss = oehnn.train._sim_batch(net, S, x0, gu, y, h, weight, penalty, False)[0]
+            lane_loss = reference_sim_batch(net, S, x0, u @ S.G.T, y, h, weight, penalty, False)[0]
         total += float(lane_loss.sum())
     return total
 
@@ -986,7 +1023,7 @@ class TestStackedValidation:
                 thetas[diverging, block] = value
         penalty = 1e6
         for trajs in (ds.validation[:1], ds.validation):
-            groups = [oehnn.train._traj_arrays(trajs, S_sys, "measured")]
+            groups = oehnn.train._lane_groups(trajs, "measured")
             losses = oehnn.train._val_losses(template, thetas, kind, S_sys, groups, penalty)
             assert len(losses) == K
             for k, loss in enumerate(losses):
