@@ -373,12 +373,13 @@ def cmd_simulate(args) -> int:
         saved = load_model(args.model_file)
         d = saved.n_states
         m = saved.n_inputs
-        S_model = structure_matrices(cfg.system_spec())
-        if S_model.n_states != d:
+        system = cfg.system_spec()
+        if (d, m) != (system.n_states, system.n_inputs):
             raise ConfigError(
-                f"model expects {d} states but the configured system has {S_model.n_states}"
+                f"{args.model_file}: model has {d} states and {m} inputs "
+                f"but the configured system has {system.n_states} and {system.n_inputs}"
             )
-        field = model_field(saved.model, S_model)
+        field = model_field(saved.model, structure_matrices(system))
         kind = saved.kind
     x0 = _parse_x0(args.x0, d)
     n_steps = args.steps

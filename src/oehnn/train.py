@@ -25,6 +25,9 @@ these is the operation the loop would otherwise repeat, on the same
 operands, so the bits do not depend on where it runs. The sweep only reads
 the record.
 
+`fit` validates windows of `_WINDOW` epochs, one stacked rollout each, inline
+or in a forked helper process, and settles them in epoch order.
+
 The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
 handed, or allocates when it is handed none. The derivative batches write only
 the (N, n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once
@@ -36,7 +39,6 @@ cotangents are ever written.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -75,11 +77,8 @@ __all__ = [
 
 ANCHORS = ("measured", "true")
 DERIVATIVE_SOURCES = ("fd", "true")
-# Most epochs `fit` may run ahead of their validation: with the helper
-# process, which validates whatever has queued in one stacked rollout, and
-# inline, which validates each window of this many epochs in one rollout.
-_RUN_AHEAD = 16
-_INLINE_WINDOW = 8
+# The epochs `fit` validates together, in one rollout of a stacked model.
+_WINDOW = 8
 # The loss a training or validation lane scores when its rollout diverges.
 DIVERGENCE_PENALTY = 1e6
 
@@ -255,12 +254,15 @@ def _lane_groups(
     loss sums the same residual terms as the full rollout, just along shorter
     horizons. There is one group per (segment length, step), in ascending
     order, and its lanes keep the order of `trajs` and of their segments.
+    A trajectory of fewer than 2 samples raises `ValueError` naming its index.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
     segments: dict[tuple[int, float], list] = {}
     for i, tr in enumerate(trajs):
         n = tr.n_samples
+        if n < 2:
+            raise ValueError(f"trajectory {i} must contain at least 2 samples")
         anchors = tr.y if anchor == "measured" else tr.x_true
         if anchors is None:
             raise TrainingError("anchor='true' requires stored noiseless states")
@@ -373,8 +375,6 @@ def simulation_loss_grad(
 
 
 def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
-    if trajectory.n_samples < 2:
-        raise ValueError("trajectory must contain at least 2 samples")
     (lanes,) = _lane_groups([trajectory], anchor)
     if want_grad:
         lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
@@ -546,8 +546,8 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
 
 
 def _serve_validation(conn, parent_end, val_losses) -> None:
-    """Helper-process loop: every parameter vector queued in the pipe is
-    validated in one stacked rollout, and their losses go back as one list."""
+    """Helper-process loop: each (W, P) stack of parameter vectors from the
+    pipe is validated in one rollout, and its W losses go back as one list."""
     import signal
 
     # an interrupt is the parent's to handle; the parent then stops this process
@@ -557,20 +557,17 @@ def _serve_validation(conn, parent_end, val_losses) -> None:
     with conn:
         while True:
             try:
-                thetas = [np.frombuffer(conn.recv_bytes())]
-                while conn.poll():
-                    thetas.append(np.frombuffer(conn.recv_bytes()))
-                conn.send(val_losses(np.stack(thetas)))
+                conn.send(val_losses(conn.recv()))
             except (EOFError, BrokenPipeError):
                 return
 
 
 class _ValidationHelper:
-    """One forked process that validates the epochs `fit` has run ahead of,
-    while the parent computes training gradients.
+    """One forked process that validates a window of epochs while the parent
+    computes the next window's training gradients.
 
     The fork inherits the validation arrays and the loss function, so only
-    parameter bytes and losses cross the pipe, and the helper runs the same
+    parameter stacks and losses cross the pipe, and the helper runs the same
     code on the same bytes as an inline call.
     """
 
@@ -588,23 +585,19 @@ class _ValidationHelper:
         # once closed here, the helper's exit shows as EOF on self._conn
         child_end.close()
 
-    def submit(self, theta: np.ndarray) -> None:
+    def submit(self, thetas: np.ndarray) -> None:
         try:
-            self._conn.send_bytes(theta.tobytes())
+            self._conn.send(thetas)
         except ConnectionError:
             raise self._died() from None
 
-    def results(self, block: bool) -> list[float]:
-        """The losses sent back since the last call, in submission order;
-        with `block`, wait until there is at least one."""
-        out: list[float] = []
+    def receive(self) -> list[float]:
+        """The losses of the stack submitted last, in its order."""
         try:
-            while (block and not out) or self._conn.poll():
-                out += self._conn.recv()
+            return self._conn.recv()
         except (EOFError, ConnectionError):
             # a helper that exits with parameters still unread resets the pipe
             raise self._died() from None
-        return out
 
     def _died(self) -> TrainingError:
         self._proc.join(timeout=1.0)
@@ -663,33 +656,32 @@ def fit(
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
     initialization (used for staged chunked-then-full training).
 
-    Adam's steps never read the validation loss, so the fit runs ahead:
-    epoch e+1's gradient starts before epoch e is validated, and the
-    epochs awaiting validation are validated together, in one rollout of a
-    stacked model. Their results are settled strictly in epoch order, so
-    `history`, the best copy, `best_epoch` and the patience stop are those
-    of validating every epoch before the next step. A patience stop at
-    epoch e discards every gradient computed past e. A non-finite gradient
-    raises `TrainingError` only once every earlier epoch is settled and none
-    of them stopped the fit, as without run-ahead; an all-diverged first
-    epoch, or a training loss that is not finite at the first epoch, raises
-    at once, and a validation loss that is not finite at the first epoch
-    raises when that epoch is settled.
+    Adam's steps never read the validation loss, so the fit runs ahead of
+    it: epochs are validated in windows of `_WINDOW`, each in one rollout of
+    a stacked model, and settled strictly in epoch order, so `history`, the
+    best copy, `best_epoch` and the patience stop are those of validating
+    every epoch before the next step. A window is sent as soon as its last
+    epoch's parameters are known, before that epoch's gradient; the last
+    epoch sends its partial window the same way, and a non-finite gradient
+    sends it after the gradient. A patience stop at epoch e discards every
+    gradient computed past e. A non-finite gradient raises `TrainingError`
+    only once every earlier epoch is settled and none of them stopped the
+    fit, as without run-ahead; an all-diverged first epoch, or a training
+    loss that is not finite at the first epoch, raises at once, and a
+    validation loss that is not finite at the first epoch raises when that
+    epoch is settled.
 
     `workers` is a process budget: its value, every usable core for 0 (the
     default), and always 1 in a daemonic process such as a pool worker,
     which may not fork; a negative value raises `ValueError`. With a budget
-    of 1, this process validates each window of `_INLINE_WINDOW` epochs
-    after their gradients. With 2 or more, one forked helper process
-    validates while this process computes gradients: each epoch's
-    parameters go to the helper as the epoch starts, the helper validates
-    everything queued for it in one rollout, and this process waits only
-    when `_RUN_AHEAD` epochs await validation, at the last epoch and before
-    refusing a non-finite gradient. Each stacked member's loss has the bits
-    of validating that model alone, so `history` and the returned model are
-    bit-identical for every `workers` and every batching. The helper is
-    stopped when `fit` returns or raises; if it dies, `fit` raises
-    `TrainingError`.
+    of 1, this process validates each window when it is sent. With 2 or
+    more, one forked helper process validates each window while this
+    process computes the next window's gradients; it holds at most one
+    window, so at most 2 * `_WINDOW` - 1 epochs await validation. Both
+    budgets validate the same windows, and each stacked member's loss has
+    the bits of validating that model alone, so `history` and the returned
+    model are bit-identical for every `workers`. The helper is stopped when
+    `fit` returns or raises; if it dies, `fit` raises `TrainingError`.
     """
     config = config or TrainConfig()
     if kind not in ("oe-hnn", "hnn", "mlp"):
@@ -758,20 +750,45 @@ def fit(
     best_theta = theta.copy()
     best_val = np.inf
     best_epoch = 0
-    pending: deque = deque()  # (epoch, theta, train loss) awaiting validation, oldest first
-    losses: deque = deque()  # the validation losses known for the oldest of them
+    train_losses = []  # of every epoch so far
+    window = []  # (epoch, theta) of each epoch not yet sent for validation
+    sent = None  # (window, losses) out for validation; the helper's losses come later
     helper = _ValidationHelper(validate) if overlap else None
-    limit = _RUN_AHEAD if helper is not None else _INLINE_WINDOW
 
-    def fetch(block: bool) -> list[float]:
+    def settle() -> bool:
+        """Settle the window out for validation in epoch order; True at a patience stop."""
+        nonlocal sent, best_val, best_theta, best_epoch
+        if sent is None:
+            return False
+        (epochs, losses), sent = sent, None
+        for (ep, th), v_loss in zip(epochs, helper.receive() if losses is None else losses):
+            if ep == 1:
+                _check_first_loss("validation", v_loss)
+            history.append((ep, train_losses[ep - 1], v_loss))
+            if v_loss < best_val:
+                best_val, best_theta, best_epoch = v_loss, th, ep
+            elif ep - best_epoch >= config.patience:
+                return True
+        return False
+
+    def send() -> bool:
+        """Settle the window out, if any, then send `window`; True at a patience stop."""
+        nonlocal sent
+        if settle():
+            return True
+        thetas = np.stack([th for _, th in window])
         if helper is not None:
-            return helper.results(block)
-        return validate(np.stack([th for _, th, _ in pending])) if block else []
+            helper.submit(thetas)  # its losses come from `helper.receive()`
+        sent = window.copy(), None if helper is not None else validate(thetas)
+        window.clear()
+        return False
 
     try:
         for epoch in range(1, config.max_epochs + 1):
-            if helper is not None:
-                helper.submit(theta)
+            window.append((epoch, theta))
+            last = epoch == config.max_epochs
+            if (len(window) == _WINDOW or last) and send():
+                break
             tr_loss, grad, all_dead = train_loss_grad(with_params(template, theta))
             if all_dead and epoch == 1:
                 raise TrainingError(
@@ -780,31 +797,13 @@ def fit(
                 )
             if epoch == 1:
                 _check_first_loss("training", tr_loss)
-            pending.append((epoch, theta, tr_loss))
+            train_losses.append(tr_loss)
             # settle every epoch before the last one or before a non-finite
-            # gradient is refused, else just enough to stay within the limit
-            if epoch == config.max_epochs or not np.isfinite(grad).all():
-                n_due = len(pending)
-            else:
-                n_due = len(pending) - limit + 1
-            losses.extend(fetch(block=False))
-            stopped = False
-            while not stopped and (losses or n_due > 0):
-                if not losses:
-                    losses.extend(fetch(block=True))
-                ep, th, tr = pending.popleft()
-                v_loss = losses.popleft()
-                if ep == 1:
-                    _check_first_loss("validation", v_loss)
-                n_due -= 1
-                history.append((ep, tr, v_loss))
-                if v_loss < best_val:
-                    best_val = v_loss
-                    best_theta = th.copy()
-                    best_epoch = ep
-                elif ep - best_epoch >= config.patience:
-                    stopped = True
-            if stopped:
+            # gradient is refused; inline, each window as soon as it can be
+            finite = np.isfinite(grad).all()
+            if not finite and window and send():
+                break
+            if (helper is None or last or not finite) and settle():
                 break
             theta, adam = adam_step(theta, grad, adam, config)
     finally:

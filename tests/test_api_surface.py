@@ -1,10 +1,12 @@
-"""API audit: every exported name, and every module-level function and class
-of the package, private ones included, has a caller outside the tests.
+"""API audit: every exported name, every module-level function and class of
+the package, private ones included, and every module-level constant has a
+caller outside the tests.
 
-A name counts as used when, outside its own definition, it is loaded by
-name in its own module, imported by name from that module, or read as
-`module.name`, anywhere in `src/oehnn` (the package `__init__` re-exports
-do not count), `scripts/` or `perfbench/`.
+A name counts as used when, outside its own definition (or, for a constant,
+its own assignment), it is loaded by name in its own module, imported by
+name from that module, or read as `module.name`, anywhere in `src/oehnn`
+(the package `__init__` re-exports do not count), `scripts/` or
+`perfbench/`.
 """
 
 import ast
@@ -29,6 +31,18 @@ def _exports(tree) -> list[str]:
         ):
             return [ast.literal_eval(element) for element in node.value.elts]
     return []
+
+
+def _constants(node) -> set[str]:
+    """The names a module-level statement assigns, dunder names aside."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    names = {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
 def _module_of(node, aliases: dict) -> str | None:
@@ -58,6 +72,8 @@ def _used_names(path: Path, tree) -> set[str]:
         node, inside = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node in tree.body:
+            inside = inside | _constants(node)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oehnn."):
             used.update(f"{node.module.split('.')[1]}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Attribute) and _module_of(node.value, aliases):
@@ -97,6 +113,22 @@ def test_every_module_level_definition_has_a_caller():
     used = set().union(*(_used_names(path, tree) for path, tree in sources.items()))
     unused = [name for name in defined if name not in used | EXEMPT]
     assert unused == [], f"defined but called only by tests: {unused}"
+
+
+def test_every_module_level_constant_is_read():
+    """A name assigned at module level that nothing reads outside its own
+    assignment is an orphan too, such as a limit no code applies any more."""
+    sources = _sources()
+    assigned = [
+        f"{path.stem}.{name}"
+        for path, tree in sources.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        for name in sorted(_constants(node))
+    ]
+    used = set().union(*(_used_names(path, tree) for path, tree in sources.items()))
+    unread = [name for name in assigned if name not in used]
+    assert unread == [], f"assigned but read only by tests: {unread}"
 
 
 def test_only_textio_owns_the_text_formats():

@@ -812,6 +812,26 @@ class TestSimulateCommand:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (15, 4)
 
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_input_count_mismatch_names_the_model(self, trained_models, tmp_path, capsys, kind):
+        # a model file for two inputs, simulated on the one-input duffing system
+        bad = tmp_path / "model.txt"
+        if kind == "hnn":
+            text = trained_models["hnn"].read_text()
+            assert "n_inputs = 1\n" in text
+            bad.write_text(text.replace("n_inputs = 1\n", "n_inputs = 2\n"))
+        else:
+            net = init_blackbox_net(2, 2, 6, np.random.default_rng(0))
+            save_model(net, bad, "mlp", n_inputs=2)
+        out = tmp_path / "sim.csv"
+        capsys.readouterr()
+        code = run_cli("simulate", "--model-file", bad, "--steps", 5, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: model has 2 states and 2 inputs "
+                       "but the configured system has 2 and 1\n")
+        assert not out.exists()
+
     def test_negative_values_in_a_list(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run_cli(

@@ -67,6 +67,12 @@ class TestRmse:
 
 
 class TestEvaluate:
+    def test_one_sample_trajectory_is_named(self, tiny_duffing_dataset):
+        good = tiny_duffing_dataset.test[0]
+        one = Trajectory(t=good.t[:1], u=good.u[:1], y=good.y[:1], x_true=good.x_true[:1])
+        with pytest.raises(ValueError, match="trajectory 1 must contain at least 2 samples"):
+            evaluate(field_fn(SPEC), [good, one])
+
     def test_oracle_model_true_anchor_is_exact(self, tiny_duffing_dataset):
         metrics = evaluate(field_fn(SPEC), tiny_duffing_dataset.test, anchor="true")
         assert np.all(metrics.per_state_rmse < 1e-6)

@@ -125,6 +125,12 @@ class TestSimulationLoss:
         y = np.tile([0.3, -0.4], (20, 1))
         assert simulation_loss(net, S, make_traj(y)) == 0.0
 
+    @pytest.mark.parametrize("loss", [simulation_loss, simulation_loss_grad])
+    def test_one_sample_trajectory_refused(self, loss):
+        net = random_hnet(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trajectory 0 must contain at least 2 samples"):
+            loss(net, S, make_traj([[0.1, 0.2]]))
+
     def test_constant_offset_residual(self):
         # all residuals equal c from sample 1 on: loss = |c| * (N-1)/N
         net = with_params(init_hamiltonian_net(2, 4, np.random.default_rng(0)), np.zeros(17))
@@ -427,10 +433,10 @@ class TestWorkers:
         "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
     )
     def test_run_ahead_settles_in_epoch_order(self, tiny_duffing_dataset, kind, chunk):
-        # stops inside a validation window and on the edge of both the inline
-        # window and the helper's run-ahead limit, and a run whose epoch count
-        # is not a multiple of the window; each must be the prefix of the
-        # unstopped run and identical for every `workers`
+        # stops inside a validation window and on the edges of the first and
+        # the second window, when the helper holds at most one window, and a
+        # run whose epoch count is not a multiple of the window; each must be
+        # the prefix of the unstopped run and identical for every `workers`
         cfg = TrainConfig(
             n_hidden=8, max_epochs=40, patience=40, chunk_length=chunk, seed=2,
             learning_rate=0.05,
@@ -445,13 +451,14 @@ class TestWorkers:
                 elif epoch - best_epoch >= patience:
                     stops.setdefault(epoch, patience)
                     break
-        edge = oehnn.train._RUN_AHEAD
-        assert edge % oehnn.train._INLINE_WINDOW == 0
-        inside = next(e for e in sorted(stops) if e % oehnn.train._INLINE_WINDOW)
-        assert edge in stops, "the fixture no longer stops on the window edge"
+        window = oehnn.train._WINDOW
+        edges = (window, 2 * window)
+        inside = next(e for e in sorted(stops) if e % window)
+        for edge in edges:
+            assert edge in stops, "the fixture no longer stops on a window edge"
         runs = [
             (dataclasses.replace(cfg, patience=stops[inside]), inside),
-            (dataclasses.replace(cfg, patience=stops[edge]), edge),
+            *((dataclasses.replace(cfg, patience=stops[edge]), edge) for edge in edges),
             (dataclasses.replace(cfg, max_epochs=13), 13),
         ]
         for run, n in runs:
@@ -495,6 +502,60 @@ class TestWorkers:
                 with pytest.raises(TrainingError, match="non-finite gradient"):
                     fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stop", ["max_epochs", "patience", "non-finite gradient"])
+    def test_both_budgets_validate_the_same_windows(self, tiny_duffing_dataset, monkeypatch,
+                                                    stop):
+        # the stacks the inline path validates and the helper is sent have the
+        # same sizes: full windows, then the partial window of the last epoch
+        # or of a non-finite gradient, and none past a patience stop
+        window = oehnn.train._WINDOW
+        cfg = TrainConfig(n_hidden=8, max_epochs=40, patience=8, seed=2, learning_rate=0.05)
+        reference = fit("hnn", tiny_duffing_dataset, cfg, workers=1)
+        n_stop, n_params = len(reference.history), flatten_params(reference.model).size
+        assert window < n_stop < cfg.max_epochs and n_stop % window, \
+            "the fixture no longer stops inside a window after the first"
+        calls = []
+        if stop == "max_epochs":
+            cfg = dataclasses.replace(cfg, max_epochs=13, patience=13)
+            expected = [window, 13 - window]
+        elif stop == "patience":
+            expected = [window] * (n_stop // window + 1)
+        else:
+            bad_epoch = next(e for e in range(n_stop - 1, 0, -1) if e % window)
+            assert bad_epoch > window
+            expected = [window] * (bad_epoch // window) + [bad_epoch % window]
+            derivative_batch = oehnn.train._derivative_batch_hnn
+
+            def poisoned(*args):
+                loss, grad = derivative_batch(*args)
+                calls.append(None)
+                return loss, grad * np.nan if len(calls) == bad_epoch else grad
+
+            monkeypatch.setattr(oehnn.train, "_derivative_batch_hnn", poisoned)
+        val_losses, submit = oehnn.train._val_losses, oehnn.train._ValidationHelper.submit
+        inline, sent = [], []
+
+        def validated(template, thetas, *args, **kwargs):
+            inline.append(len(thetas))
+            return val_losses(template, thetas, *args, **kwargs)
+
+        def submitted(helper, thetas):
+            sent.append(thetas.shape)
+            return submit(helper, thetas)
+
+        monkeypatch.setattr(oehnn.train, "_val_losses", validated)
+        monkeypatch.setattr(oehnn.train._ValidationHelper, "submit", submitted)
+        for workers in (1, 2):
+            calls.clear()
+            if stop == "non-finite gradient":
+                with pytest.raises(TrainingError, match="non-finite gradient"):
+                    fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+            else:
+                fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+            assert multiprocessing.active_children() == []
+        assert inline == expected
+        assert sent == [(k, n_params) for k in expected]
 
     def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset):
         rng = np.random.default_rng(51)
