@@ -83,8 +83,9 @@ def rk4_lanes(field, x0, u, h: float, *, keep_from: int = 0, peak: bool = False,
                 ks[0] = k1
                 ks[1] = k2
                 ks[2] = k3
-            bad = ~np.isfinite(x).all(axis=1)
-            if bad.any():
+            # one whole-array test per step; the lanes are sought only on a failure
+            if not np.isfinite(x).all():
+                bad = ~np.isfinite(x).all(axis=1)
                 diverged[bad & (diverged < 0)] = k + 1
                 x = np.where(bad[:, None], 0.0, x)
                 if stages is not None:

@@ -2,8 +2,25 @@
 
 The Hamiltonian network is a single hidden tanh layer producing a scalar
 energy; its state gradient and Hessian-vector product are in closed form,
-with no autodiff engine. Training differentiates through `h_grad_x` with its
-own pullback (`train._grad_vjp`); only the benchmark calls `h_hess_vec`.
+with no autodiff engine. Training differentiates through `_energy_kernel`
+with its own pullback (`train._grad_vjp`); only the benchmark calls
+`h_hess_vec`.
+
+`_energy_kernel` is the one energy-net forward: dH/dx for `h_grad_x` and
+the `hnn` batch, J dH/dx for every learned-field rollout (training with its
+stage record, stacked validation, `evaluate` and `simulate`). It folds two
+passes into its GEMMs: the first takes rows [x, 1] against [w1.T; b1]
+(`HamiltonianNet.w_in`), so b1 is added inside the product, and the output
+GEMM takes w1 with J folded in as a signed column permutation
+(`HamiltonianNet.w1_j`), so it returns J dH/dx without a pass of its own.
+Negation is exact, and the accumulation of each product runs over the same
+terms in the same order as x @ w1.T followed by + b1, and as s @ w1
+followed by J. With numpy 2.4 on OpenBLAS 0.3.31 the results are
+bit-identical to the unfolded kernel for 2 and 4 states at 1, 5, 15, 135
+and 7500 rows, plain and stacked (`tests/test_train.py::TestFoldedKernel`,
+width 200, and 40 for the stacked net at 7500 rows); other shapes are not
+known to be, and 6 states at one row are not (numpy takes a matrix-vector
+path there).
 
 A stacked net (`with_params` on a (K, P) array) carries K models along a
 leading axis of every parameter; its per-unit vectors are (K, 1, n), so
@@ -16,13 +33,14 @@ operations as the plain net on those B rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from oehnn import textio
-from oehnn.dynamics import StructureMatrices, canonical_field, _input_rows
+from oehnn.dynamics import StructureMatrices, _input_rows, _j_apply
 
 __all__ = [
     "HamiltonianNet",
@@ -63,6 +81,19 @@ class HamiltonianNet:
     def n_hidden(self) -> int:
         return self.w1.shape[-2]
 
+    # The kernel's folded weights, formed once per net: nothing writes a
+    # net's parameters in place, so they cannot go stale.
+    @cached_property
+    def w_in(self) -> np.ndarray:
+        """[w1.T; b1], (d + 1, n_hidden); stacked: (K, d + 1, n_hidden)."""
+        b1 = self.b1.reshape(*self.w1.shape[:-2], 1, -1)
+        return np.concatenate([self.w1.mT, b1], axis=-2)
+
+    @cached_property
+    def w1_j(self) -> np.ndarray:
+        """w1 with J applied to each row, so that s @ w1_j = J (s @ w1)."""
+        return _j_apply(self.w1, self.n_states // 2)
+
 
 @dataclass(frozen=True)
 class BlackBoxNet:
@@ -94,6 +125,32 @@ def h_value(net: HamiltonianNet, x: np.ndarray):
     return value if np.ndim(value) else float(value)
 
 
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """Rows [x, 1], the first layer's input with its bias folded in."""
+    xa = np.empty((*x.shape[:-1], x.shape[-1] + 1))
+    xa[..., :-1] = x
+    xa[..., -1] = 1.0
+    return xa
+
+
+def _energy_kernel(net: HamiltonianNet, xa, w_out, th_out=None, s_out=None) -> np.ndarray:
+    """(w2 * sech^2(w1 @ x + b1)) @ w_out on rows xa = [x, 1] (`_with_ones`).
+
+    With w_out = net.w1 this is dH/dx, with net.w1_j it is J dH/dx. With
+    `th_out` (shaped like xa @ net.w_in), tanh(w1 @ x + b1) is written there,
+    e.g. into a stage record, and nothing else is; with `s_out` (the same
+    shape), w1 @ x + b1 and then the w2 * sech^2 term are computed there, and
+    it holds nothing afterwards that a caller needs. Without them both are
+    allocated. Never writes `xa`. A stacked net takes xa of shape (K, B, d + 1).
+    """
+    z = np.matmul(xa, net.w_in, out=s_out)
+    th = np.tanh(z, out=th_out)
+    s = np.multiply(th, th, out=z)
+    np.subtract(1.0, s, out=s)
+    s *= net.w2
+    return s @ w_out
+
+
 def h_grad_x(
     net: HamiltonianNet,
     x: np.ndarray,
@@ -102,20 +159,10 @@ def h_grad_x(
 ) -> np.ndarray:
     """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
 
-    With `th_out` (shaped like x @ w1.T), tanh(w1 @ x + b1) is written
-    there, e.g. into a stage record, and nothing else is; with `s_out` (the
-    same shape), w1 @ x + b1 and then the w2 * sech^2 term are computed
-    there, and it holds nothing afterwards that a caller needs. Without them
-    both are allocated. Never writes `x`. A stacked net takes x of shape
-    (K, B, d).
+    `th_out` and `s_out` as in `_energy_kernel`. Never writes `x`. A stacked
+    net takes x of shape (K, B, d).
     """
-    z = np.matmul(np.asarray(x, dtype=float), net.w1.mT, out=s_out)
-    z += net.b1
-    th = np.tanh(z, out=th_out)
-    s = np.multiply(th, th, out=z)
-    np.subtract(1.0, s, out=s)
-    s *= net.w2
-    return s @ net.w1
+    return _energy_kernel(net, _with_ones(np.asarray(x, dtype=float)), net.w1, th_out, s_out)
 
 
 def h_hess_vec(net: HamiltonianNet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -133,7 +180,9 @@ def h_hess_vec(net: HamiltonianNet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def oe_hnn_field(net: HamiltonianNet, S: StructureMatrices, x: np.ndarray, u) -> np.ndarray:
     """Model vector field J @ dH/dx + G @ u."""
-    return canonical_field(h_grad_x(net, x), u, S)
+    f = _energy_kernel(net, _with_ones(np.asarray(x, dtype=float)), net.w1_j)
+    f += _input_rows(u, f, S.n_inputs) @ S.G.T
+    return f
 
 
 def blackbox_field(net: BlackBoxNet, x: np.ndarray, u) -> np.ndarray:

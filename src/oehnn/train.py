@@ -8,9 +8,11 @@ the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
 
 `_lane_groups` alone turns trajectories into RK4 lanes, whole or in
 re-anchored segments, for training, validation, `simulation_loss(_grad)`
-and `evaluate`. `_energy_rollout` is the one energy-net forward, plain or
-stacked, with or without a stage record; its dH/dx is `h_grad_x`, which
-forms w1 @ x + b1 in scratch and writes only tanh to the stage's slot.
+and `evaluate`. `_energy_rollout` is the one energy-net rollout, plain or
+stacked, with or without a stage record; its field is
+`netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1], forms
+w1 @ x + b1 in scratch and writes only tanh to the stage's slot. The
+reverse sweep forms J.T v from v's two halves in one concatenation.
 
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
@@ -26,14 +28,17 @@ operands, so the bits do not depend on where it runs. The sweep only reads
 the record.
 
 `fit` validates windows of `_WINDOW` epochs, one stacked rollout each, inline
-or in a forked helper process, and settles them in epoch order.
+or in a forked helper process, and settles them in epoch order. The helper
+also computes every training lane group but the largest, except in the
+epoch after it is sent a window; the groups' results are summed in group
+order wherever they were computed.
 
-The energy-net kernel (`h_grad_x`, `_grad_vjp`) writes only the buffers it is
-handed, or allocates when it is handed none. The derivative batches write only
-the (N, n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once
-with the fit's G u or [x, u] rows. Every buffer is overwritten before it is
-read, so no value carries from one call to the next, and no caller's states or
-cotangents are ever written.
+The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the buffers
+it is handed, or allocates when it is handed none. The derivative batches
+write only the (N, n_hidden) arrays of `_derivative_buffers`, which `fit`
+allocates once with the fit's G u or [x, u] rows. Every buffer is overwritten
+before it is read, so no value carries from one call to the next, and no
+caller's states or cotangents are ever written.
 """
 
 from __future__ import annotations
@@ -48,12 +53,14 @@ import numpy as np
 
 from oehnn import textio
 from oehnn.data import Dataset, Trajectory, fd_derivatives
-from oehnn.dynamics import StructureMatrices, _j_apply, structure_matrices
+from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
     BlackBoxNet,
     HamiltonianNet,
     _blackbox_rows,
+    _energy_kernel,
+    _with_ones,
     flatten_params,
     h_grad_x,
     init_blackbox_net,
@@ -206,8 +213,10 @@ def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
 def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad, scratch=None):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
-    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`; J.T = -J."""
-    return _grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch=scratch) @ net.w1
+    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`;
+    J.T v is v's last n columns negated, then its first n."""
+    jt_v = np.concatenate([-v[:, n:], v[:, :n]], axis=1)
+    return _grad_vjp(net, x, th, jt_v, acc, scratch=scratch) @ net.w1
 
 
 def _lane_loss(xs, y, diverged, weight, penalty):
@@ -286,17 +295,22 @@ def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=
     lanes, member k's block from x0, each block as the plain net would.
     `stages` (k1..k3 and tanh arrays of a stage record) gets each stage's
     tanh in its own slot, else `scratch[0]` takes every tanh; `scratch[1]`
-    takes w1 @ x + b1. `scratch` is allocated when None."""
+    takes w1 @ x + b1. `scratch` is allocated when None. Each stage copies
+    its states into one array of rows [x, 1], and `_energy_kernel` returns
+    J dH/dx, to which G u is added in place."""
     B, d = x0.shape
     lead = net.w1.shape[:-2]  # (K,) for a stacked net
     block = (*lead, B, d)
     if scratch is None:
         scratch = np.empty((2, *lead, B, net.n_hidden))
     slots = repeat(scratch[0]) if stages is None else iter(stages[1].reshape(-1, *scratch[0].shape))
+    xa = _with_ones(np.broadcast_to(x0, block))
 
     def field(x, g_in):
-        g = h_grad_x(net, x.reshape(block), next(slots), scratch[1])
-        return (_j_apply(g, d // 2) + g_in).reshape(x.shape)
+        xa[..., :d] = x.reshape(block)
+        f = _energy_kernel(net, xa, net.w1_j, next(slots), scratch[1])
+        f += g_in
+        return f.reshape(x.shape)
 
     return rk4_lanes(field, np.broadcast_to(x0, block).reshape(-1, d), gu, h, stages=stages)[:2]
 
@@ -545,9 +559,10 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
     return totals
 
 
-def _serve_validation(conn, parent_end, val_losses) -> None:
-    """Helper-process loop: each (W, P) stack of parameter vectors from the
-    pipe is validated in one rollout, and its W losses go back as one list."""
+def _serve_validation(conn, parent_end, val_losses, group_grads) -> None:
+    """Helper-process loop, one reply per request in request order: a (W, P)
+    stack of parameter vectors is validated in one rollout and its W losses
+    go back as one list; one (P,) vector gets `group_grads` of it back."""
     import signal
 
     # an interrupt is the parent's to handle; the parent then stops this process
@@ -557,47 +572,60 @@ def _serve_validation(conn, parent_end, val_losses) -> None:
     with conn:
         while True:
             try:
-                conn.send(val_losses(conn.recv()))
+                params = conn.recv()
+                conn.send(val_losses(params) if params.ndim == 2 else group_grads(params))
             except (EOFError, BrokenPipeError):
                 return
 
 
 class _ValidationHelper:
     """One forked process that validates a window of epochs while the parent
-    computes the next window's training gradients.
+    computes the next window's training gradients, and computes training lane
+    groups the parent hands it.
 
-    The fork inherits the validation arrays and the loss function, so only
-    parameter stacks and losses cross the pipe, and the helper runs the same
-    code on the same bytes as an inline call.
+    The fork inherits the validation and training arrays, the stage record
+    and the functions, so only parameters, losses and gradients cross the
+    pipe, and the helper runs the same code on the same bytes as an inline
+    call.
     """
 
-    def __init__(self, val_losses):
+    def __init__(self, val_losses, group_grads):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(
             target=_serve_validation,
-            args=(child_end, self._conn, val_losses),
+            args=(child_end, self._conn, val_losses, group_grads),
             daemon=True,
         )
         self._proc.start()
         # once closed here, the helper's exit shows as EOF on self._conn
         child_end.close()
+        self._sent = self._read = 0
+        self._replies = {}  # replies read on the way to a later one, by ticket
 
-    def submit(self, thetas: np.ndarray) -> None:
+    def submit(self, params: np.ndarray) -> int:
+        """Queue a (W, P) window to validate or one (P,) vector whose training
+        groups to compute; returns the ticket that `receive` takes."""
         try:
-            self._conn.send(thetas)
+            self._conn.send(params)
         except ConnectionError:
             raise self._died() from None
+        self._sent += 1
+        return self._sent - 1
 
-    def receive(self) -> list[float]:
-        """The losses of the stack submitted last, in its order."""
-        try:
-            return self._conn.recv()
-        except (EOFError, ConnectionError):
-            # a helper that exits with parameters still unread resets the pipe
-            raise self._died() from None
+    def receive(self, ticket: int):
+        """The reply to request `ticket`. Replies come in request order, and
+        each one read on the way is kept for its own `receive`."""
+        while ticket not in self._replies:
+            try:
+                self._replies[self._read] = self._conn.recv()
+            except (EOFError, ConnectionError):
+                # a helper that exits with parameters still unread resets the pipe
+                raise self._died() from None
+            self._read += 1
+        return self._replies.pop(ticket)
 
     def _died(self) -> TrainingError:
         self._proc.join(timeout=1.0)
@@ -677,11 +705,17 @@ def fit(
     of 1, this process validates each window when it is sent. With 2 or
     more, one forked helper process validates each window while this
     process computes the next window's gradients; it holds at most one
-    window, so at most 2 * `_WINDOW` - 1 epochs await validation. Both
-    budgets validate the same windows, and each stacked member's loss has
-    the bits of validating that model alone, so `history` and the returned
-    model are bit-identical for every `workers`. The helper is stopped when
-    `fit` returns or raises; if it dies, `fit` raises `TrainingError`.
+    window, so at most 2 * `_WINDOW` - 1 epochs await validation. An
+    'oe-hnn' fit whose lanes fall into several groups also has the helper
+    compute every group but the largest (by lane-steps) in each epoch except
+    the one after it is sent a window, when it is validating; that request
+    goes into the pipe ahead of the epoch's window, and the replies are read
+    in request order. Both budgets validate the same windows, each stacked
+    member's loss has the bits of validating that model alone, and the
+    groups' losses and gradients are summed in group order wherever they
+    were computed, so `history` and the returned model are bit-identical
+    for every `workers`. The helper is stopped when `fit` returns or
+    raises; if it dies, `fit` raises `TrainingError`.
     """
     config = config or TrainConfig()
     if kind not in ("oe-hnn", "hnn", "mlp"):
@@ -706,16 +740,21 @@ def fit(
     theta = flatten_params(template)
     adam = init_adam(theta.size)
 
+    others = []  # the training groups the helper may compute
     if kind == "oe-hnn":
         train_groups = _lane_groups(dataset.train, config.anchor, config.chunk_length)
+        lane_steps = [lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups]
         # one stage record for the whole fit: the groups' gradients run one
         # after another, so the largest group's size serves them all
         record = _stage_record(
-            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups),
+            max(lane_steps),
             max(len(lanes.x0) for lanes in train_groups),
             d,
             template.n_hidden,
         )
+        # the helper may compute every group but the largest, in their order
+        largest = lane_steps.index(max(lane_steps))
+        others = [i for i in range(len(train_groups)) if i != largest]
     else:
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
@@ -723,19 +762,33 @@ def fit(
         buffers = _derivative_buffers(template, x_fit, u_fit @ S.G.T if kind == "hnn" else u_fit)
     val_groups = _lane_groups(dataset.validation, config.anchor)
 
-    def train_loss_grad(model):
+    def group_grads(theta, indices):
+        """`_sim_batch` of each training group in `indices`, in that order."""
+        model = with_params(template, theta)
+        return [_sim_batch(model, S, train_groups[i], DIVERGENCE_PENALTY, record) for i in indices]
+
+    def train_loss_grad(theta, ticket):
+        """Training loss, gradient and whether every lane died; with a `ticket`,
+        the helper's reply holds the groups in `others`."""
         if kind == "oe-hnn":
+            if ticket is None:
+                results = group_grads(theta, range(len(train_groups)))
+            else:
+                own = group_grads(theta, [largest])
+                results = helper.receive(ticket)
+                results.insert(largest, own[0])
+            # summed in group order, wherever each group was computed
             total = 0.0
             grad = np.zeros_like(theta)
             n_dead = 0
             n_lanes = 0
-            for lanes in train_groups:
-                lane_loss, g, diverged = _sim_batch(model, S, lanes, DIVERGENCE_PENALTY, record)
+            for lane_loss, g, diverged in results:
                 total += float(lane_loss.sum())
                 grad += g
                 n_dead += int((diverged >= 0).sum())
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
+        model = with_params(template, theta)
         if kind == "hnn":
             loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit, buffers)
         else:
@@ -752,8 +805,10 @@ def fit(
     best_epoch = 0
     train_losses = []  # of every epoch so far
     window = []  # (epoch, theta) of each epoch not yet sent for validation
-    sent = None  # (window, losses) out for validation; the helper's losses come later
-    helper = _ValidationHelper(validate) if overlap else None
+    sent = None  # (window, its losses, or the helper's ticket for them) out for validation
+    helper = _ValidationHelper(validate, partial(group_grads, indices=others)) if overlap else None
+    shares = helper is not None and bool(others)
+    validating = False  # the helper validates the window sent in the epoch before
 
     def settle() -> bool:
         """Settle the window out for validation in epoch order; True at a patience stop."""
@@ -761,7 +816,7 @@ def fit(
         if sent is None:
             return False
         (epochs, losses), sent = sent, None
-        for (ep, th), v_loss in zip(epochs, helper.receive() if losses is None else losses):
+        for (ep, th), v_loss in zip(epochs, losses if helper is None else helper.receive(losses)):
             if ep == 1:
                 _check_first_loss("validation", v_loss)
             history.append((ep, train_losses[ep - 1], v_loss))
@@ -777,9 +832,7 @@ def fit(
         if settle():
             return True
         thetas = np.stack([th for _, th in window])
-        if helper is not None:
-            helper.submit(thetas)  # its losses come from `helper.receive()`
-        sent = window.copy(), None if helper is not None else validate(thetas)
+        sent = window.copy(), validate(thetas) if helper is None else helper.submit(thetas)
         window.clear()
         return False
 
@@ -787,9 +840,14 @@ def fit(
         for epoch in range(1, config.max_epochs + 1):
             window.append((epoch, theta))
             last = epoch == config.max_epochs
-            if (len(window) == _WINDOW or last) and send():
+            due = len(window) == _WINDOW or last
+            # the helper computes the smaller training groups unless it is
+            # validating; their request goes ahead of this epoch's window
+            ticket = helper.submit(theta) if shares and not validating else None
+            validating = due
+            if due and send():
                 break
-            tr_loss, grad, all_dead = train_loss_grad(with_params(template, theta))
+            tr_loss, grad, all_dead = train_loss_grad(theta, ticket)
             if all_dead and epoch == 1:
                 raise TrainingError(
                     "every training rollout diverged at the first epoch; "

@@ -183,6 +183,53 @@ class TestLanes:
         assert np.array_equal(ks[2, :, 1], np.zeros((3, 2)))
         assert np.all(np.isfinite(ks))
 
+    def test_whole_array_test_finds_every_dead_lane(self):
+        # lanes die at step 0, two at step 3 and one at step 6; against a
+        # stepper that tests every lane at every step, the states, the
+        # diverged steps and both record arrays (k1..k3, and one the field
+        # fills) keep their bits, dead rows zeroed
+        x0 = np.array([[1.0, -2.0], [np.nan, 3.0], [0.5, 0.5], [2.0, 1.0], [-1.0, 0.0]])
+        u = np.ones((8, 5, 1))
+        u[2, [2, 3]] = np.inf
+        u[5, 4] = 1e308
+
+        def stepped(every_lane_every_step):
+            ks, filled = np.full((8, 3, 5, 2), np.nan), np.full((8, 4, 5, 3), np.nan)
+            slots = iter(filled.reshape(-1, 5, 3))
+
+            def field(x, uk):
+                np.multiply(x[:, :1], [1.0, 2.0, 3.0], out=next(slots))
+                return -x + uk
+
+            if not every_lane_every_step:
+                return (*rk4_lanes(field, x0, u, 0.1, stages=(ks, filled))[:2], ks, filled)
+            dead = ~np.isfinite(x0).all(axis=1)
+            x, diverged = np.where(dead[:, None], 0.0, x0), np.where(dead, 0, -1)
+            states = [x]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(len(u)):
+                    k1 = field(x, u[k])
+                    k2 = field(x + (0.1 / 2.0) * k1, u[k])
+                    k3 = field(x + (0.1 / 2.0) * k2, u[k])
+                    k4 = field(x + 0.1 * k3, u[k])
+                    x = x + (0.1 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    ks[k] = k1, k2, k3
+                    bad = ~np.isfinite(x).all(axis=1)
+                    diverged[bad & (diverged < 0)] = k + 1
+                    x = np.where(bad[:, None], 0.0, x)
+                    ks[k][:, bad] = filled[k][:, bad] = 0.0
+                    states.append(x)
+            return np.array(states), diverged, ks, filled
+
+        new, ref = stepped(False), stepped(True)
+        assert list(new[1]) == [-1, 0, 3, 3, 6]
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        states, _, ks, filled = new
+        assert np.array_equal(ks[5, :, 4], np.zeros((3, 2)))
+        assert np.array_equal(filled[5, :, 4], np.zeros((4, 3)))
+        assert np.all(np.isfinite(ks)) and np.all(np.isfinite(filled))
+
 
 class TestEnergyDrift:
     """Max |H(x_k) - H(x_0)| of a learned energy along its own unforced rollout."""

@@ -20,6 +20,7 @@ from oehnn.dynamics import (
 from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import (
     _blackbox_rows,
+    _with_ones,
     flatten_params,
     init_blackbox_net,
     init_hamiltonian_net,
@@ -414,6 +415,55 @@ class TestFit:
             )
 
 
+def largest_group(groups):
+    return max(groups, key=lambda lanes: lanes.u.shape[0] * lanes.u.shape[1])
+
+
+def cut(tr, n):
+    """The first n samples of a trajectory."""
+    return Trajectory(t=tr.t[:n], u=tr.u[:n], y=tr.y[:n], x_true=tr.x_true[:n],
+                      dx_true=tr.dx_true[:n])
+
+
+def patience_stops(history):
+    """(epoch, patience) of each epoch at which a smaller patience would have
+    stopped the fit of this history, earliest epoch first."""
+    stops = {}
+    for patience in range(1, len(history)):
+        best, best_epoch = np.inf, 0
+        for epoch, v_loss in enumerate(history[:, 2], start=1):
+            if v_loss < best:
+                best, best_epoch = v_loss, epoch
+            elif epoch - best_epoch >= patience:
+                stops.setdefault(epoch, patience)
+                break
+    return sorted(stops.items())
+
+
+class LargestGroupPoison:
+    """Makes the gradient of a fit's largest training group non-finite in the
+    epoch given to `arm`, which each fit must call first; the parent computes
+    that group in every epoch, for every `workers`."""
+
+    def __init__(self, monkeypatch, ds, cfg):
+        groups = oehnn.train._lane_groups(ds.train, cfg.anchor, cfg.chunk_length)
+        shape = largest_group(groups).u.shape
+        sim_batch = oehnn.train._sim_batch
+
+        def poisoned(net, S_sys, lanes, *args):
+            lane_loss, grad, diverged = sim_batch(net, S_sys, lanes, *args)
+            if lanes.u.shape == shape:
+                self.calls += 1
+                if self.calls == self.bad_epoch:
+                    grad = grad * np.nan
+            return lane_loss, grad, diverged
+
+        monkeypatch.setattr(oehnn.train, "_sim_batch", poisoned)
+
+    def arm(self, bad_epoch):
+        self.calls, self.bad_epoch = 0, bad_epoch
+
+
 class TestWorkers:
     """The validation helper process changes where a number is computed, not
     the number."""
@@ -557,6 +607,95 @@ class TestWorkers:
         assert inline == expected
         assert sent == [(k, n_params) for k in expected]
 
+    def test_helper_computes_every_group_but_the_largest(self, tiny_duffing_dataset,
+                                                         monkeypatch):
+        # at a budget of 2 the parent computes only the largest group, except
+        # in the epoch after it sends a window, while the helper validates it
+        groups = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)
+        sizes = [len(lanes.x0) for lanes in groups]
+        big = len(largest_group(groups).x0)
+        assert len(set(sizes)) == 2 and sizes[-1] == big
+        sim_batch, parent = oehnn.train._sim_batch, []
+
+        def spy(net, S_sys, lanes, *args):
+            parent.append(len(lanes.x0))  # the helper appends to its own copy
+            return sim_batch(net, S_sys, lanes, *args)
+
+        monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
+        cfg = TrainConfig(n_hidden=8, max_epochs=17, patience=17, chunk_length=10, seed=2)
+        window = oehnn.train._WINDOW
+        after_a_window = {e for e in range(2, 18) if (e - 1) % window == 0}
+        assert after_a_window == {9, 17}
+        expected = {
+            1: sizes * 17,
+            2: [n for e in range(1, 18) for n in (sizes if e in after_a_window else [big])],
+        }
+        for workers, calls in expected.items():
+            parent.clear()
+            fit("oe-hnn", tiny_duffing_dataset, cfg, workers=workers)
+            assert parent == calls
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "case",
+        ["9 epochs", "17 epochs", "patience stop", "non-finite gradient", "two lengths",
+         "four lengths"],
+    )
+    def test_helper_groups_keep_the_bits(self, tiny_duffing_dataset, monkeypatch, case):
+        # the helper's groups are summed in group order, so every `workers`
+        # gives the same history, parameters and best epoch: a full window and
+        # then the last epoch (the first-in-first-out edge), two windows and
+        # the last epoch, a patience stop inside a window, a non-finite
+        # gradient inside a window, and full-horizon groups of two lengths and
+        # of four, the largest third, where a sum out of group order shows
+        ds = tiny_duffing_dataset
+        cfg = TrainConfig(n_hidden=8, max_epochs=17, patience=17, chunk_length=10, seed=2,
+                          learning_rate=0.05)
+        window = oehnn.train._WINDOW
+        poison = None
+        if case == "9 epochs":
+            cfg = dataclasses.replace(cfg, max_epochs=9, patience=9)
+        elif case == "two lengths":
+            ds = dataclasses.replace(ds, train=[ds.train[0], cut(ds.train[1], 25), ds.train[2]])
+            cfg = dataclasses.replace(cfg, chunk_length=None)
+            assert len(oehnn.train._lane_groups(ds.train, "measured")) == 2
+        elif case == "four lengths":
+            train = [cut(ds.train[0], 6), cut(ds.train[1], 15), cut(ds.train[2], 25),
+                     cut(ds.validation[0], 25), ds.validation[1]]
+            ds = dataclasses.replace(ds, train=train)
+            cfg = dataclasses.replace(cfg, chunk_length=None)
+            groups = oehnn.train._lane_groups(ds.train, "measured")
+            assert [len(lanes.x0) for lanes in groups] == [1, 1, 2, 1]
+            assert largest_group(groups) is groups[2]
+        elif case != "17 epochs":
+            long = dataclasses.replace(cfg, max_epochs=40, patience=40)
+            stop, patience = next(
+                (e, p) for e, p in patience_stops(fit("oe-hnn", ds, long, workers=1).history)
+                if e > window and e % window
+            )
+            cfg = dataclasses.replace(long, patience=patience)
+            if case == "non-finite gradient":
+                poison = LargestGroupPoison(monkeypatch, ds, cfg)
+        results = []
+        for workers in (0, 1, 2):
+            if poison is not None:
+                poison.arm(stop)  # the patience stop at this epoch wins
+            results.append(fit("oe-hnn", ds, cfg, workers=workers))
+            assert multiprocessing.active_children() == []
+        for other in results[1:]:
+            assert_same_bits(other.history, results[0].history)
+            assert_same_bits(flatten_params(other.model), flatten_params(results[0].model))
+            assert other.best_epoch == results[0].best_epoch
+        if case in ("patience stop", "non-finite gradient"):
+            assert len(results[0].history) == stop
+        if poison is not None:
+            # at an earlier epoch inside a window, every `workers` refuses it
+            for workers in (0, 1, 2):
+                poison.arm(next(e for e in range(stop - 1, 0, -1) if e % window))
+                with pytest.raises(TrainingError, match="non-finite gradient"):
+                    fit("oe-hnn", ds, cfg, workers=workers)
+                assert multiprocessing.active_children() == []
+
     def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset):
         rng = np.random.default_rng(51)
         net = random_hnet(rng)
@@ -629,10 +768,6 @@ class TestLossDecomposition:
         # per-trajectory losses, and `evaluate` still scores each trajectory
         # as a rollout of its own
         from oehnn.evaluate import evaluate, model_field
-
-        def cut(tr, n):
-            return Trajectory(t=tr.t[:n], u=tr.u[:n], y=tr.y[:n], x_true=tr.x_true[:n],
-                              dx_true=tr.dx_true[:n])
 
         ds = tiny_duffing_dataset
         train = [ds.train[0], cut(ds.train[1], 25), ds.train[2]]
@@ -972,6 +1107,43 @@ class TestEnergyKernel:
         ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
         assert np.array_equal(loss, ref_loss)
         assert_blocks_match(grad, ref_grad, 200, 1e-13)
+
+
+class TestFoldedKernel:
+    """The kernel's folded GEMMs, rows [x, 1] against [w1.T; b1] and w1 with
+    J folded in, give the bits of the closed form followed by J at the shapes
+    the package runs: 2 and 4 states at 1, 5, 15, 135 and 7500 rows, plain
+    and stacked."""
+
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 7500])
+    @pytest.mark.parametrize("system", ["duffing", "coupled"])
+    def test_plain(self, system, B):
+        spec = SPEC if system == "duffing" else coupled_system()
+        S_sys, d = structure_matrices(spec), spec.n_states
+        rng = np.random.default_rng(100 + B + d)
+        net = random_hnet(rng, n_hidden=200, n_states=d)
+        x, u = rng.normal(size=(B, d)), rng.normal(size=(B, spec.n_inputs))
+        ref = reference_h_grad_x(net, x)
+        j_ref = _j_apply(ref, d // 2)
+        assert_same_bits(oehnn.train._energy_kernel(net, _with_ones(x), net.w1_j), j_ref)
+        assert_same_bits(oehnn.train.h_grad_x(net, x), ref)
+        # the learned field of `evaluate` and `simulate`
+        assert_same_bits(oe_hnn_field(net, S_sys, x, u), j_ref + u @ S_sys.G.T)
+
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 7500])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_stacked(self, d, B):
+        K = 8
+        width = 200 if B < 7500 else 40  # keeps each (K, B, width) array near 20 MB
+        rng = np.random.default_rng(200 + B + d)
+        template = init_hamiltonian_net(d, width, rng)
+        thetas = rng.uniform(-0.5, 0.5, (K, flatten_params(template).size))
+        stacked = with_params(template, thetas)
+        x = rng.normal(size=(K, B, d))
+        out = oehnn.train._energy_kernel(stacked, _with_ones(x), stacked.w1_j)
+        for k in range(K):
+            member = with_params(template, thetas[k])
+            assert_same_bits(out[k], _j_apply(reference_h_grad_x(member, x[k]), d // 2))
 
 
 def with_dead_lanes(lanes):
