@@ -45,6 +45,8 @@ def main():
     parser.add_argument("--quick", action="store_true", help="short schedule for smoke runs")
     parser.add_argument("--out", default=None, help="output directory (default: results/<system>)")
     args = parser.parse_args()
+    if args.n_train < 1:
+        parser.error(f"argument --n-train: must be at least 1, got {args.n_train}")
 
     out = Path(args.out or f"results/{args.system}")
     out.mkdir(parents=True, exist_ok=True)

@@ -49,7 +49,7 @@ from oehnn.netmodel import (
     save_model,
     with_params,
 )
-from oehnn.signals import MultisineSpec, NoiseSpec, multisine_value, sample_phases
+from oehnn.signals import NoiseSpec, multisine_inputs
 from oehnn.evaluate import (
     REFERENCES,
     evaluate,
@@ -104,7 +104,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class ExperimentConfig:
-    """Full experiment definition; None fields resolve to per-system defaults."""
+    """Full experiment definition; None fields resolve to per-system defaults.
+
+    `protocol()` and `train_config()` build `GenerationProtocol` and
+    `TrainConfig` by name: each field comes from the key of the same name,
+    except two renames, split = (n_train, n_val, n_test) and
+    seed = train_seed. `noise()` and `system_spec()` map their keys
+    explicitly, since none of their fields shares a key's name.
+    """
 
     system: str = "duffing"
     masses: tuple[float, ...] | None = None
@@ -178,20 +185,7 @@ class ExperimentConfig:
 
     def protocol(self) -> GenerationProtocol:
         cfg = self.resolved()
-        with _config_errors():
-            return GenerationProtocol(
-                n_realizations=cfg.n_realizations,
-                n_samples=cfg.n_samples,
-                ts=cfg.ts,
-                t_start=cfg.t_start,
-                split=(cfg.n_train, cfg.n_val, cfg.n_test),
-                harmonics=cfg.harmonics,
-                f0=cfg.f0,
-                amplitude=cfg.amplitude,
-                init_range=cfg.init_range,
-                q_max=cfg.q_max,
-                max_retries=cfg.max_retries,
-            )
+        return cfg._by_name(GenerationProtocol, split=(cfg.n_train, cfg.n_val, cfg.n_test))
 
     def noise(self) -> NoiseSpec:
         cfg = self.resolved()
@@ -200,20 +194,13 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         cfg = self.resolved()
+        return cfg._by_name(TrainConfig, seed=cfg.train_seed)
+
+    def _by_name(self, cls, **renamed):
+        """`cls` with each field from the key of the same name, except `renamed`."""
+        names = [f.name for f in dataclasses.fields(cls) if f.name not in renamed]
         with _config_errors():
-            return TrainConfig(
-                learning_rate=cfg.learning_rate,
-                beta1=cfg.beta1,
-                beta2=cfg.beta2,
-                epsilon=cfg.epsilon,
-                max_epochs=cfg.max_epochs,
-                patience=cfg.patience,
-                chunk_length=cfg.chunk_length,
-                n_hidden=cfg.n_hidden,
-                seed=cfg.train_seed,
-                derivative_source=cfg.derivative_source,
-                anchor=cfg.anchor,
-            )
+            return cls(**{name: getattr(self, name) for name in names}, **renamed)
 
 
 _FIELD_TYPES = textio.field_types(ExperimentConfig)
@@ -311,6 +298,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_model_system(saved, path, system: SystemSpec, which: str) -> None:
+    """Refuse a model file whose state or input count differs from the system's."""
+    if (saved.n_states, saved.n_inputs) != (system.n_states, system.n_inputs):
+        raise ConfigError(
+            f"{path}: model has {saved.n_states} states and {saved.n_inputs} inputs "
+            f"but the {which} system has {system.n_states} and {system.n_inputs}"
+        )
+
+
 def cmd_evaluate(args) -> int:
     cfg = build_config(args)
     dataset = read_csv(args.data)
@@ -322,11 +318,7 @@ def cmd_evaluate(args) -> int:
     system = dataset.system
     for i, model_path in enumerate(args.models):
         saved = load_model(model_path)
-        if (saved.n_states, saved.n_inputs) != (system.n_states, system.n_inputs):
-            raise ConfigError(
-                f"{model_path}: model has {saved.n_states} states and {saved.n_inputs} inputs "
-                f"but the dataset system has {system.n_states} and {system.n_inputs}"
-            )
+        _check_model_system(saved, model_path, system, "dataset")
         with _config_errors(f"{args.data}: "):  # an empty test split, or no stored truth
             metrics = evaluate(
                 model_field(saved.model, S),
@@ -374,11 +366,7 @@ def cmd_simulate(args) -> int:
         d = saved.n_states
         m = saved.n_inputs
         system = cfg.system_spec()
-        if (d, m) != (system.n_states, system.n_inputs):
-            raise ConfigError(
-                f"{args.model_file}: model has {d} states and {m} inputs "
-                f"but the configured system has {system.n_states} and {system.n_inputs}"
-            )
+        _check_model_system(saved, args.model_file, system, "configured")
         field = model_field(saved.model, structure_matrices(system))
         kind = saved.kind
     x0 = _parse_x0(args.x0, d)
@@ -392,16 +380,7 @@ def cmd_simulate(args) -> int:
     else:
         with _config_errors("--phase-seed: "):
             rng = np.random.default_rng(args.phase_seed)
-        u = np.stack(
-            [
-                multisine_value(
-                    t,
-                    MultisineSpec(cfg.harmonics, cfg.f0, sample_phases(cfg.harmonics, rng), cfg.amplitude),
-                )
-                for _ in range(m)
-            ],
-            axis=-1,
-        )
+        u = multisine_inputs(t, m, cfg.harmonics, cfg.f0, cfg.amplitude, rng)
     diverged_at = None
     try:
         states = rollout(field, x0, u, cfg.ts)
@@ -457,6 +436,14 @@ def _fd_gradient(loss_fn, theta: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
+def _random_trajectory(n_steps: int, rng: np.random.Generator) -> Trajectory:
+    """n_steps + 1 samples at step 0.01 of random one-input, two-state data."""
+    n = n_steps + 1
+    return Trajectory(
+        t=np.arange(n) * 0.01, u=rng.normal(0.0, 1.0, (n, 1)), y=rng.normal(0.0, 0.5, (n, 2))
+    )
+
+
 def cmd_gradcheck(args) -> int:
     """User-runnable diagnostic: analytic gradients against finite differences."""
     for flag, least in (("--steps", min(args.steps)), ("--long-steps", args.long_steps),
@@ -492,12 +479,7 @@ def cmd_gradcheck(args) -> int:
     # simulation-loss gradient, short rollouts, small net
     for n_steps in args.steps:
         net = init_hamiltonian_net(2, 4, rng)
-        t = np.arange(n_steps + 1) * 0.01
-        traj = Trajectory(
-            t=t,
-            u=rng.normal(0.0, 1.0, (n_steps + 1, 1)),
-            y=rng.normal(0.0, 0.5, (n_steps + 1, 2)),
-        )
+        traj = _random_trajectory(n_steps, rng)
         _, grad = simulation_loss_grad(net, S, traj)
         grad = flip * grad
         theta = flatten_params(net)
@@ -513,12 +495,7 @@ def cmd_gradcheck(args) -> int:
     # directional derivative through a long rollout at full width
     net = init_hamiltonian_net(2, args.n_hidden, rng)
     n_steps = args.long_steps
-    t = np.arange(n_steps + 1) * 0.01
-    traj = Trajectory(
-        t=t,
-        u=rng.normal(0.0, 1.0, (n_steps + 1, 1)),
-        y=rng.normal(0.0, 0.5, (n_steps + 1, 2)),
-    )
+    traj = _random_trajectory(n_steps, rng)
     _, grad = simulation_loss_grad(net, S, traj)
     theta = flatten_params(net)
     direction = rng.normal(size=theta.size)

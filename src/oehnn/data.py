@@ -17,7 +17,7 @@ import numpy as np
 from oehnn import textio
 from oehnn.dynamics import SystemSpec, field_fn, system_defaults
 from oehnn.integrate import rk4_lanes
-from oehnn.signals import MultisineSpec, NoiseSpec, add_noise, multisine_value, sample_phases
+from oehnn.signals import NoiseSpec, add_noise, multisine_inputs
 
 __all__ = [
     "Trajectory",
@@ -139,7 +139,7 @@ class Dataset:
     def split(self, name: str) -> list[Trajectory]:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
-        return getattr(self, "validation" if name == "validation" else name)
+        return getattr(self, name)
 
     def all_trajectories(self) -> list[Trajectory]:
         return [*self.train, *self.validation, *self.test]
@@ -153,20 +153,10 @@ def _realization_rng(master_seed: int, realization: int, attempt: int) -> np.ran
 def _attempt_inputs(system, protocol, master_seed, realization, attempt, t_grid):
     """One attempt's RNG stream (after its draws), initial state and input grid."""
     rng = _realization_rng(master_seed, realization, attempt)
-    phases = np.stack(
-        [sample_phases(protocol.harmonics, rng) for _ in range(system.n_inputs)]
+    u_grid = multisine_inputs(
+        t_grid, system.n_inputs, protocol.harmonics, protocol.f0, protocol.amplitude, rng
     )
     x0 = rng.uniform(-protocol.init_range, protocol.init_range, size=system.n_states)
-    u_grid = np.stack(
-        [
-            multisine_value(
-                t_grid,
-                MultisineSpec(protocol.harmonics, protocol.f0, ph, protocol.amplitude),
-            )
-            for ph in phases
-        ],
-        axis=-1,
-    )
     return rng, x0, u_grid
 
 

@@ -12,7 +12,7 @@ from oehnn import textio
 from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
-from oehnn.netmodel import BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
+from oehnn.netmodel import MODEL_KINDS, BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
 from oehnn.train import ANCHORS, TrainConfig, _lane_groups, _process_budget, fit
 
 __all__ = [
@@ -258,7 +258,9 @@ def compare_estimators(
     staged schedule; the derivative-matching baselines default to the stored
     noiseless states and derivatives (the classical setting those methods
     assume). The median seed is the one whose model of the first kind in
-    `kinds` attains the median mean RMSE; no seeds raise `ValueError`.
+    `kinds` attains the median mean RMSE. No seeds, no kinds, a repeated or
+    unknown kind, or 'oe-hnn' with no `oe_stages` raise `ValueError` before
+    any fit.
     `workers` is the process budget of `fit`. When it covers two seeds or
     more, a fork pool of min(budget, len(seeds)) processes fits the seeds,
     and each fit in it, a pool worker, validates inline; otherwise each fit
@@ -267,6 +269,13 @@ def compare_estimators(
     """
     if not seeds:
         raise ValueError("compare_estimators needs at least one seed")
+    if not kinds or len(set(kinds)) != len(kinds):
+        raise ValueError(f"compare_estimators needs one or more distinct kinds, got {kinds!r}")
+    unknown = [kind for kind in kinds if kind not in MODEL_KINDS]
+    if unknown:
+        raise ValueError(f"unknown model kind {unknown[0]!r}, expected one of {MODEL_KINDS}")
+    if "oe-hnn" in kinds and not oe_stages:
+        raise ValueError("oe-hnn needs at least one training stage in oe_stages")
     job = partial(
         _benchmark_one_seed, dataset=dataset, n_hidden=n_hidden, oe_stages=tuple(oe_stages),
         baseline_epochs=baseline_epochs, baseline_patience=baseline_patience,

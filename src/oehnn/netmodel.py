@@ -22,6 +22,11 @@ width 200, and 40 for the stacked net at 7500 rows); other shapes are not
 known to be, and 6 states at one row are not (numpy takes a matrix-vector
 path there).
 
+A net's flat parameter vector (`flatten_params`, `with_params`) is its
+dataclass fields in order, each row-major: w1, b1, w2, b2. The field order
+is the one statement of that layout; the gradients in `train` are built as
+nets and flattened the same way.
+
 A stacked net (`with_params` on a (K, P) array) carries K models along a
 leading axis of every parameter; its per-unit vectors are (K, 1, n), so
 they broadcast over each model's state rows as a plain net's (n,) vectors
@@ -32,7 +37,8 @@ operations as the plain net on those B rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -221,56 +227,42 @@ def init_blackbox_net(
     return BlackBoxNet(w1=w1, b1=np.zeros(n_hidden), w2=w2, b2=np.zeros(n_states))
 
 
+def _param_shapes(model) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, by field name in field order (the flat layout)."""
+    if not isinstance(model, (HamiltonianNet, BlackBoxNet)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return {f.name: np.shape(getattr(model, f.name)) for f in fields(model)}
+
+
 def flatten_params(model) -> np.ndarray:
-    """Concatenate all parameters into one vector (w1 row-major, b1, w2, b2)."""
-    if isinstance(model, HamiltonianNet):
-        return np.concatenate(
-            [model.w1.ravel(), model.b1, model.w2, np.array([model.b2])]
-        )
-    if isinstance(model, BlackBoxNet):
-        return np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """Concatenate the net's fields in order, each row-major, into one vector."""
+    return np.concatenate([np.ravel(getattr(model, name)) for name in _param_shapes(model)])
 
 
 def with_params(model, theta: np.ndarray):
     """Rebuild a model of the same architecture from a flat parameter vector.
 
-    A (K, P) array of K parameter vectors gives a stacked net: every
-    parameter gains a leading axis of length K, and each per-unit vector
-    also a length-1 axis for the state rows it broadcasts over.
+    `model` is a plain net, whose field shapes give the layout. A (K, P)
+    array of K parameter vectors gives a stacked net: every parameter gains
+    a leading axis of length K, and each per-unit vector also a length-1
+    axis for the state rows it broadcasts over.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim not in (1, 2):
         raise ValueError("parameters must be one vector or a (K, P) stack of vectors")
+    shapes = _param_shapes(model)
+    expected = sum(math.prod(shape) for shape in shapes.values())
+    if theta.shape[-1] != expected:
+        raise ValueError(f"expected {expected} parameters, got {theta.shape[-1]}")
     lead = theta.shape[:-1]
-    rows = (*lead, 1) if lead else ()
-    if isinstance(model, HamiltonianNet):
-        nh, d = model.n_hidden, model.n_states
-        expected = nh * d + nh + nh + 1
-        if theta.shape[-1] != expected:
-            raise ValueError(f"expected {expected} parameters, got {theta.shape[-1]}")
-        ofs = nh * d
-        b2 = theta[..., -1]
-        return HamiltonianNet(
-            w1=theta[..., :ofs].reshape(*lead, nh, d).copy(),
-            b1=theta[..., ofs : ofs + nh].reshape(*rows, nh).copy(),
-            w2=theta[..., ofs + nh : ofs + 2 * nh].reshape(*rows, nh).copy(),
-            b2=b2.copy() if lead else float(b2),
-        )
-    if isinstance(model, BlackBoxNet):
-        nh, d = model.n_hidden, model.n_states
-        n_in = d + model.n_inputs
-        expected = nh * n_in + nh + d * nh + d
-        if theta.shape[-1] != expected:
-            raise ValueError(f"expected {expected} parameters, got {theta.shape[-1]}")
-        ofs = nh * n_in
-        w1 = theta[..., :ofs].reshape(*lead, nh, n_in).copy()
-        b1 = theta[..., ofs : ofs + nh].reshape(*rows, nh).copy()
-        ofs += nh
-        w2 = theta[..., ofs : ofs + d * nh].reshape(*lead, d, nh).copy()
-        b2 = theta[..., ofs + d * nh :].reshape(*rows, d).copy()
-        return BlackBoxNet(w1=w1, b1=b1, w2=w2, b2=b2)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        rows = (1,) if lead and len(shape) == 1 else ()
+        value = theta[..., start:stop].reshape((*lead, *rows, *shape)).copy()
+        params[name] = value if value.ndim else float(value)
+        start = stop
+    return type(model)(**params)
 
 
 # ---------------------------------------------------------------------------

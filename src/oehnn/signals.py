@@ -11,6 +11,7 @@ __all__ = [
     "NoiseSpec",
     "multisine_value",
     "sample_phases",
+    "multisine_inputs",
     "add_noise",
 ]
 
@@ -69,6 +70,21 @@ def sample_phases(harmonics: int, rng: np.random.Generator) -> np.ndarray:
     if harmonics < 1:
         raise ValueError("need at least one harmonic")
     return rng.uniform(0.0, TWO_PI, size=harmonics)
+
+
+def multisine_inputs(
+    t, n_inputs: int, harmonics: int, f0: float, amplitude: float, rng: np.random.Generator
+) -> np.ndarray:
+    """(len(t), n_inputs) multisine input signals, each with its own phases.
+
+    Every input's phases are drawn from `rng`, in input order, before any
+    value is computed, so the caller's next draw follows all of them.
+    """
+    specs = [
+        MultisineSpec(harmonics, f0, sample_phases(harmonics, rng), amplitude)
+        for _ in range(n_inputs)
+    ]
+    return np.stack([multisine_value(t, spec) for spec in specs], axis=-1)
 
 
 def add_noise(clean: np.ndarray, spec: NoiseSpec, rng: np.random.Generator | None = None):

@@ -56,6 +56,7 @@ from oehnn.data import Dataset, Trajectory, fd_derivatives
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
+    MODEL_KINDS,
     BlackBoxNet,
     HamiltonianNet,
     _blackbox_rows,
@@ -184,7 +185,7 @@ class _ThetaGrad:
         self.w2_column = net.w2[:, None]
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2, np.array([self.b2])])
+        return flatten_params(HamiltonianNet(self.w1, self.b1, self.w2, self.b2))
 
 
 def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
@@ -454,15 +455,8 @@ def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, out=None):
     np.multiply(th, th, out=th)  # th is read no more: it takes sech^2
     np.subtract(1.0, th, out=th)
     hidden *= th
-    grad = np.concatenate(
-        [
-            (hidden.T @ xu).ravel(),
-            hidden.sum(axis=0),
-            w2_grad.ravel(),
-            f_cot.sum(axis=0),
-        ]
-    )
-    return loss, grad
+    grad = BlackBoxNet(hidden.T @ xu, hidden.sum(axis=0), w2_grad, f_cot.sum(axis=0))
+    return loss, flatten_params(grad)
 
 
 def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
@@ -718,7 +712,7 @@ def fit(
     raises; if it dies, `fit` raises `TrainingError`.
     """
     config = config or TrainConfig()
-    if kind not in ("oe-hnn", "hnn", "mlp"):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     overlap = _process_budget(workers) >= 2
     if not dataset.train or not dataset.validation:

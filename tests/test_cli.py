@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import shutil
 import subprocess
@@ -11,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
-from oehnn.data import read_csv
+from oehnn.data import GenerationProtocol, read_csv
 from oehnn.netmodel import init_blackbox_net, save_model
+from oehnn.train import TrainConfig
 
 GEN_FAST = [
     "--n-realizations", "6", "--n-train", "3", "--n-val", "2", "--n-test", "1",
@@ -84,6 +86,48 @@ class TestConfig:
         path.write_text("just some words\n")
         with pytest.raises(ConfigError, match="exp.txt:1"):
             load_config_file(path)
+
+
+class TestLibraryConfigsByName:
+    """`protocol()` and `train_config()` take each field from the config key
+    of the same name; only split and seed are renamed."""
+
+    RENAMED = {"split", "seed"}
+    # a valid value other than the built object's default, per shared key
+    OTHER = {
+        "n_realizations": 26, "n_samples": 40, "ts": 0.02, "t_start": 1.5, "harmonics": 7,
+        "f0": 0.3, "amplitude": 0.25, "init_range": 0.2, "q_max": 3.0, "max_retries": 9,
+        "learning_rate": 4e-3, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-7, "max_epochs": 17,
+        "patience": 5, "chunk_length": 12, "n_hidden": 9, "derivative_source": "true",
+        "anchor": "measured",
+    }
+
+    @pytest.mark.parametrize("cls", [GenerationProtocol, TrainConfig], ids=lambda c: c.__name__)
+    def test_every_field_is_a_key(self, cls):
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        names = {f.name for f in dataclasses.fields(cls)} - self.RENAMED
+        assert names <= keys, sorted(names - keys)
+        assert not self.RENAMED & keys
+
+    def test_each_key_reaches_the_built_object(self):
+        shared = {f.name for cls in (GenerationProtocol, TrainConfig)
+                  for f in dataclasses.fields(cls)} - self.RENAMED
+        assert set(self.OTHER) == shared
+        default = ExperimentConfig()
+        defaults = {**vars(default.protocol()), **vars(default.train_config())}
+        cfg = ExperimentConfig(**self.OTHER, n_test=6, train_seed=11)
+        built = {**vars(cfg.protocol()), **vars(cfg.train_config())}
+        for key, value in self.OTHER.items():
+            assert defaults[key] != value, key
+            assert built[key] == value, key
+        assert (defaults["split"], defaults["seed"]) == ((15, 5, 5), 0)
+        assert (built["split"], built["seed"]) == ((15, 5, 6), 11)
+
+    def test_errors_are_config_errors(self):
+        with pytest.raises(ConfigError, match="split"):
+            ExperimentConfig(n_test=6).protocol()
+        with pytest.raises(ConfigError, match="learning_rate"):
+            ExperimentConfig(learning_rate=0.0).train_config()
 
 
 class TestGenerateCommand:

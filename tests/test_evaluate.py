@@ -206,3 +206,24 @@ def test_compare_estimators_needs_a_seed(tiny_duffing_dataset, monkeypatch):
     monkeypatch.setattr(sys.modules["oehnn.evaluate"], "fit", no_fit)
     with pytest.raises(ValueError, match="seed"):
         compare_estimators(tiny_duffing_dataset, seeds=())
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        (dict(kinds=()), "distinct"),
+        (dict(kinds=("hnn", "hnn")), "distinct"),
+        (dict(kinds=("oe-hnn", "hnn", "sindy")), "'sindy'"),
+        (dict(oe_stages=()), "oe_stages"),
+    ],
+    ids=["no kinds", "repeated kind", "unknown kind after oe-hnn", "no oe stages"],
+)
+def test_compare_estimators_refuses_bad_kinds_before_any_fit(
+    tiny_duffing_dataset, monkeypatch, kwargs, named
+):
+    def no_fit(*args, **kw):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(sys.modules["oehnn.evaluate"], "fit", no_fit)
+    with pytest.raises(ValueError, match=named):
+        compare_estimators(tiny_duffing_dataset, **kwargs)

@@ -207,6 +207,56 @@ class TestParamsRoundTrip:
         with pytest.raises(ValueError):
             with_params(net, np.zeros((1, 1, flatten_params(net).size)))
 
+    def test_blackbox_wrong_length_rejected(self):
+        net = init_blackbox_net(4, 2, 5, np.random.default_rng(0))
+        P = flatten_params(net).size
+        for bad in (np.zeros(P - 1), np.zeros(P + 1), np.zeros((3, P - 1)), np.zeros((1, 1, P))):
+            with pytest.raises(ValueError):
+                with_params(net, bad)
+
+
+class TestParamLayout:
+    """The flat vector is the fields in order, each row-major: w1, b1, w2, b2."""
+
+    @staticmethod
+    def nets():
+        rng = np.random.default_rng(31)
+        hnet = random_hnet(rng, n_states=4, n_hidden=5)
+        bnet = init_blackbox_net(4, 2, 5, rng)
+        bnet = with_params(bnet, rng.uniform(-1, 1, flatten_params(bnet).size))
+        return {"hnn": hnet, "mlp": bnet}
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_plain(self, kind):
+        net = self.nets()[kind]
+        by_hand = [net.w1.ravel(), net.b1, np.ravel(net.w2), np.ravel(net.b2)]
+        assert np.array_equal(flatten_params(net), np.concatenate(by_hand))
+
+    # each field's stacked shape at K = 3, in layout order (4 states, 2 inputs, width 5)
+    STACKED = {
+        "hnn": [("w1", (3, 5, 4)), ("b1", (3, 1, 5)), ("w2", (3, 1, 5)), ("b2", (3,))],
+        "mlp": [("w1", (3, 5, 6)), ("b1", (3, 1, 5)), ("w2", (3, 4, 5)), ("b2", (3, 1, 4))],
+    }
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_stacked(self, kind):
+        template = self.nets()[kind]
+        P = flatten_params(template).size
+        thetas = np.arange(3 * P, dtype=float).reshape(3, P)
+        stacked = with_params(template, thetas)
+        start = 0
+        for name, shape in self.STACKED[kind]:
+            stop = start + int(np.prod(shape[1:]))
+            assert np.array_equal(getattr(stacked, name), thetas[:, start:stop].reshape(shape)), name
+            start = stop
+        assert start == P
+
+    def test_unsupported_model_type(self):
+        with pytest.raises(TypeError, match="unsupported model type"):
+            flatten_params(object())
+        with pytest.raises(TypeError, match="unsupported model type"):
+            with_params(object(), np.zeros(3))
+
 
 class TestStackedNets:
     """A (K, P) parameter array gives K models on a leading axis; each block

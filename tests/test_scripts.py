@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -29,6 +31,18 @@ def test_run_benchmark_quick(tmp_path):
     assert summary["seeds"] == [1, 2]
     assert set(summary["per_seed_rmse"]) == {"oe-hnn", "hnn", "mlp"}
     assert all(len(rows) == 2 for rows in summary["per_seed_rmse"].values())
+
+
+@pytest.mark.parametrize("n_train", ["0", "-1"])
+def test_run_benchmark_refuses_n_train_below_one(tmp_path, n_train):
+    out = tmp_path / "out"
+    result = run_script("run_benchmark.py", "--quick", "--n-train", n_train, "--out", out)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"run_benchmark.py: error: argument --n-train: must be at least 1, got {n_train}"
+    )
+    assert not out.exists()
 
 
 def test_self_consistency_quick():

@@ -5,6 +5,7 @@ from oehnn.signals import (
     MultisineSpec,
     NoiseSpec,
     add_noise,
+    multisine_inputs,
     multisine_value,
     sample_phases,
 )
@@ -66,6 +67,20 @@ class TestSamplePhases:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             sample_phases(0, np.random.default_rng(0))
+
+
+class TestMultisineInputs:
+    @pytest.mark.parametrize("n_inputs", [1, 3])
+    def test_draws_every_phase_first_in_input_order(self, n_inputs):
+        t = np.arange(50) * 0.01
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        u = multisine_inputs(t, n_inputs, 6, 0.2, 0.7, rng)
+        phases = [sample_phases(6, ref) for _ in range(n_inputs)]
+        specs = [MultisineSpec(6, 0.2, ph, 0.7) for ph in phases]
+        want = np.stack([multisine_value(t, spec) for spec in specs], axis=-1)
+        assert u.shape == (50, n_inputs)
+        assert np.array_equal(u, want)
+        assert rng.uniform() == ref.uniform()  # the next draw follows all phases
 
 
 class TestAddNoise:
