@@ -44,6 +44,7 @@ from oehnn.netmodel import (
     flatten_params,
     h_grad_x,
     h_value,
+    init_blackbox_net,
     init_hamiltonian_net,
     load_model,
     save_model,
@@ -63,6 +64,8 @@ from oehnn.train import (
     DERIVATIVE_SOURCES,
     TrainConfig,
     TrainingError,
+    _block_rows,
+    derivative_loss_grad,
     fit,
     simulation_loss,
     simulation_loss_grad,
@@ -436,6 +439,17 @@ def _fd_gradient(loss_fn, theta: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
+def _directional_error(loss_fn, grad: np.ndarray, theta: np.ndarray, rng) -> float:
+    """Relative error of `grad` along a random unit direction against the
+    central difference (step 1e-6) of `loss_fn` at `theta`."""
+    direction = rng.normal(size=theta.size)
+    direction /= np.linalg.norm(direction)
+    analytic = float(grad @ direction)
+    eps = 1e-6
+    fd = (loss_fn(theta + eps * direction) - loss_fn(theta - eps * direction)) / (2.0 * eps)
+    return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12)
+
+
 def _random_trajectory(n_steps: int, rng: np.random.Generator) -> Trajectory:
     """n_steps + 1 samples at step 0.01 of random one-input, two-state data."""
     n = n_steps + 1
@@ -446,8 +460,8 @@ def _random_trajectory(n_steps: int, rng: np.random.Generator) -> Trajectory:
 
 def cmd_gradcheck(args) -> int:
     """User-runnable diagnostic: analytic gradients against finite differences."""
-    for flag, least in (("--steps", min(args.steps)), ("--long-steps", args.long_steps),
-                        ("--n-hidden", args.n_hidden)):
+    for flag, least in (("--cases", args.cases), ("--steps", min(args.steps)),
+                        ("--long-steps", args.long_steps), ("--n-hidden", args.n_hidden)):
         if least < 1:
             raise ConfigError(f"{flag} must be at least 1, got {least}")
     with _config_errors("--seed: "):
@@ -496,21 +510,29 @@ def cmd_gradcheck(args) -> int:
     net = init_hamiltonian_net(2, args.n_hidden, rng)
     n_steps = args.long_steps
     traj = _random_trajectory(n_steps, rng)
-    _, grad = simulation_loss_grad(net, S, traj)
-    theta = flatten_params(net)
-    direction = rng.normal(size=theta.size)
-    direction /= np.linalg.norm(direction)
-    analytic = flip * float(grad @ direction)
-    eps = 1e-6
-    fd = (
-        simulation_loss(with_params(net, theta + eps * direction), S, traj)
-        - simulation_loss(with_params(net, theta - eps * direction), S, traj)
-    ) / (2.0 * eps)
-    rel = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-12)
+    rel = _directional_error(
+        lambda th: simulation_loss(with_params(net, th), S, traj),
+        flip * simulation_loss_grad(net, S, traj)[1], flatten_params(net), rng,
+    )
     ok = rel < 1e-4
     failures += not ok
     print(f"directional derivative, {n_steps} steps, width {args.n_hidden}: "
           f"rel err {rel:.3e} [{'PASS' if ok else 'FAIL'}]")
+
+    # derivative-matching gradients at full width, on rows for several blocks
+    n_rows = 3 * _block_rows(args.n_hidden) + 5
+    x, dx = rng.uniform(-1.0, 1.0, (2, n_rows, 2))
+    u = rng.normal(0.0, 1.0, (n_rows, 1))
+    for kind, net in (("hnn", init_hamiltonian_net(2, args.n_hidden, rng)),
+                      ("mlp", init_blackbox_net(2, 1, args.n_hidden, rng))):
+        rel = _directional_error(
+            lambda th, net=net: derivative_loss_grad(with_params(net, th), S, x, dx, u)[0],
+            flip * derivative_loss_grad(net, S, x, dx, u)[1], flatten_params(net), rng,
+        )
+        ok = rel < 1e-4
+        failures += not ok
+        print(f"derivative-matching gradient, {kind}, {n_rows} rows, width {args.n_hidden}: "
+              f"rel err {rel:.3e} [{'PASS' if ok else 'FAIL'}]")
 
     print("gradcheck:", "PASS" if failures == 0 else f"FAIL ({failures} checks)")
     return EXIT_OK if failures == 0 else EXIT_RUNTIME

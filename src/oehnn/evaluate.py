@@ -198,43 +198,22 @@ class BenchmarkResult:
         return [self.per_seed[kind][self.median_seed_index] for kind in self.kinds]
 
 
-def _benchmark_one_seed(
-    seed, *, dataset, n_hidden, oe_stages, baseline_epochs, baseline_patience,
-    derivative_source, anchor, reference, kinds, workers, verbose,
-) -> list:
-    """Fit every estimator for one training seed (process-pool friendly)."""
+def _benchmark_one_seed(schedule, *, dataset, anchor, reference, workers, verbose) -> list:
+    """Fit and evaluate every estimator of one training seed (process-pool
+    friendly). `schedule` pairs each kind with its configs, one fit each,
+    every fit after the first warm-started from the one before."""
     S = structure_matrices(dataset.system)
     out = []
-    for kind in kinds:
-        if kind == "oe-hnn":
-            model = None
-            for stage in oe_stages:
-                cfg = TrainConfig(
-                    learning_rate=stage.learning_rate,
-                    chunk_length=stage.chunk_length,
-                    max_epochs=stage.epochs,
-                    patience=stage.epochs,
-                    n_hidden=n_hidden,
-                    seed=seed,
-                    anchor=anchor,
-                )
-                model = fit(kind, dataset, cfg, initial_model=model, workers=workers).model
-        else:
-            cfg = TrainConfig(
-                max_epochs=baseline_epochs,
-                patience=baseline_patience,
-                n_hidden=n_hidden,
-                seed=seed,
-                anchor=anchor,
-                derivative_source=derivative_source,
-            )
-            model = fit(kind, dataset, cfg, workers=workers).model
+    for kind, configs in schedule:
+        model = None
+        for cfg in configs:
+            model = fit(kind, dataset, cfg, initial_model=model, workers=workers).model
         metrics = evaluate(
             model_field(model, S), dataset.test, reference=reference, anchor=anchor, kind=kind
         )
         out.append(metrics)
         if verbose:
-            print(f"seed {seed} {kind}: rmse {metrics.per_state_rmse}", flush=True)
+            print(f"seed {cfg.seed} {kind}: rmse {metrics.per_state_rmse}", flush=True)
     return out
 
 
@@ -259,8 +238,8 @@ def compare_estimators(
     noiseless states and derivatives (the classical setting those methods
     assume). The median seed is the one whose model of the first kind in
     `kinds` attains the median mean RMSE. No seeds, no kinds, a repeated or
-    unknown kind, or 'oe-hnn' with no `oe_stages` raise `ValueError` before
-    any fit.
+    unknown kind, 'oe-hnn' with no `oe_stages`, or any setting a
+    `TrainConfig` of the run refuses raise `ValueError` before any fit.
     `workers` is the process budget of `fit`. When it covers two seeds or
     more, a fork pool of min(budget, len(seeds)) processes fits the seeds,
     and each fit in it, a pool worker, validates inline; otherwise each fit
@@ -276,20 +255,36 @@ def compare_estimators(
         raise ValueError(f"unknown model kind {unknown[0]!r}, expected one of {MODEL_KINDS}")
     if "oe-hnn" in kinds and not oe_stages:
         raise ValueError("oe-hnn needs at least one training stage in oe_stages")
+
+    def configs(kind, seed):
+        if kind == "oe-hnn":
+            return tuple(
+                TrainConfig(
+                    learning_rate=stage.learning_rate, chunk_length=stage.chunk_length,
+                    max_epochs=stage.epochs, patience=stage.epochs, n_hidden=n_hidden,
+                    seed=seed, anchor=anchor,
+                )
+                for stage in oe_stages
+            )
+        return (TrainConfig(
+            max_epochs=baseline_epochs, patience=baseline_patience, n_hidden=n_hidden,
+            seed=seed, anchor=anchor, derivative_source=derivative_source,
+        ),)
+
+    # every config of the run, so that a bad setting raises before any fit
+    schedules = [tuple((kind, configs(kind, seed)) for kind in kinds) for seed in seeds]
     job = partial(
-        _benchmark_one_seed, dataset=dataset, n_hidden=n_hidden, oe_stages=tuple(oe_stages),
-        baseline_epochs=baseline_epochs, baseline_patience=baseline_patience,
-        derivative_source=derivative_source, anchor=anchor, reference=reference,
-        kinds=tuple(kinds), workers=workers, verbose=verbose,
+        _benchmark_one_seed, dataset=dataset, anchor=anchor, reference=reference,
+        workers=workers, verbose=verbose,
     )
     n_pool = min(_process_budget(workers), len(seeds))
     if n_pool >= 2:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(n_pool) as pool:
-            results = pool.map(job, seeds)
+            results = pool.map(job, schedules)
     else:
-        results = [job(seed) for seed in seeds]
+        results = [job(schedule) for schedule in schedules]
     per_seed: dict = {kind: [] for kind in kinds}
     for seed_result in results:
         for kind, metrics in zip(kinds, seed_result):

@@ -35,9 +35,11 @@ order wherever they were computed.
 
 The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the buffers
 it is handed, or allocates when it is handed none. The derivative batches
-write only the (N, n_hidden) arrays of `_derivative_buffers`, which `fit`
-allocates once with the fit's G u or [x, u] rows. Every buffer is overwritten
-before it is read, so no value carries from one call to the next, and no
+run their rows through `_derivative_blocks` in blocks of about
+`_BLOCK_ELEMENTS` / n_hidden rows, and write only one block's (rows,
+n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once with
+the fit's G u or [x, u] rows. Every buffer is overwritten before it is
+read, so no value carries from one block or call to the next, and no
 caller's states or cotangents are ever written.
 """
 
@@ -89,6 +91,9 @@ DERIVATIVE_SOURCES = ("fd", "true")
 _WINDOW = 8
 # The loss a training or validation lane scores when its rollout diverges.
 DIVERGENCE_PENALTY = 1e6
+# Values in each work array of one derivative-matching block: 2**16 float64
+# values are 512 KiB, so a block's arrays stay in a 4 MiB L2 cache.
+_BLOCK_ELEMENTS = 2**16
 
 
 class TrainingError(RuntimeError):
@@ -407,21 +412,59 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
 # ---------------------------------------------------------------------------
 
 
-def _derivative_buffers(net, x, v):
-    """What a derivative batch on rows x computes once and reuses: its input
-    term, the rows G u for the energy net (`v`, kept as it is) or [x, u] for
-    the black-box net (`v` is u), then the (N, n_hidden) arrays it writes,
-    three for the energy net and two for the black-box net. A batch
-    overwrites every one of them before reading it, so none carries a value
-    from one call to the next."""
-    rows = (len(x), net.n_hidden)
+def _block_rows(n_hidden: int) -> int:
+    """Rows of one derivative block: each of its (rows, n_hidden) float64
+    work arrays holds about `_BLOCK_ELEMENTS` values."""
+    return max(1, _BLOCK_ELEMENTS // n_hidden)
+
+
+def _derivative_buffers(net, S, x, u):
+    """What the derivative batch on rows x computes once and reuses: its input
+    term, the rows G u for the energy net or [x, u] for the black-box net,
+    one per row of x, then the (rows, n_hidden) arrays a block writes, three
+    for the energy net and two for the black-box net, with rows the block
+    size of `_derivative_blocks` (or N when smaller). A block overwrites
+    every one of them before reading it, so none carries a value from one
+    block or call to the next."""
+    rows = (min(len(x), _block_rows(net.n_hidden)), net.n_hidden)
     if isinstance(net, HamiltonianNet):
-        return v, np.empty(rows), np.empty(rows), np.empty(rows)
-    return np.concatenate([x, v], axis=1), np.empty(rows), np.empty(rows)
+        return u @ S.G.T, np.empty(rows), np.empty(rows), np.empty(rows)
+    return np.concatenate([x, u], axis=1), np.empty(rows), np.empty(rows)
 
 
-def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, out=None):
-    gu, th, s, p = out or _derivative_buffers(net, x, u @ S.G.T)
+def _derivative_blocks(net, x, dx_target, sample_weight, buffers):
+    """Loss and gradient of the derivative batch on rows x, from
+    `_derivative_buffers` of the same rows: blocks of as many rows as its
+    work arrays hold go through `_derivative_batch_hnn` or `_mlp` one after
+    another, and their losses and gradients are summed in block order. Rows
+    that fit in one block give the bits of that kernel on all of them."""
+    term, *work = buffers
+    rows = len(work[0])
+    loss, grad = 0.0, None
+    for start in range(0, len(x), rows):
+        block = slice(start, start + rows)
+        n = len(x[block])
+        out = (term[block], *(a[:n] for a in work))
+        if isinstance(net, HamiltonianNet):
+            block_loss, block_grad = _derivative_batch_hnn(
+                net, x[block], dx_target[block], sample_weight[block], out
+            )
+        else:
+            block_loss, block_grad = _derivative_batch_mlp(
+                net, dx_target[block], sample_weight[block], out
+            )
+        loss += block_loss
+        if grad is None:
+            grad = block_grad
+        else:
+            grad += block_grad
+    return loss, grad
+
+
+def _derivative_batch_hnn(net, x, dx_target, sample_weight, out):
+    """One block of `_derivative_blocks` for the energy net; `out` is the
+    block's rows of `_derivative_buffers`."""
+    gu, th, s, p = out
     n = net.n_states // 2
     g = h_grad_x(net, x, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
@@ -439,8 +482,10 @@ def _derivative_batch_hnn(net, S, x, dx_target, u, sample_weight, out=None):
     return loss, acc.flat()
 
 
-def _derivative_batch_mlp(net, x, dx_target, u, sample_weight, out=None):
-    xu, th, hidden = out or _derivative_buffers(net, x, u)
+def _derivative_batch_mlp(net, dx_target, sample_weight, out):
+    """One block of `_derivative_blocks` for the black-box net; `out` is the
+    block's rows of `_derivative_buffers`, whose [x, u] rows it reads."""
+    xu, th, hidden = out
     np.matmul(xu, net.w1.T, out=th)
     th += net.b1
     np.tanh(th, out=th)
@@ -467,18 +512,18 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     the black-box net it is the plain regression residual ||f(x, u) - dx||.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    dx_target = np.atleast_2d(np.asarray(dx_target, dtype=float))
+    # a single target row, a scalar input or a single input row holds for
+    # every sample, in every block
+    dx_target = np.broadcast_to(np.asarray(dx_target, dtype=float), x.shape)
     u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        u = np.full((x.shape[0], 1), float(u))
-    elif u.ndim == 1:
-        u = u[:, None] if u.shape[0] == x.shape[0] else np.atleast_2d(u)
+    if u.ndim == 1 and len(u) == len(x):
+        u = u[:, None]  # one scalar input per sample
+    u = np.atleast_2d(u)
+    u = np.broadcast_to(u, (len(x), u.shape[1]))
+    if not isinstance(model, (HamiltonianNet, BlackBoxNet)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     weight = np.full(x.shape[0], 1.0 / x.shape[0])
-    if isinstance(model, HamiltonianNet):
-        return _derivative_batch_hnn(model, S, x, dx_target, u, weight)
-    if isinstance(model, BlackBoxNet):
-        return _derivative_batch_mlp(model, x, dx_target, u, weight)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return _derivative_blocks(model, x, dx_target, weight, _derivative_buffers(model, S, x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +798,7 @@ def fit(
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
         )
-        buffers = _derivative_buffers(template, x_fit, u_fit @ S.G.T if kind == "hnn" else u_fit)
+        buffers = _derivative_buffers(template, S, x_fit, u_fit)
     val_groups = _lane_groups(dataset.validation, config.anchor)
 
     def group_grads(theta, indices):
@@ -782,11 +827,7 @@ def fit(
                 n_dead += int((diverged >= 0).sum())
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
-        model = with_params(template, theta)
-        if kind == "hnn":
-            loss, g = _derivative_batch_hnn(model, S, x_fit, dx_fit, u_fit, w_fit, buffers)
-        else:
-            loss, g = _derivative_batch_mlp(model, x_fit, dx_fit, u_fit, w_fit, buffers)
+        loss, g = _derivative_blocks(with_params(template, theta), x_fit, dx_fit, w_fit, buffers)
         return loss, g, False
 
     validate = partial(

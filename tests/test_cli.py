@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
 from oehnn.data import GenerationProtocol, read_csv
 from oehnn.netmodel import init_blackbox_net, save_model
-from oehnn.train import TrainConfig
+from oehnn.train import TrainConfig, _block_rows
 
 GEN_FAST = [
     "--n-realizations", "6", "--n-train", "3", "--n-val", "2", "--n-test", "1",
@@ -925,17 +925,23 @@ class TestGradcheckCommand:
             "gradcheck", "--cases", 10, "--steps", 2, 5, "--long-steps", 20,
             "--n-hidden", 8,
         ) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+        for kind in ("hnn", "mlp"):
+            # three blocks of the derivative batch and part of a fourth
+            rows = 3 * _block_rows(8) + 5
+            assert f"derivative-matching gradient, {kind}, {rows} rows, width 8" in out
         assert run_cli(
             "gradcheck", "--cases", 5, "--steps", 2, "--long-steps", 10,
             "--n-hidden", 8, "--inject-fault", "sign-flip",
         ) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL (5 checks)" in out and "PASS" not in out
 
 
     @pytest.mark.parametrize(
         "flags", [["--steps", "0"], ["--steps", "2", "0"], ["--long-steps", "0"],
-                  ["--n-hidden", "-1"], ["--seed", "-1"]],
+                  ["--n-hidden", "-1"], ["--seed", "-1"], ["--cases", "0"]],
     )
     def test_bad_setting_is_usage_error(self, capsys, flags):
         code = run_cli("gradcheck", "--cases", 1, "--steps", 2, "--long-steps", 3,

@@ -215,15 +215,23 @@ def test_compare_estimators_needs_a_seed(tiny_duffing_dataset, monkeypatch):
         (dict(kinds=("hnn", "hnn")), "distinct"),
         (dict(kinds=("oe-hnn", "hnn", "sindy")), "'sindy'"),
         (dict(oe_stages=()), "oe_stages"),
+        (dict(baseline_epochs=0), "max_epochs"),
+        (dict(oe_stages=(TrainStage(5e-3, 10, 3), TrainStage(1e-3, None, 0))), "max_epochs"),
+        (dict(kinds=("oe-hnn", "mlp"), baseline_patience=0), "patience"),
     ],
-    ids=["no kinds", "repeated kind", "unknown kind after oe-hnn", "no oe stages"],
+    ids=["no kinds", "repeated kind", "unknown kind after oe-hnn", "no oe stages",
+         "no baseline epochs", "empty stage after a good one", "no baseline patience"],
 )
 def test_compare_estimators_refuses_bad_kinds_before_any_fit(
     tiny_duffing_dataset, monkeypatch, kwargs, named
 ):
+    fits = []
+
     def no_fit(*args, **kw):
-        raise AssertionError("fit ran")
+        fits.append(args[0])
+        raise AssertionError("fit ran")  # also from a forked pool worker
 
     monkeypatch.setattr(sys.modules["oehnn.evaluate"], "fit", no_fit)
     with pytest.raises(ValueError, match=named):
         compare_estimators(tiny_duffing_dataset, **kwargs)
+    assert fits == []

@@ -255,7 +255,8 @@ class TestDerivativeLoss:
         assert derivative_loss_grad(net, S, [[0.0, 0.0]], [[1.0, 0.0]], [[0.0]])[0] == 1.0
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
-    def test_gradient_matches_finite_differences(self, kind):
+    def test_gradient_matches_finite_differences(self, kind, monkeypatch):
+        set_block_rows(monkeypatch, 5, 2)  # 9 rows: 4 blocks and 1 row
         rng = np.random.default_rng(32)
         if kind == "hnn":
             model = random_hnet(rng, n_hidden=5)
@@ -280,6 +281,99 @@ class TestDerivativeLoss:
         mask = np.maximum(np.abs(grad), np.abs(fd)) > 1e-8
         rel = np.abs(grad - fd)[mask] / np.maximum(np.abs(grad), np.abs(fd))[mask]
         assert rel.max() < 1e-5
+
+
+def zero_residual_rows(kind, net, x, dx, u, rows):
+    """Give `rows` a residual of exactly 0 on any block cut, so each block
+    meets the kernels' zero-norm branch: hnn rows whose tanh saturates
+    (sech^2 and dH/dx are 0) with no input or target; mlp rows of x = u = 0
+    under b1 = 0, whose field is b2."""
+    if kind == "hnn":
+        x[rows] = [1e3, -1e3]
+        assert np.all(np.abs(np.tanh(x[rows] @ net.w1.T + net.b1)) == 1.0)
+        u[rows], dx[rows] = 0.0, 0.0
+        return net
+    net = dataclasses.replace(net, b1=np.zeros_like(net.b1))
+    x[rows], u[rows], dx[rows] = 0.0, 0.0, net.b2
+    return net
+
+
+class TestDerivativeBlocks:
+    """The derivative batch cut into row blocks is the one-block batch up to
+    the order of its sums, reads only one block's work arrays, and leaves
+    fits deterministic."""
+
+    ROWS = 4
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_matches_one_block(self, monkeypatch, kind, n):
+        rng = np.random.default_rng(300 + n)
+        if kind == "hnn":
+            net = random_hnet(rng, n_hidden=6)
+        else:
+            net = init_blackbox_net(2, 1, 6, rng)
+            net = with_params(net, rng.uniform(-0.5, 0.5, flatten_params(net).size))
+        x = rng.uniform(-1.0, 1.0, (n, 2))
+        dx = rng.normal(size=(n, 2))
+        u = rng.normal(size=(n, 1))
+        w = rng.uniform(0.5, 1.5, n) / n
+        net = zero_residual_rows(kind, net, x, dx, u, slice(1, None, 3))
+        one_loss, one_grad = derivative_batch(net, x, dx, u, w)
+        set_block_rows(monkeypatch, 6, self.ROWS)
+        assert len(oehnn.train._derivative_buffers(net, S, x, u)[1]) == min(n, self.ROWS)
+        loss, grad = derivative_batch(net, x, dx, u, w)
+        assert abs(loss - one_loss) <= 1e-13 * one_loss
+        assert rel_err(grad, one_grad) <= 1e-13
+        if n <= self.ROWS:
+            assert loss == one_loss and np.array_equal(grad, one_grad)
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_one_row_holds_in_every_block(self, monkeypatch, kind):
+        # a single input or target row stands for every sample, as in one block
+        rng = np.random.default_rng(310)
+        net = random_hnet(rng, n_hidden=6) if kind == "hnn" else init_blackbox_net(2, 1, 6, rng)
+        x = rng.normal(size=(11, 2))
+        dx = np.tile(rng.normal(size=2), (11, 1))
+        u = np.full((11, 1), 0.3)
+        set_block_rows(monkeypatch, 6, self.ROWS)
+        ref_loss, ref_grad = derivative_loss_grad(net, S, x, dx, u)
+        for one_dx, one_u in ((dx, 0.3), (dx, [0.3]), (dx, [[0.3]]), (dx[0], u), (dx[:1], u)):
+            loss, grad = derivative_loss_grad(net, S, x, one_dx, one_u)
+            assert loss == ref_loss and np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_fits_are_bit_identical_for_every_workers(self, tiny_duffing_dataset, monkeypatch,
+                                                      kind):
+        set_block_rows(monkeypatch, 8, 7)  # 120 rows: 17 blocks and 1 row
+        cfg = TrainConfig(n_hidden=8, max_epochs=12, patience=12, seed=2)
+        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
+        helper = fit(kind, tiny_duffing_dataset, cfg, workers=2)
+        assert_same_bits(inline.history, helper.history)
+        assert_same_bits(flatten_params(inline.model), flatten_params(helper.model))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_peak_memory_stays_below_one_full_width_array(self, kind):
+        # 7500 coupled rows at width 200, as in a table run: one (7500, 200)
+        # float64 array is 12 MB, and an unblocked batch holds two or three
+        import tracemalloc
+
+        rng = np.random.default_rng(320)
+        S_coupled = structure_matrices(coupled_system())
+        if kind == "hnn":
+            net = init_hamiltonian_net(4, 200, rng)
+        else:
+            net = init_blackbox_net(4, 1, 200, rng)
+        x, dx = rng.normal(size=(2, 7500, 4))
+        u = rng.normal(size=(7500, 1))
+        tracemalloc.start()
+        try:
+            derivative_loss_grad(net, S_coupled, x, dx, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7500 * 200 * 8
 
 
 class TestChunking:
@@ -943,6 +1037,17 @@ def saturated_hnet(rng, n_hidden, n_states=2):
     return dataclasses.replace(net, b1=b1)
 
 
+def set_block_rows(monkeypatch, n_hidden, rows):
+    """Make a derivative block of a width-`n_hidden` net hold `rows` rows."""
+    monkeypatch.setattr(oehnn.train, "_BLOCK_ELEMENTS", rows * n_hidden)
+
+
+def derivative_batch(net, x, dx, u, w, buffers=None):
+    """The derivative batch as `fit` runs it, on fresh buffers when none are handed."""
+    buffers = buffers or oehnn.train._derivative_buffers(net, S, x, u)
+    return oehnn.train._derivative_blocks(net, x, dx, w, buffers)
+
+
 class NumpyWithEmpty:
     """numpy, but with `empty` replaced, to stand in for it in one module."""
 
@@ -1029,47 +1134,51 @@ class TestEnergyKernel:
         assert_same_bits(stale[0], fresh[0])
         assert_same_bits(stale[1], fresh[1])
 
-    def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
+    def test_hnn_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset, monkeypatch):
         net = random_hnet(np.random.default_rng(73), n_hidden=6)
         x, dx, u = frozen(*oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )[:3])
         (w,) = frozen(np.full(len(x), 1.0 / len(x)))
-        runs = [oehnn.train._derivative_batch_hnn(net, S, x, dx, u, w) for _ in range(2)]
+        set_block_rows(monkeypatch, 6, 7)  # 120 rows: 17 blocks and 1 row
+        runs = [derivative_batch(net, x, dx, u, w) for _ in range(2)]
         assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
-    def test_mlp_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
+    def test_mlp_batch_leaves_inputs_and_repeats(self, tiny_duffing_dataset, monkeypatch):
         net = init_blackbox_net(2, 1, 6, np.random.default_rng(73))
         x, dx, u = frozen(*oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )[:3])
         (w,) = frozen(np.full(len(x), 1.0 / len(x)))
-        runs = [oehnn.train._derivative_batch_mlp(net, x, dx, u, w) for _ in range(2)]
+        set_block_rows(monkeypatch, 6, 7)
+        runs = [derivative_batch(net, x, dx, u, w) for _ in range(2)]
         assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
-    def test_derivative_batch_ignores_stale_buffers(self, tiny_duffing_dataset, kind):
-        # buffers that another model's batch has just filled give the bits
-        # of fresh ones, as when `fit` reuses them from one epoch to the next
+    def test_derivative_batch_ignores_stale_buffers(self, tiny_duffing_dataset, monkeypatch,
+                                                    kind):
+        # buffers that another model's batch, or an earlier block, has just
+        # filled give the bits of fresh ones, as when `fit` reuses them from
+        # one block and epoch to the next
         rng = np.random.default_rng(75)
         x, dx, u, w = oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )
         if kind == "hnn":
-            batch = partial(oehnn.train._derivative_batch_hnn, S=S)
             nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
-            buffers = oehnn.train._derivative_buffers(nets[0], x, u @ S.G.T)
         else:
-            batch = oehnn.train._derivative_batch_mlp
             nets = [init_blackbox_net(2, 1, 6, rng) for _ in range(2)]
-            buffers = oehnn.train._derivative_buffers(nets[0], x, u)
-        for arr in buffers[1:]:
-            arr.fill(np.nan)
-        # the first net runs on NaN, the second on the first net's values
-        for net in nets:
-            loss, grad = batch(net, x=x, dx_target=dx, u=u, sample_weight=w, out=buffers)
-            fresh_loss, fresh_grad = batch(net, x=x, dx_target=dx, u=u, sample_weight=w)
-            assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
+        for block_rows in (len(x), 7):  # one block, then 17 blocks and 1 row
+            set_block_rows(monkeypatch, 6, block_rows)
+            stale = oehnn.train._derivative_buffers(nets[0], S, x, u)
+            assert len(stale[1]) == block_rows
+            for arr in stale[1:]:
+                arr.fill(np.nan)
+            # the first net runs on NaN, the second on the first net's values
+            for net in nets:
+                loss, grad = derivative_batch(net, x, dx, u, w, stale)
+                fresh_loss, fresh_grad = derivative_batch(net, x, dx, u, w)
+                assert loss == fresh_loss and np.array_equal(grad, fresh_grad)
 
     @pytest.mark.parametrize("saturated", [False, True], ids=["moderate", "saturated"])
     def test_matches_the_closed_form(self, tiny_duffing_dataset, monkeypatch, saturated):
@@ -1083,12 +1192,12 @@ class TestEnergyKernel:
         )
         new = [
             oehnn.train._sim_batch(net, S, lanes, 1e6)[:2],
-            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
+            derivative_batch(net, xf, dxf, uf, wf),
         ]
         monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
         ref = [
             oehnn.train._sim_batch(net, S, lanes, 1e6)[:2],
-            oehnn.train._derivative_batch_hnn(net, S, xf, dxf, uf, wf),
+            derivative_batch(net, xf, dxf, uf, wf),
         ]
         for (loss, grad), (ref_loss, ref_grad) in zip(new, ref):
             assert np.array_equal(loss, ref_loss)  # the forward is the same arithmetic
