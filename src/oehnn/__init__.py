@@ -10,11 +10,9 @@ black-box) are included for comparison on Duffing-type oscillator benchmarks.
 from oehnn.dynamics import (
     StructureMatrices,
     SystemSpec,
-    canonical_field,
     coupled_system,
     duffing_system,
     field_fn,
-    grad_hamiltonian,
     hamiltonian_fn,
     structure_matrices,
 )

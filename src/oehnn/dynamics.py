@@ -1,10 +1,11 @@
-"""Ground-truth mass-spring benchmarks and canonical vector-field assembly.
+"""Ground-truth mass-spring benchmarks and their true vector field.
 
 The spring chain is the one definition of every benchmark system: the
 duffing oscillator is the chain of one mass, the coupled system the chain of
-two. Its energy (`hamiltonian_fn`) and that energy's analytic gradient
-(`grad_hamiltonian`) are the only closed forms; the true field is the
-gradient assembled as J @ grad H(x) + G @ u (`canonical_field`, `field_fn`).
+two. Its energy (`hamiltonian_fn`) and its true field J @ grad H(x) + G @ u
+(`field_fn`) are the only closed forms. The field is written straight into
+one array from the spring forces, never assembled from a gradient; the
+structure matrices J and G (`structure_matrices`) serve the learned models.
 
 States are ordered (q_1..q_n, p_1..p_n). All functions accept a single state
 vector or an array of state rows (leading batch dimensions broadcast).
@@ -24,9 +25,7 @@ __all__ = [
     "duffing_system",
     "coupled_system",
     "structure_matrices",
-    "canonical_field",
     "hamiltonian_fn",
-    "grad_hamiltonian",
     "field_fn",
 ]
 
@@ -154,21 +153,6 @@ def _j_apply(g: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
 
-def canonical_field(grad_h: np.ndarray, u, S: StructureMatrices) -> np.ndarray:
-    """Assemble the state derivative J @ grad_h + G @ u."""
-    grad_h = np.asarray(grad_h, dtype=float)
-    if grad_h.shape[-1] != S.n_states:
-        raise ValueError(
-            f"gradient has trailing dimension {grad_h.shape[-1]}, expected {S.n_states}"
-        )
-    u = _input_rows(u, grad_h, S.n_inputs)
-    return _j_apply(grad_h, S.n_states // 2) + u @ S.G.T
-
-
-def _spring_force(delta: np.ndarray, k: float, cubic: bool) -> np.ndarray:
-    return k * delta - k * delta**3 if cubic else k * delta
-
-
 def _spring_potential(delta: np.ndarray, k: float | np.ndarray, cubic: bool) -> np.ndarray:
     v = k * delta**2 / 2.0
     if cubic:
@@ -177,27 +161,13 @@ def _spring_potential(delta: np.ndarray, k: float | np.ndarray, cubic: bool) -> 
 
 
 def _elongations(q: np.ndarray) -> np.ndarray:
-    """Spring elongations: q_1 for the grounded spring, q_i - q_(i-1) after it."""
+    """Spring elongations: q_1 for the grounded spring, q_i - q_(i-1) after it.
+    A one-mass chain's elongation is q itself, returned without a copy."""
+    if q.shape[-1] == 1:
+        return q
     elong = q.copy()
     elong[..., 1:] = q[..., 1:] - q[..., :-1]
     return elong
-
-
-def grad_hamiltonian(x: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """Analytic gradient of the chain Hamiltonian with respect to the state."""
-    x = np.asarray(x, dtype=float)
-    n = spec.n_masses
-    if x.shape[-1] != 2 * n:
-        raise ValueError(f"state must have {2 * n} components")
-    q, p = x[..., :n], x[..., n:]
-    elong = _elongations(q)
-    forces = np.empty_like(elong)
-    for i in range(n):
-        forces[..., i] = _spring_force(elong[..., i], spec.stiffnesses[i], spec.cubic)
-    dq = forces.copy()
-    dq[..., :-1] -= forces[..., 1:]
-    dp = p / np.asarray(spec.masses, dtype=float)
-    return np.concatenate([dq, dp], axis=-1)
 
 
 def hamiltonian_fn(spec: SystemSpec):
@@ -215,6 +185,41 @@ def hamiltonian_fn(spec: SystemSpec):
 
 
 def field_fn(spec: SystemSpec):
-    """True state derivative J @ grad H(x) + G @ u of the chain as f(x, u)."""
-    S = structure_matrices(spec)
-    return lambda x, u: canonical_field(grad_hamiltonian(x, spec), u, S)
+    """True state derivative J @ grad H(x) + G @ u of the chain as f(x, u).
+
+    The field is written straight into one output array: p/m into the
+    position rows, G u - dH/dq into the momentum rows, with the spring forces
+    computed once. x is one state or rows of states; u a scalar (one input
+    channel), one input row or rows of inputs.
+    """
+    n, d = spec.n_masses, spec.n_states
+    masses = np.asarray(spec.masses, dtype=float)
+    stiffnesses = np.asarray(spec.stiffnesses, dtype=float)
+    forced = [n + i for i in spec.input_map]
+
+    def field(x, u):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != d:
+            raise ValueError(f"state has trailing dimension {x.shape[-1]}, expected {d}")
+        u = _input_rows(u, x, spec.n_inputs)
+        batch = x.shape[:-1]
+        if u.shape[:-1] != batch:
+            batch = np.broadcast_shapes(batch, u.shape[:-1])
+        out = np.empty(batch + (d,))
+        np.divide(x[..., n:], masses, out=out[..., :n])
+        # -dH/dq of mass i: minus the force of spring i, which pulls it back,
+        # plus that of spring i+1, which pulls it on
+        elong = _elongations(x[..., :n])
+        dp = out[..., n:]
+        kd = stiffnesses * elong
+        if spec.cubic:
+            np.subtract(stiffnesses * elong**3, kd, out=dp)
+        else:
+            np.negative(kd, out=dp)
+        if n > 1:
+            dp[..., :-1] -= dp[..., 1:]
+        for j, row in enumerate(forced):
+            out[..., row] += u[..., j]
+        return out
+
+    return field

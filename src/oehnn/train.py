@@ -504,6 +504,18 @@ def _derivative_batch_mlp(net, dx_target, sample_weight, out):
     return loss, flatten_params(grad)
 
 
+def _sample_rows(name: str, a, shape: tuple[int, int]) -> np.ndarray:
+    """`a` broadcast to `shape`, (samples, width): all rows or a single one."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2 or a.shape[-1:] not in ((shape[1],), ()) or (
+        a.ndim == 2 and len(a) not in (1, shape[0])
+    ):
+        raise ValueError(
+            f"{name} has shape {a.shape}, expected {shape} or a single row of {shape[1]}"
+        )
+    return np.broadcast_to(a, shape)
+
+
 def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     """Mean per-sample derivative-matching residual and its parameter gradient.
 
@@ -511,17 +523,22 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     ||dH/dp - q_dot|| + ||dH/dq + p_dot - G u|| averaged over samples; for
     the black-box net it is the plain regression residual ||f(x, u) - dx||.
     """
+    if not isinstance(model, (HamiltonianNet, BlackBoxNet)):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != model.n_states or len(x) == 0:
+        raise ValueError(
+            f"x has shape {x.shape}, expected one or more rows of {model.n_states} states"
+        )
     # a single target row, a scalar input or a single input row holds for
     # every sample, in every block
-    dx_target = np.broadcast_to(np.asarray(dx_target, dtype=float), x.shape)
+    dx_target = _sample_rows("dx_target", dx_target, x.shape)
     u = np.asarray(u, dtype=float)
     if u.ndim == 1 and len(u) == len(x):
         u = u[:, None]  # one scalar input per sample
     u = np.atleast_2d(u)
-    u = np.broadcast_to(u, (len(x), u.shape[1]))
-    if not isinstance(model, (HamiltonianNet, BlackBoxNet)):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    m = S.n_inputs if isinstance(model, HamiltonianNet) else model.n_inputs
+    u = _sample_rows("u", u, (len(x), m))
     weight = np.full(x.shape[0], 1.0 / x.shape[0])
     return _derivative_blocks(model, x, dx_target, weight, _derivative_buffers(model, S, x, u))
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oehnn"
-# the finite-difference test of `grad_hamiltonian` takes it as its reference
+# the finite-difference test of the reference gradient in the dynamics
+# tests takes it as its reference
 EXEMPT = {"dynamics.hamiltonian_fn"}
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oehnn import data
 from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
@@ -199,6 +200,28 @@ class TestLockstepGeneration:
                 if window is not None
             )
             assert tr.attempt == first
+
+    @pytest.mark.parametrize("first_block", [1, 2, 4, RETRY_PROTOCOL.max_retries + 1])
+    def test_block_schedule_cannot_change_a_dataset(self, name, first_block, tmp_path,
+                                                     monkeypatch):
+        # the lockstep rounds only decide which attempts share a batch; the
+        # dataset, and its regeneration by `simulate --like-dataset`, are those
+        # of the default schedule byte for byte
+        system = SYSTEMS[name]
+        expected = generate(system, RETRY_PROTOCOL, NoiseSpec(variance=0.1), master_seed=0)
+        write_csv(expected, tmp_path / "data")
+        monkeypatch.setattr(data, "_FIRST_BLOCK", first_block)
+        ds = generate(system, RETRY_PROTOCOL, NoiseSpec(variance=0.1), master_seed=0)
+        for ta, tb in zip(expected.all_trajectories(), ds.all_trajectories(), strict=True):
+            assert (ta.realization, ta.attempt) == (tb.realization, tb.attempt)
+            for field in ("t", "u", "y", "x_true", "dx_true"):
+                assert getattr(ta, field).tobytes() == getattr(tb, field).tobytes()
+        for tr in expected.all_trajectories():
+            out = tmp_path / f"re_{tr.realization}.csv"
+            assert main(["simulate", "--like-dataset", str(tmp_path / "data"),
+                         "--realization", str(tr.realization), "--out", str(out)]) == 0
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)
+            assert rows[:, 2:].tobytes() == tr.x_true.tobytes()
 
     def test_exhausted_retries_name_lowest_realization(self, name):
         # forcing at which realization 0 passes and at least two later ones escape

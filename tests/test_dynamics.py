@@ -6,11 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from oehnn.dynamics import (
     SystemSpec,
-    canonical_field,
     coupled_system,
     duffing_system,
     field_fn,
-    grad_hamiltonian,
     hamiltonian_fn,
     structure_matrices,
 )
@@ -20,10 +18,23 @@ def small_states(dim):
     return arrays(np.float64, (dim,), elements=st.floats(-0.5, 0.5))
 
 
-# The closed-form fields of the two benchmark systems, kept here as
-# references for the chain path that `field_fn` assembles.
+# The closed-form fields of the two benchmark systems and the chain
+# Hamiltonian's gradient, kept here as references for what `field_fn` writes.
 def _spring_force(delta, k, cubic):
     return k * delta - k * delta**3 if cubic else k * delta
+
+
+def reference_grad_hamiltonian(x, spec):
+    """Analytic gradient of the chain Hamiltonian, spring by spring: mass i
+    feels spring i's force and, pulling the other way, spring i+1's."""
+    x = np.asarray(x, dtype=float)
+    n = spec.n_masses
+    q, p = x[..., :n], x[..., n:]
+    elong = [q[..., i] - q[..., i - 1] if i else q[..., 0] for i in range(n)]
+    forces = [_spring_force(elong[i], spec.stiffnesses[i], spec.cubic) for i in range(n)]
+    dq = [forces[i] - forces[i + 1] if i + 1 < n else forces[i] for i in range(n)]
+    dp = [p[..., i] / spec.masses[i] for i in range(n)]
+    return np.stack(dq + dp, axis=-1)
 
 
 def reference_duffing_field(x, u, spec):
@@ -89,25 +100,48 @@ class TestStructureMatrices:
 
 
 class TestCanonicalField:
+    """The true field's J grad H + G u structure. On linear springs of unit
+    stiffness a state can be picked for any grad H."""
+
     def test_block_structure(self):
-        S = structure_matrices(duffing_system())
-        assert np.allclose(canonical_field([2.0, 3.0], [0.0], S), [3.0, -2.0])
+        field = field_fn(duffing_system(cubic=False))
+        # grad H = (q, p) = (2, 3)
+        assert np.allclose(field([2.0, 3.0], [0.0]), [3.0, -2.0])
 
     def test_pure_input_channel(self):
-        S = structure_matrices(duffing_system())
-        assert np.allclose(canonical_field([0.0, 0.0], [1.0], S), [0.0, 1.0])
+        field = field_fn(duffing_system())
+        assert np.allclose(field([0.0, 0.0], [1.0]), [0.0, 1.0])
 
     def test_two_mass_blocks(self):
-        S = structure_matrices(coupled_system())
-        out = canonical_field([1.0, 2.0, 3.0, 4.0], [0.0], S)
+        field = field_fn(coupled_system(cubic=False))
+        # grad H = (1, 2, 3, 4): spring forces 3 and 2, momenta 0.5 * (3, 4)
+        out = field([3.0, 5.0, 1.5, 2.0], [0.0])
         assert np.allclose(out, [3.0, 4.0, -1.0, -2.0])
 
     def test_dimension_mismatch(self):
-        S = structure_matrices(duffing_system())
-        with pytest.raises(ValueError):
-            canonical_field([1.0, 2.0, 3.0], [0.0], S)
-        with pytest.raises(ValueError):
-            canonical_field([1.0, 2.0], [0.0, 0.0], S)
+        field = field_fn(duffing_system())
+        with pytest.raises(ValueError, match="state"):
+            field([1.0, 2.0, 3.0], [0.0])
+        with pytest.raises(ValueError, match="input"):
+            field([1.0, 2.0], [0.0, 0.0])
+
+    def test_rows_of_the_wrong_width(self):
+        field = field_fn(coupled_system())
+        with pytest.raises(ValueError, match="state"):
+            field(np.zeros((5, 2)), np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="input"):
+            field(np.zeros((5, 4)), np.zeros((5, 2)))
+
+    def test_forced_rows_follow_the_input_map(self):
+        # a three-mass chain forced on masses 2 and 0, against the reference
+        # gradient and the structure matrices
+        spec = SystemSpec(3, (0.4, 0.9, 1.1), (1.2, 0.8, 2.0), (2, 0))
+        S = structure_matrices(spec)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-0.5, 0.5, (20, 6))
+        u = rng.normal(size=(20, 2))
+        expected = reference_grad_hamiltonian(x, spec) @ S.J.T + u @ S.G.T
+        assert np.allclose(field_fn(spec)(x, u), expected, rtol=1e-14, atol=1e-15)
 
 
 class TestDuffing:
@@ -167,24 +201,52 @@ class TestConsistency:
             coupled_system(),
             duffing_system(cubic=False),
             coupled_system((0.3, 0.7), (1.5, 0.5)),
+            duffing_system(mass=0.6, stiffness=1.4),
+            coupled_system(cubic=False),
+            SystemSpec(2, (0.3, 0.7), (1.5, 0.5), (0,)),  # forced on mass 0
         ],
     )
     def test_canonical_assembly_matches_direct_field(self, spec):
         reference = {1: reference_duffing_field, 2: reference_coupled_field}[spec.n_masses]
+        field = field_fn(spec)
         rng = np.random.default_rng(0)
         xs = rng.uniform(-0.5, 0.5, (50, spec.n_states))
         us = rng.normal(size=(50, 1))
-        for x, u in ((xs, us), (xs, np.zeros((50, 1))), (xs[:1], us[:1])):
-            assert np.array_equal(field_fn(spec)(x, u), reference(x, u, spec))
+        cases = [
+            (xs, us),  # (B, d) and (B, m) lanes, as generation passes them
+            (xs, np.zeros((50, 1))),
+            (xs[:1], us[:1]),  # (1, d) and (1, m) rows, as `rollout` passes them
+            (xs[3], us[3]),  # a 1-D state with an (m,) row
+            (xs[4], float(us[4, 0])),  # a 1-D state with a scalar input
+        ]
+        for x, u in cases:
+            x_before, u_before = x.copy(), np.copy(u)
+            # read-only arguments: a write to either raises
+            x, u = x.copy(), np.array(u)
+            x.setflags(write=False)
+            u.setflags(write=False)
+            out = field(x, u)
+            assert out.shape == x.shape
+            assert np.array_equal(out, reference(x, np.reshape(u, x.shape[:-1] + (1,)), spec))
+            assert np.array_equal(x, x_before) and np.array_equal(u, u_before)
 
-    @pytest.mark.parametrize("spec", [duffing_system(), coupled_system()])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            duffing_system(),
+            coupled_system(),
+            duffing_system(cubic=False),
+            coupled_system((0.3, 0.7), (1.5, 0.5)),
+            SystemSpec(3, (0.4, 0.9, 1.1), (1.2, 0.8, 2.0), (2, 0)),
+        ],
+    )
     def test_gradient_matches_finite_differences(self, spec):
         rng = np.random.default_rng(1)
         ham = hamiltonian_fn(spec)
         eps = 1e-6
         for _ in range(20):
             x = rng.uniform(-0.5, 0.5, spec.n_states)
-            grad = grad_hamiltonian(x, spec)
+            grad = reference_grad_hamiltonian(x, spec)
             for i in range(spec.n_states):
                 e = np.zeros(spec.n_states)
                 e[i] = eps
@@ -196,7 +258,7 @@ class TestConsistency:
     def test_energy_rate_vanishes_unforced(self, x, p):
         # (dH/dx) . xdot == 0 along the unforced flow
         spec = duffing_system()
-        grad = grad_hamiltonian(x, spec)
+        grad = reference_grad_hamiltonian(x, spec)
         xdot = field_fn(spec)(x, 0.0)
         assert abs(grad @ xdot) <= 1e-12
         del p

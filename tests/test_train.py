@@ -254,6 +254,25 @@ class TestDerivativeLoss:
         # q_dot target 1, p_dot target 0, no input -> loss 1
         assert derivative_loss_grad(net, S, [[0.0, 0.0]], [[1.0, 0.0]], [[0.0]])[0] == 1.0
 
+    @pytest.mark.parametrize(
+        "shapes, name",
+        [
+            (((0, 2), (0, 2), (0, 1)), "x"),  # an empty batch
+            (((2, 3), (2, 3), (2, 1)), "x"),  # a state width other than the model's
+            (((2, 2), (3, 2), (2, 1)), "dx_target"),
+            (((2, 2), (2, 3), (2, 1)), "dx_target"),
+            (((2, 2), (2, 2), (3, 1)), "u"),
+            (((2, 2), (2, 2), (2, 2)), "u"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
+    def test_refuses_bad_shapes(self, kind, shapes, name):
+        rng = np.random.default_rng(33)
+        model = random_hnet(rng) if kind == "hnn" else init_blackbox_net(2, 1, 6, rng)
+        x, dx, u = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=rf"^{name} has shape"):
+            derivative_loss_grad(model, S, x, dx, u)
+
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
     def test_gradient_matches_finite_differences(self, kind, monkeypatch):
         set_block_rows(monkeypatch, 5, 2)  # 9 rows: 4 blocks and 1 row
