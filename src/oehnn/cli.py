@@ -24,6 +24,7 @@ from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
     GenerationProtocol,
+    _check_time_grid,
     _simulate_realizations,
     generate,
     read_csv,
@@ -377,6 +378,8 @@ def cmd_simulate(args) -> int:
     if n_steps < 1:
         raise ConfigError(f"--steps must be at least 1, got {n_steps}")
     cfg.protocol()  # checks the step and the multisine's settings
+    with _config_errors("--steps: "):
+        _check_time_grid(n_steps, cfg.ts)
     t = np.arange(n_steps) * cfg.ts
     if args.input == "zero":
         u = np.zeros((n_steps, m))
@@ -602,6 +605,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DataGenerationError, TrainingError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        # numpy refuses an allocation larger than the machine at once
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -108,6 +108,8 @@ class GenerationProtocol:
             raise ValueError("sampling period must be positive and finite")
         if not 0 <= self.t_start < np.inf:
             raise ValueError("recording start must be non-negative and finite")
+        # the simulated grid, t_start / ts samples before the recorded window
+        _check_time_grid(self.n_samples, self.ts, self.t_start / self.ts)
         if min(self.split) < 0 or sum(self.split) != self.n_realizations:
             raise ValueError(
                 f"split {self.split} is not a split of n_realizations={self.n_realizations}"
@@ -147,6 +149,18 @@ class Dataset:
 
     def all_trajectories(self) -> list[Trajectory]:
         return [*self.train, *self.validation, *self.test]
+
+
+def _check_time_grid(n_samples: int, ts: float, n_before: float = 0.0) -> None:
+    """Refuse a time grid k * ts, k < n_before + n_samples, that numpy cannot
+    hold: more samples than an array can index, or a last time that overflows."""
+    limit = np.iinfo(np.intp).max
+    # n_samples alone first: an int too large for a float cannot be added to one
+    if not (n_samples <= limit and n_before + n_samples <= limit):
+        raise ValueError("the time grid has more samples than an array can hold")
+    if not (n_before + n_samples - 1) * ts < np.inf:
+        last = n_before + n_samples - 1
+        raise ValueError(f"the time grid's last time, {last:.6g} * {ts:g}, overflows")
 
 
 def _realization_rng(master_seed: int, realization: int, attempt: int) -> np.random.Generator:

@@ -13,14 +13,17 @@ passes into its GEMMs: the first takes rows [x, 1] against [w1.T; b1]
 (`HamiltonianNet.w_in`), so b1 is added inside the product, and the output
 GEMM takes w1 with J folded in as a signed column permutation
 (`HamiltonianNet.w1_j`), so it returns J dH/dx without a pass of its own.
+Its pullback (`train._grad_vjp`) takes the same rows [x, 1] and reads the
+b1 gradient off the last column of its GEMM p.T @ [x, 1].
 Negation is exact, and the accumulation of each product runs over the same
-terms in the same order as x @ w1.T followed by + b1, and as s @ w1
-followed by J. With numpy 2.4 on OpenBLAS 0.3.31 the results are
-bit-identical to the unfolded kernel for 2 and 4 states at 1, 5, 15, 135
-and 7500 rows, plain and stacked (`tests/test_train.py::TestFoldedKernel`,
-width 200, and 40 for the stacked net at 7500 rows); other shapes are not
-known to be, and 6 states at one row are not (numpy takes a matrix-vector
-path there).
+terms in the same order as x @ w1.T followed by + b1, as s @ w1 followed by
+J, and as p.T @ x and the column sums of p. With numpy 2.4 on OpenBLAS
+0.3.31 the results are bit-identical to the unfolded kernel for 2 and 4
+states at 1, 5, 15, 135, 306, 327 and 7500 rows plain, at 1, 5, 15, 135
+and 7500 rows stacked, and for the pullback at 1, 5, 15, 135, 306 and 327
+rows (`tests/test_train.py::TestFoldedKernel`, width 200, and 40 for the
+stacked net at 7500 rows); other shapes are not known to be, and 6 states
+at one row are not (numpy takes a matrix-vector path there).
 
 A net's flat parameter vector (`flatten_params`, `with_params`) is its
 dataclass fields in order, each row-major: w1, b1, w2, b2. The field order
@@ -139,7 +142,9 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return xa
 
 
-def _energy_kernel(net: HamiltonianNet, xa, w_out, th_out=None, s_out=None) -> np.ndarray:
+def _energy_kernel(
+    net: HamiltonianNet, xa, w_out, th_out=None, s_out=None, w2=None
+) -> np.ndarray:
     """(w2 * sech^2(w1 @ x + b1)) @ w_out on rows xa = [x, 1] (`_with_ones`).
 
     With w_out = net.w1 this is dH/dx, with net.w1_j it is J dH/dx. With
@@ -147,13 +152,16 @@ def _energy_kernel(net: HamiltonianNet, xa, w_out, th_out=None, s_out=None) -> n
     e.g. into a stage record, and nothing else is; with `s_out` (the same
     shape), w1 @ x + b1 and then the w2 * sech^2 term are computed there, and
     it holds nothing afterwards that a caller needs. Without them both are
-    allocated. Never writes `xa`. A stacked net takes xa of shape (K, B, d + 1).
+    allocated. `w2`, when given, is a contiguous tile of net.w2 with one row
+    per row of xa, which a rollout builds once for all its stages: it scales
+    with the same bits as the vector and costs about half as much. Never
+    writes `xa`. A stacked net takes xa of shape (K, B, d + 1).
     """
     z = np.matmul(xa, net.w_in, out=s_out)
     th = np.tanh(z, out=th_out)
-    s = np.multiply(th, th, out=z)
+    s = np.square(th, out=z)
     np.subtract(1.0, s, out=s)
-    s *= net.w2
+    s *= net.w2 if w2 is None else w2
     return s @ w_out
 
 
@@ -197,12 +205,15 @@ def blackbox_field(net: BlackBoxNet, x: np.ndarray, u) -> np.ndarray:
     return _blackbox_rows(net, x, _input_rows(u, x, net.n_inputs))
 
 
-def _blackbox_rows(net: BlackBoxNet, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _blackbox_rows(net: BlackBoxNet, x: np.ndarray, u: np.ndarray, b1=None) -> np.ndarray:
     """`blackbox_field` on float arrays of state rows (..., d) and input rows
     (..., m), without input normalization (for per-stage calls). A stacked
-    net takes x of shape (K, B, d) and u of shape (K, B, m)."""
-    z = np.concatenate([x, u], axis=-1) @ net.w1.mT + net.b1
-    return np.tanh(z) @ net.w2.mT + net.b2
+    net takes x of shape (K, B, d) and u of shape (K, B, m). `b1`, when
+    given, is a contiguous tile of net.b1 with one row per state row, which
+    adds with the same bits and costs less than broadcasting the vector."""
+    z = np.concatenate([x, u], axis=-1) @ net.w1.mT
+    z += net.b1 if b1 is None else b1
+    return np.tanh(z, out=z) @ net.w2.mT + net.b2
 
 
 def init_hamiltonian_net(

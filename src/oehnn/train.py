@@ -11,8 +11,10 @@ re-anchored segments, for training, validation, `simulation_loss(_grad)`
 and `evaluate`. `_energy_rollout` is the one energy-net rollout, plain or
 stacked, with or without a stage record; its field is
 `netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1], forms
-w1 @ x + b1 in scratch and writes only tanh to the stage's slot. The
-reverse sweep forms J.T v from v's two halves in one concatenation.
+w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
+rollout and writes only tanh to the stage's slot. The reverse sweep forms
+J.T v from v's two halves in one concatenation, and its VJP, `_grad_vjp`,
+takes the stage's rows [x, 1] too.
 
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
@@ -20,7 +22,8 @@ per fit, sized for its largest lane group, and every group's gradient in every
 epoch uses the front of it; a caller that hands none, such as
 `simulation_loss_grad`, gets one per call. Before its loop the reverse sweep
 computes, in whole-array passes, each step's residual pullback (lane scale
-times residual) and stage states x + (h/2) k1, x + (h/2) k2 and x + h k3;
+times residual) and the rows [x, 1] of its stage states x, x + (h/2) k1,
+x + (h/2) k2 and x + h k3, in one array;
 `_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T and
 w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
 these is the operation the loop would otherwise repeat, on the same
@@ -65,7 +68,6 @@ from oehnn.netmodel import (
     _energy_kernel,
     _with_ones,
     flatten_params,
-    h_grad_x,
     init_blackbox_net,
     init_hamiltonian_net,
     with_params,
@@ -193,36 +195,40 @@ class _ThetaGrad:
         return flatten_params(HamiltonianNet(self.w1, self.b1, self.w2, self.b2))
 
 
-def _grad_vjp(net, x, th, w, acc: _ThetaGrad, scratch=None):
+def _grad_vjp(net, xa, th, w, acc: _ThetaGrad, scratch=None):
     """Accumulate the parameter pullback of a cotangent w on dH/dx(x).
 
-    `th` is tanh(z), z = w1 @ x + b1. Returns p = (w2 * s'(z)) * (w @ w1.T),
-    s'(z) = -2 tanh(z) sech^2(z), so p @ w1 is the state pullback. The w2
-    gradient comes from sech^2(z).T @ w, which the w1 gradient needs anyway.
-    `scratch`, two arrays shaped like `th`, receives the sech^2 terms and p
-    (both are allocated when it is None), so the returned p is its second
-    array. Writes nothing else, never `x`, `th` or `w`.
+    `xa` holds the rows [x, 1] (`_with_ones`) and `th` is tanh(z), z = w1 @ x
+    + b1. Returns p = (w2 * s'(z)) * (w @ w1.T), s'(z) = -2 tanh(z) sech^2(z),
+    so p @ w1 is the state pullback. The w2 gradient comes from
+    sech^2(z).T @ w, which the w1 gradient needs anyway; one GEMM p.T @ xa
+    gives the w1 term and, in its last column, the b1 gradient. `scratch`,
+    two arrays shaped like `th`, receives the sech^2 terms and p (both are
+    allocated when it is None), so the returned p is its second array.
+    Writes nothing else, never `xa`, `th` or `w`.
     """
     s, p = scratch if scratch is not None else (None, None)
-    s = np.multiply(th, th, out=s)
+    s = np.square(th, out=s)
     np.subtract(1.0, s, out=s)
     sw = s.T @ w
     s *= th
     p = np.matmul(w, acc.p_factor, out=p)
     p *= s
     acc.w2 += (sw * net.w1).sum(axis=1)
-    acc.b1 += p.sum(axis=0)
-    acc.w1 += sw * acc.w2_column + p.T @ x
+    p_xa = p.T @ xa
+    acc.b1 += p_xa[:, -1]
+    acc.w1 += sw * acc.w2_column + p_xa[:, :-1]
     return p
 
 
-def _stage_vjp(net, x, th, v, n, acc: _ThetaGrad, scratch=None):
+def _stage_vjp(net, xa, th, v, n, acc: _ThetaGrad, scratch=None):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
-    `th` is this stage's forward tanh(w1 @ x + b1), `scratch` as in `_grad_vjp`;
-    J.T v is v's last n columns negated, then its first n."""
+    `xa` is the stage's rows [x, 1], `th` its forward tanh(w1 @ x + b1),
+    `scratch` as in `_grad_vjp`; J.T v is v's last n columns negated, then
+    its first n."""
     jt_v = np.concatenate([-v[:, n:], v[:, :n]], axis=1)
-    return _grad_vjp(net, x, th, jt_v, acc, scratch=scratch) @ net.w1
+    return _grad_vjp(net, xa, th, jt_v, acc, scratch=scratch) @ net.w1
 
 
 def _lane_loss(xs, y, diverged, weight, penalty):
@@ -303,7 +309,8 @@ def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=
     tanh in its own slot, else `scratch[0]` takes every tanh; `scratch[1]`
     takes w1 @ x + b1. `scratch` is allocated when None. Each stage copies
     its states into one array of rows [x, 1], and `_energy_kernel` returns
-    J dH/dx, to which G u is added in place."""
+    J dH/dx, scaled by one tile of w2 for all stages, to which G u is added
+    in place."""
     B, d = x0.shape
     lead = net.w1.shape[:-2]  # (K,) for a stacked net
     block = (*lead, B, d)
@@ -311,10 +318,11 @@ def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=
         scratch = np.empty((2, *lead, B, net.n_hidden))
     slots = repeat(scratch[0]) if stages is None else iter(stages[1].reshape(-1, *scratch[0].shape))
     xa = _with_ones(np.broadcast_to(x0, block))
+    w2 = np.broadcast_to(net.w2, scratch[0].shape).copy()
 
     def field(x, g_in):
         xa[..., :d] = x.reshape(block)
-        f = _energy_kernel(net, xa, net.w1_j, next(slots), scratch[1])
+        f = _energy_kernel(net, xa, net.w1_j, next(slots), scratch[1], w2)
         f += g_in
         return f.reshape(x.shape)
 
@@ -349,23 +357,29 @@ def _sim_batch(
     lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
 
     # everything the reverse sweep reads that no cotangent changes, in
-    # whole-array passes: each step's residual pullback and stage states
+    # whole-array passes: each step's residual pullback and the rows [x, 1]
+    # of its four stage states, x and x + (h/2) k1, x + (h/2) k2, x + h k3
     live_w = np.where(diverged < 0, weight, 0.0)
     scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
     pulls = scale[:, :, None] * resid
-    x_stages = xs[:-1, None] + np.array([h / 2.0, h / 2.0, h])[:, None, None] * ks
+    xa_stages = np.empty((n_steps, 4, B, d + 1))
+    xa_stages[..., d] = 1.0
+    xa_stages[:, 0, :, :d] = xs[:-1]
+    stage_x = xa_stages[:, 1:, :, :d]
+    np.multiply(np.array([h / 2.0, h / 2.0, h])[:, None, None], ks, out=stage_x)
+    stage_x += xs[:-1, None]
     acc = _ThetaGrad(net)
     lam = np.zeros((B, d))
     for k in range(n_steps - 1, -1, -1):
         lam = lam + pulls[k]
         lam6 = (h / 6.0) * lam
         lam3 = (h / 3.0) * lam
-        x2, x3, x4 = x_stages[k]
+        xa1, xa2, xa3, xa4 = xa_stages[k]
         th1, th2, th3, th4 = ths[k]
-        x4_bar = _stage_vjp(net, x4, th4, lam6, n, acc, scratch)
-        x3_bar = _stage_vjp(net, x3, th3, lam3 + h * x4_bar, n, acc, scratch)
-        x2_bar = _stage_vjp(net, x2, th2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
-        x1_bar = _stage_vjp(net, xs[k], th1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
+        x4_bar = _stage_vjp(net, xa4, th4, lam6, n, acc, scratch)
+        x3_bar = _stage_vjp(net, xa3, th3, lam3 + h * x4_bar, n, acc, scratch)
+        x2_bar = _stage_vjp(net, xa2, th2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
+        x1_bar = _stage_vjp(net, xa1, th1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
         lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
     return lane_loss, acc.flat(), diverged
 
@@ -466,7 +480,8 @@ def _derivative_batch_hnn(net, x, dx_target, sample_weight, out):
     block's rows of `_derivative_buffers`."""
     gu, th, s, p = out
     n = net.n_states // 2
-    g = h_grad_x(net, x, th, s)
+    xa = _with_ones(x)  # the rows of both the forward and the VJP
+    g = _energy_kernel(net, xa, net.w1, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
     n1 = np.linalg.norm(r1, axis=1)
@@ -478,7 +493,7 @@ def _derivative_batch_hnn(net, x, dx_target, sample_weight, out):
     g_cot[:, n:] = s1[:, None] * r1
     g_cot[:, :n] = s2[:, None] * r2
     acc = _ThetaGrad(net)
-    _grad_vjp(net, x, th, g_cot, acc, scratch=(s, p))
+    _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
     return loss, acc.flat()
 
 
@@ -497,7 +512,7 @@ def _derivative_batch_mlp(net, dx_target, sample_weight, out):
     f_cot = scale[:, None] * r
     w2_grad = f_cot.T @ th
     np.matmul(f_cot, net.w2, out=hidden)
-    np.multiply(th, th, out=th)  # th is read no more: it takes sech^2
+    np.square(th, out=th)  # th is read no more: it takes sech^2
     np.subtract(1.0, th, out=th)
     hidden *= th
     grad = BlackBoxNet(hidden.T @ xu, hidden.sum(axis=0), w2_grad, f_cot.sum(axis=0))
@@ -601,9 +616,10 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
             block = (B, d) if K == 1 else (K, B, d)
             if K > 1:
                 u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
+            b1 = np.broadcast_to(net.b1, (*block[:-1], net.n_hidden)).copy()
 
             def field(x, uk):
-                return _blackbox_rows(net, x.reshape(block), uk).reshape(K * B, d)
+                return _blackbox_rows(net, x.reshape(block), uk, b1).reshape(K * B, d)
 
             xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
         else:

@@ -172,6 +172,9 @@ class TestGenerateCommand:
             ["--masses", "1,2"],
             ["--system", "coupled", "--masses", "1"],
             ["--master-seed", "-1"],
+            ["--t-start", "1e300"],  # a grid too long for an array
+            ["--n-samples", "1" + "0" * 400],  # too many samples even for a float
+            ["--ts", "1e308"],  # a grid whose last time overflows
         ],
     )
     def test_bad_generation_value_is_usage_error(self, tmp_path, capsys, flags):
@@ -911,12 +914,36 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--steps", 0], ["--x0", "0.1,abc"]])
+    @pytest.mark.parametrize("flags", [
+        ["--steps", 0],
+        ["--x0", "0.1,abc"],
+        ["--steps", 10**20],  # a grid too long for an array
+        ["--steps", 3, "--n-samples", 2, "--ts", "1e308"],  # the last time overflows
+    ])
     def test_bad_steps_or_x0_is_usage_error(self, tmp_path, capsys, flags):
         code = run_cli("simulate", "--true-system", *flags, "--out", tmp_path / "x.csv")
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestOutOfMemory:
+    """A size whose first array numpy refuses at once ends in one line and
+    exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate-data", *GEN_FAST, "--harmonics", 10**12],
+        ["simulate", "--true-system", "--steps", 10**12],
+        *(["train", "--model", kind, "--n-hidden", 10**12] for kind in ("oe-hnn", "hnn", "mlp")),
+    ])
+    def test_is_runtime_error(self, cli_dataset, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv = [*argv, "--data", cli_dataset]
+        out = tmp_path / ("x.csv" if argv[0] == "simulate" else "out")
+        assert run_cli(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

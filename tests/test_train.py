@@ -22,6 +22,7 @@ from oehnn.netmodel import (
     _blackbox_rows,
     _with_ones,
     flatten_params,
+    h_grad_x,
     init_blackbox_net,
     init_hamiltonian_net,
     blackbox_field,
@@ -933,10 +934,12 @@ def reference_h_grad_x(net, x):
     return (net.w2 * (1.0 - np.tanh(x @ net.w1.T + net.b1) ** 2)) @ net.w1
 
 
-def reference_grad_vjp(net, x, th, w, acc, scratch=None):
+def reference_grad_vjp(net, xa, th, w, acc, scratch=None):
     """The parameter VJP as first written: a = w @ w1.T, s = sech^2, s' =
     -2 tanh sech^2; returns (w2 * s') * a, whose product with w1 is the state
-    pullback. It allocates its own arrays and ignores `scratch`."""
+    pullback. It takes the rows [x, 1] as `_grad_vjp` does and reads x off
+    them; it allocates its own arrays and ignores `scratch`."""
+    x = xa[:, :-1]
     s = 1.0 - th**2
     sp = -2.0 * th * s
     a = w @ net.w1.T
@@ -1083,13 +1086,13 @@ class TestEnergyKernel:
         net = random_hnet(rng, n_hidden=7)
         (x,) = frozen(rng.normal(size=(5, 2)))
         th, th_both, s = np.full((3, 5, 7), np.nan)
-        g = oehnn.train.h_grad_x(net, x, th)
+        g = h_grad_x(net, x, th)
         assert np.array_equal(th, np.tanh(x @ net.w1.T + net.b1))
-        assert np.array_equal(g, oehnn.train.h_grad_x(net, x))
+        assert np.array_equal(g, h_grad_x(net, x))
         assert np.array_equal(g, reference_h_grad_x(net, x))
         # with a scratch array for the pre-activation, the slot still gets
         # exactly tanh and the gradient keeps its bits
-        assert_same_bits(oehnn.train.h_grad_x(net, x, th_both, s), g)
+        assert_same_bits(h_grad_x(net, x, th_both, s), g)
         assert_same_bits(th_both, th)
 
     def test_vjp_writes_neither_states_record_nor_cotangent(self):
@@ -1097,8 +1100,9 @@ class TestEnergyKernel:
         net = random_hnet(rng, n_hidden=7)
         x, v = frozen(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
         (th,) = frozen(np.tanh(x @ net.w1.T + net.b1))
+        (xa,) = frozen(_with_ones(x))
         accs = [oehnn.train._ThetaGrad(net) for _ in range(2)]
-        pulls = [oehnn.train._stage_vjp(net, x, th, v, 1, acc) for acc in accs]
+        pulls = [oehnn.train._stage_vjp(net, xa, th, v, 1, acc) for acc in accs]
         assert np.array_equal(pulls[0], pulls[1])
         assert np.array_equal(accs[0].flat(), accs[1].flat())
 
@@ -1204,7 +1208,7 @@ class TestEnergyKernel:
         rng = np.random.default_rng(74)
         net = saturated_hnet(rng, 9) if saturated else random_hnet(rng, n_hidden=9)
         x = rng.normal(size=(40, 2))
-        assert rel_err(oehnn.train.h_grad_x(net, x), reference_h_grad_x(net, x)) <= 1e-12
+        assert rel_err(h_grad_x(net, x), reference_h_grad_x(net, x)) <= 1e-12
         (lanes,) = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured")
         xf, dxf, uf, wf = oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
@@ -1241,9 +1245,11 @@ class TestFoldedKernel:
     """The kernel's folded GEMMs, rows [x, 1] against [w1.T; b1] and w1 with
     J folded in, give the bits of the closed form followed by J at the shapes
     the package runs: 2 and 4 states at 1, 5, 15, 135 and 7500 rows, plain
-    and stacked."""
+    and stacked, and at the derivative batch's 306 and 327 rows, plain. The
+    VJP's GEMM p.T @ [x, 1] gives the bits of p.T @ x and of p's column sums
+    at 1, 5, 15, 135, 306 and 327 rows."""
 
-    @pytest.mark.parametrize("B", [1, 5, 15, 135, 7500])
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 306, 327, 7500])
     @pytest.mark.parametrize("system", ["duffing", "coupled"])
     def test_plain(self, system, B):
         spec = SPEC if system == "duffing" else coupled_system()
@@ -1254,7 +1260,7 @@ class TestFoldedKernel:
         ref = reference_h_grad_x(net, x)
         j_ref = _j_apply(ref, d // 2)
         assert_same_bits(oehnn.train._energy_kernel(net, _with_ones(x), net.w1_j), j_ref)
-        assert_same_bits(oehnn.train.h_grad_x(net, x), ref)
+        assert_same_bits(h_grad_x(net, x), ref)
         # the learned field of `evaluate` and `simulate`
         assert_same_bits(oe_hnn_field(net, S_sys, x, u), j_ref + u @ S_sys.G.T)
 
@@ -1272,6 +1278,20 @@ class TestFoldedKernel:
         for k in range(K):
             member = with_params(template, thetas[k])
             assert_same_bits(out[k], _j_apply(reference_h_grad_x(member, x[k]), d // 2))
+
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 306, 327])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_vjp(self, d, B):
+        rng = np.random.default_rng(300 + B + d)
+        net = random_hnet(rng, n_hidden=200, n_states=d)
+        x, w = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+        th = np.tanh(x @ net.w1.T + net.b1)
+        accs = [oehnn.train._ThetaGrad(net) for _ in range(2)]
+        for _ in range(2):  # the second call adds onto the first's gradients
+            p = oehnn.train._grad_vjp(net, _with_ones(x), th, w, accs[0], np.empty((2, B, 200)))
+            ref = reference_buffered_grad_vjp(net, x, th, w, accs[1], np.empty((2, B, 200)))
+            assert_same_bits(p, ref)
+            assert_same_bits(accs[0].flat(), accs[1].flat())
 
 
 def with_dead_lanes(lanes):
