@@ -14,6 +14,7 @@ Example:
 import argparse
 import dataclasses
 import json
+import os
 import time
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from oehnn.evaluate import (
     compare_estimators,
     write_comparison_csv,
 )
+from oehnn.train import _process_budget
 
 
 def main():
@@ -39,9 +41,6 @@ def main():
     parser.add_argument("--master-seed", type=int, default=0)
     parser.add_argument("--derivative-source", choices=("true", "fd"), default="true",
                         help="baseline targets: stored truth or noisy finite differences")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process budget, 0 for every usable core (see "
-                             "compare_estimators); results identical for any value")
     parser.add_argument("--quick", action="store_true", help="short schedule for smoke runs")
     parser.add_argument("--out", default=None, help="output directory (default: results/<system>)")
     args = parser.parse_args()
@@ -59,6 +58,10 @@ def main():
         f"{args.system}: {len(dataset.train)} train / {len(dataset.validation)} val / "
         f"{len(dataset.test)} test trajectories, noise variance {cfg.noise_variance}"
     )
+    # the affinity mask sets the budget (limit it with taskset); results never depend on it
+    usable_cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    process_budget = _process_budget()
+    print(f"process_budget {process_budget}, usable_cores {usable_cores}")
 
     if args.quick:
         stages = (TrainStage(5e-3, 25, 200), TrainStage(1e-3, None, 100))
@@ -75,7 +78,6 @@ def main():
         oe_stages=stages,
         baseline_epochs=baseline_epochs,
         derivative_source=args.derivative_source,
-        workers=args.workers,
         verbose=True,
     )
     elapsed = time.perf_counter() - t0
@@ -97,6 +99,8 @@ def main():
                     kind: [float(v) for v in result.median_rmse(kind)] for kind in result.kinds
                 },
                 "elapsed_seconds": elapsed,
+                "process_budget": process_budget,
+                "usable_cores": usable_cores,
             },
             indent=2,
         )

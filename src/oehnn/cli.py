@@ -24,6 +24,7 @@ from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
     GenerationProtocol,
+    Trajectory,
     _check_time_grid,
     _simulate_realizations,
     generate,
@@ -72,7 +73,6 @@ from oehnn.train import (
     simulation_loss_grad,
     write_history_csv,
 )
-from oehnn.data import Trajectory
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -149,7 +149,6 @@ class ExperimentConfig:
     derivative_source: str = "fd"
     anchor: str = "true"
     reference: str = "true"
-    workers: int = 0
 
     def resolved(self) -> "ExperimentConfig":
         if self.system not in SYSTEM_DEFAULTS:
@@ -164,7 +163,7 @@ class ExperimentConfig:
             out.noise_variance = defaults["noise_variance"]
         if out.amplitude is None:
             out.amplitude = defaults["amplitude"]
-        for key in ("workers", "master_seed", "train_seed"):
+        for key in ("master_seed", "train_seed"):
             if getattr(out, key) < 0:
                 raise ConfigError(f"{key} must be at least 0, got {getattr(out, key)}")
         for key in ("masses", "stiffnesses"):
@@ -281,7 +280,7 @@ def cmd_train(args) -> int:
             else "stored noiseless derivatives"
         )
         print(f"derivative targets for {cfg.model}: {source}")
-    result = fit(cfg.model, dataset, train_cfg, workers=cfg.workers)
+    result = fit(cfg.model, dataset, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(

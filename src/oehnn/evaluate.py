@@ -198,7 +198,7 @@ class BenchmarkResult:
         return [self.per_seed[kind][self.median_seed_index] for kind in self.kinds]
 
 
-def _benchmark_one_seed(schedule, *, dataset, anchor, reference, workers, verbose) -> list:
+def _benchmark_one_seed(schedule, *, dataset, anchor, reference, verbose) -> list:
     """Fit and evaluate every estimator of one training seed (process-pool
     friendly). `schedule` pairs each kind with its configs, one fit each,
     every fit after the first warm-started from the one before."""
@@ -207,7 +207,7 @@ def _benchmark_one_seed(schedule, *, dataset, anchor, reference, workers, verbos
     for kind, configs in schedule:
         model = None
         for cfg in configs:
-            model = fit(kind, dataset, cfg, initial_model=model, workers=workers).model
+            model = fit(kind, dataset, cfg, initial_model=model).model
         metrics = evaluate(
             model_field(model, S), dataset.test, reference=reference, anchor=anchor, kind=kind
         )
@@ -228,7 +228,6 @@ def compare_estimators(
     anchor: str = "true",
     reference: str = "true",
     kinds: tuple[str, ...] = ("oe-hnn", "hnn", "mlp"),
-    workers: int = 0,
     verbose: bool = False,
 ) -> BenchmarkResult:
     """Fit every estimator once per seed and evaluate on the test split.
@@ -240,11 +239,11 @@ def compare_estimators(
     `kinds` attains the median mean RMSE. No seeds, no kinds, a repeated or
     unknown kind, 'oe-hnn' with no `oe_stages`, or any setting a
     `TrainConfig` of the run refuses raise `ValueError` before any fit.
-    `workers` is the process budget of `fit`. When it covers two seeds or
-    more, a fork pool of min(budget, len(seeds)) processes fits the seeds,
-    and each fit in it, a pool worker, validates inline; otherwise each fit
-    here spends the budget. Results are identical for any `workers` (fixed
-    gather order).
+    The process budget is that of `fit`: the usable cores of the affinity
+    mask. When it covers two seeds or more, a fork pool of min(budget,
+    len(seeds)) processes fits the seeds, and each fit in it, a pool
+    worker, validates inline; otherwise each fit here spends the budget.
+    Results are identical for any process budget (fixed gather order).
     """
     if not seeds:
         raise ValueError("compare_estimators needs at least one seed")
@@ -274,10 +273,9 @@ def compare_estimators(
     # every config of the run, so that a bad setting raises before any fit
     schedules = [tuple((kind, configs(kind, seed)) for kind in kinds) for seed in seeds]
     job = partial(
-        _benchmark_one_seed, dataset=dataset, anchor=anchor, reference=reference,
-        workers=workers, verbose=verbose,
+        _benchmark_one_seed, dataset=dataset, anchor=anchor, reference=reference, verbose=verbose
     )
-    n_pool = min(_process_budget(workers), len(seeds))
+    n_pool = min(_process_budget(), len(seeds))
     if n_pool >= 2:
         import multiprocessing
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -296,26 +295,32 @@ class SavedModel:
     seed: int | None
 
 
+def _file_rows(shapes: dict[str, tuple[int, ...]]):
+    """(key, field, length) of each model-file row, in field order: one row
+    per row of a matrix parameter, keyed `<field>.<i>`, and one row for any
+    other parameter, keyed by its field."""
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            yield from ((f"{name}.{i}", name, shape[1]) for i in range(shape[0]))
+        else:
+            yield name, name, math.prod(shape)
+
+
 def save_model(model, path, kind: str, n_inputs: int, seed: int | None = None) -> None:
     """Write the model to a text file with architecture metadata and kind tag."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
-    if kind in ("oe-hnn", "hnn") and not isinstance(model, HamiltonianNet):
-        raise TypeError(f"kind {kind!r} requires a HamiltonianNet")
-    if kind == "mlp" and not isinstance(model, BlackBoxNet):
-        raise TypeError("kind 'mlp' requires a BlackBoxNet")
+    cls = BlackBoxNet if kind == "mlp" else HamiltonianNet
+    if not isinstance(model, cls):
+        raise TypeError(f"kind {kind!r} requires a {cls.__name__}")
     meta = {"kind": kind, "n_states": model.n_states, "n_inputs": n_inputs,
             "n_hidden": model.n_hidden}
     if seed is not None:
         meta["seed"] = seed
     meta["normalization"] = "none"
-    params = {f"w1.{i}": row for i, row in enumerate(model.w1)}
-    params["b1"] = model.b1
-    if isinstance(model, HamiltonianNet):
-        params["w2"] = model.w2
-    else:
-        params.update((f"w2.{i}", row) for i, row in enumerate(model.w2))
-    params["b2"] = model.b2
+    shapes = _param_shapes(model)
+    rows = (row for name in shapes for row in np.atleast_2d(getattr(model, name)))
+    params = {key: row for (key, _, _), row in zip(_file_rows(shapes), rows)}
     Path(path).write_text(textio.sections_text({"meta": meta, "params": params}), encoding="utf-8")
 
 
@@ -362,34 +367,26 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
     if meta.get("normalization", "none") != "none":
         raise ModelFormatError(f"{path}: unsupported normalization {meta['normalization']!r}")
 
-    hamiltonian = kind in ("oe-hnn", "hnn")
-    rows = chain(
-        (f"w1.{i}" for i in range(n_hidden)),
-        ["b1", "w2"] if hamiltonian else ["b1", *(f"w2.{i}" for i in range(n_states))],
-        ["b2"],
-    )
-    if n_hidden + (1 if hamiltonian else n_states) + 2 > len(params):
+    # the net of this kind with each parameter's shape in place of its value
+    if kind == "mlp":
+        shape_net = BlackBoxNet(w1=(n_hidden, n_states + n_inputs), b1=(n_hidden,),
+                                w2=(n_states, n_hidden), b2=(n_states,))
+    else:
+        shape_net = HamiltonianNet(w1=(n_hidden, n_states), b1=(n_hidden,), w2=(n_hidden,), b2=())
+    shapes = {f.name: getattr(shape_net, f.name) for f in fields(shape_net)}
+    if sum(shape[0] if len(shape) == 2 else 1 for shape in shapes.values()) > len(params):
         # name the first missing row without listing every row a size asks for
-        missing = next(key for key in rows if key not in params)
+        missing = next(key for key, _, _ in _file_rows(shapes) if key not in params)
         raise ModelFormatError(f"{path}: missing parameter row {missing!r}")
-    known = set(rows)  # no more names than the file has rows
+    known = {key for key, _, _ in _file_rows(shapes)}  # no more names than the file has rows
     unknown = [k for k in params if k not in known]
     if unknown:
         raise ModelFormatError(f"{path}: unknown parameter key {unknown[0]!r}")
-    if hamiltonian:
-        w1 = np.stack([_row(params, f"w1.{i}", n_states, path) for i in range(n_hidden)])
-        b1 = _row(params, "b1", n_hidden, path)
-        w2 = _row(params, "w2", n_hidden, path)
-        b2 = float(_row(params, "b2", 1, path)[0])
-        model: object = HamiltonianNet(w1=w1, b1=b1, w2=w2, b2=b2)
-    else:
-        w1 = np.stack(
-            [_row(params, f"w1.{i}", n_states + n_inputs, path) for i in range(n_hidden)]
-        )
-        b1 = _row(params, "b1", n_hidden, path)
-        w2 = np.stack([_row(params, f"w2.{i}", n_hidden, path) for i in range(n_states)])
-        b2 = _row(params, "b2", n_states, path)
-        model = BlackBoxNet(w1=w1, b1=b1, w2=w2, b2=b2)
+    rows = {name: [] for name in shapes}
+    for key, name, length in _file_rows(shapes):
+        rows[name].append(_row(params, key, length, path))
+    values = {name: np.reshape(rows[name], shape) for name, shape in shapes.items()}
+    model = type(shape_net)(**{name: v if v.ndim else float(v) for name, v in values.items()})
     return SavedModel(
         model=model,
         kind=kind,

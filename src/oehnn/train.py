@@ -711,18 +711,14 @@ class _ValidationHelper:
         self._proc.join()
 
 
-def _process_budget(workers: int) -> int:
-    """The processes `workers` allows: its value, every usable core for 0, and
-    always 1 in a daemonic process (a pool worker), which may not fork."""
-    if workers < 0:
-        raise ValueError("workers must be at least 0")
+def _process_budget() -> int:
+    """The processes a fit may use: the usable cores of the affinity mask,
+    and always 1 in a daemonic process (a pool worker), which may not fork."""
     import multiprocessing
 
     if multiprocessing.current_process().daemon:
         return 1
-    if workers == 0:
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return workers
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _check_first_loss(split: str, loss: float) -> None:
@@ -745,7 +741,6 @@ def fit(
     dataset: Dataset,
     config: TrainConfig | None = None,
     initial_model=None,
-    workers: int = 0,
 ) -> FitResult:
     """Train a model of the given kind and return the best-validation copy.
 
@@ -771,11 +766,10 @@ def fit(
     validation loss that is not finite at the first epoch raises when that
     epoch is settled.
 
-    `workers` is a process budget: its value, every usable core for 0 (the
-    default), and always 1 in a daemonic process such as a pool worker,
-    which may not fork; a negative value raises `ValueError`. With a budget
-    of 1, this process validates each window when it is sent. With 2 or
-    more, one forked helper process validates each window while this
+    The process budget is the usable cores of the affinity mask, and always
+    1 in a daemonic process such as a pool worker, which may not fork. With
+    a budget of 1, this process validates each window when it is sent. With
+    2 or more, one forked helper process validates each window while this
     process computes the next window's gradients; it holds at most one
     window, so at most 2 * `_WINDOW` - 1 epochs await validation. An
     'oe-hnn' fit whose lanes fall into several groups also has the helper
@@ -786,13 +780,13 @@ def fit(
     member's loss has the bits of validating that model alone, and the
     groups' losses and gradients are summed in group order wherever they
     were computed, so `history` and the returned model are bit-identical
-    for every `workers`. The helper is stopped when `fit` returns or
+    for every process budget. The helper is stopped when `fit` returns or
     raises; if it dies, `fit` raises `TrainingError`.
     """
     config = config or TrainConfig()
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    overlap = _process_budget(workers) >= 2
+    overlap = _process_budget() >= 2
     if not dataset.train or not dataset.validation:
         raise TrainingError("dataset needs non-empty train and validation splits")
 

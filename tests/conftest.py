@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from oehnn.data import GenerationProtocol, generate
@@ -25,3 +27,14 @@ def tiny_duffing_dataset():
 def standard_duffing_dataset():
     """The full default single-mass recording protocol."""
     return generate(duffing_system(), GenerationProtocol(), NoiseSpec(variance=0.1), master_seed=0)
+
+
+@pytest.fixture
+def process_budget(monkeypatch):
+    """`process_budget(n)` pins the process budget to n: the affinity mask
+    then holds n cores, here and in every process forked from here."""
+
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return pin

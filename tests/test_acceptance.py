@@ -270,33 +270,30 @@ def _metrics_text(path):
     return (path / "comparison.csv").read_text() + (path / "report_0_oe-hnn.txt").read_text()
 
 
-def test_criterion_10_end_to_end_determinism(tmp_path):
+def test_criterion_10_end_to_end_determinism(tmp_path, process_budget):
     outputs = []
-    for tag, workers in (("a", "1"), ("b", "4")):
+    for tag, budget in (("a", 1), ("b", 2)):
         base = tmp_path / tag
+        process_budget(budget)
         args_gen = [
             "generate-data", "--out", str(base / "data"), "--master-seed", "11",
             "--n-realizations", "8", "--n-train", "4", "--n-val", "2", "--n-test", "2",
-            "--n-samples", "80", "--t-start", "1.0", "--workers", workers,
+            "--n-samples", "80", "--t-start", "1.0",
         ]
         assert cli_main(args_gen) == 0
         assert cli_main([
             "train", "--data", str(base / "data"), "--out", str(base / "model"),
             "--model", "oe-hnn", "--n-hidden", "16", "--max-epochs", "10",
-            "--patience", "10", "--workers", workers,
+            "--patience", "10",
         ]) == 0
         assert cli_main([
             "evaluate", "--data", str(base / "data"), "--out", str(base / "eval"),
-            "--models", str(base / "model" / "model.txt"), "--workers", workers,
+            "--models", str(base / "model" / "model.txt"),
         ]) == 0
         outputs.append(base)
     a, b = outputs
-    # the config echo records the differing workers flag by design; every
-    # numeric artifact must be bit-identical
-    diffs = [
-        f for f in filecmp.dircmp(a / "data", b / "data").diff_files if f != "config.txt"
-    ]
-    same_data = not diffs
+    # every artifact, the dataset's config echo too, must be bit-identical
+    same_data = not filecmp.dircmp(a / "data", b / "data").diff_files
     same_model = (a / "model/model.txt").read_text() == (b / "model/model.txt").read_text()
     same_history = (a / "model/history.csv").read_text() == (b / "model/history.csv").read_text()
     same_metrics = _metrics_text(a / "eval") == _metrics_text(b / "eval")
@@ -306,5 +303,5 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         "end-to-end determinism",
         ok,
         f"dataset={same_data}, model={same_model}, history={same_history}, "
-        f"metrics={same_metrics} across workers 1 vs 4",
+        f"metrics={same_metrics} across process budgets 1 vs 2",
     )

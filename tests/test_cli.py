@@ -70,9 +70,10 @@ class TestConfig:
             ("n_hidden = 3\nn_hidden = 4\n", "exp.txt:2: duplicate key 'n_hidden'"),
             ("n_hidden = 3\nlearning_rte = 0.1\n", "exp.txt:2: unknown key 'learning_rte'"),
             ("[train]\nn_hidden = 3\n", "exp.txt:1: unknown section [train]"),
+            ("n_hidden = 3\nworkers = 2\n", "exp.txt:2: unknown key 'workers'"),
             ("n_hidden = 3\ncubic = maybe\n", "exp.txt:2: bad value for 'cubic'"),
         ],
-        ids=["duplicate", "unknown", "section", "value"],
+        ids=["duplicate", "unknown", "section", "removed", "value"],
     )
     def test_bad_line_is_named(self, tmp_path, text, named):
         path = tmp_path / "exp.txt"
@@ -243,7 +244,7 @@ class TestTrainCommand:
             ["--n-hidden", "0"],
             ["--chunk-length", "1"],
             ["--max-epochs", "0"],
-            ["--workers", "-1"],
+            ["--workers", "2"],  # the affinity mask sets the process budget
             ["--model", "foo"],
             ["--train-seed", "-1"],
             ["--learning-rate", "nan"],
@@ -300,13 +301,13 @@ class TestTrainCommand:
         "victim, model, split",
         [(0, "oe-hnn", "training"), (1, "hnn", "training"), (3, "mlp", "validation")],
     )
-    def test_overflowing_cell_is_runtime_error(self, cli_dataset, tmp_path, capsys, victim,
-                                               model, split):
+    def test_overflowing_cell_is_runtime_error(self, cli_dataset, tmp_path, capsys,
+                                               process_budget, victim, model, split):
         # a finite cell whose squared residual overflows the loss
         data = self._set_cell(cli_dataset, tmp_path, victim, "1e300")
         out = tmp_path / "o"
-        code = run_cli("train", "--data", data, "--out", out, "--model", model, *TRAIN_FAST,
-                       "--workers", "1")
+        process_budget(1)
+        code = run_cli("train", "--data", data, "--out", out, "--model", model, *TRAIN_FAST)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -556,8 +557,7 @@ def _exits_cleanly(capsys, argv):
 
 
 def _run_on_dataset(capsys, data, out, model, trained_models):
-    train = ["train", "--data", data, "--out", out / "t", "--model", model, *TRAIN_FAST,
-             "--workers", 1]
+    train = ["train", "--data", data, "--out", out / "t", "--model", model, *TRAIN_FAST]
     _exits_cleanly(capsys, train)
     _exits_cleanly(capsys, ["evaluate", "--data", data, "--out", out / "e",
                             "--models", trained_models[model]])
@@ -655,10 +655,11 @@ class TestCorruptDataset:
         ),
         model=st.sampled_from(["oe-hnn", "hnn", "mlp"]),
     )
-    def test_exits_cleanly(self, cli_dataset, trained_models, capsys, victim, corruption,
-                           bad_byte, model):
+    def test_exits_cleanly(self, cli_dataset, trained_models, capsys, process_budget, victim,
+                           corruption, bad_byte, model):
         # one file of the dataset corrupted as `_corrupt_table` does, and
-        # perhaps a byte that is not UTF-8 put into it
+        # perhaps a byte that is not UTF-8 put into it; trained inline
+        process_budget(1)
         with tempfile.TemporaryDirectory() as tmp:
             data = self._copy(cli_dataset, Path(tmp))
             files = sorted(data.glob("traj_*.csv")) + [data / "manifest.txt"]
@@ -745,13 +746,11 @@ _TRAIN_OPTIONAL = {
     "--train-seed": st.integers(0, 100),
     "--derivative-source": st.sampled_from(["fd", "true"]),
     "--anchor": st.sampled_from(["measured", "true"]),
-    "--workers": st.integers(0, 2),
 }
 _EVALUATE_OPTIONAL = {
     "--reference": st.sampled_from(["true", "measured"]),
     "--anchor": st.sampled_from(["measured", "true"]),
     "--system": st.sampled_from(["duffing", "coupled"]),
-    "--workers": st.integers(0, 2),
 }
 _SIMULATE_OPTIONAL = {
     "--x0": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
@@ -810,6 +809,64 @@ class TestArgvContract:
         }[source]
         with tempfile.TemporaryDirectory() as tmp:
             _exits_cleanly(capsys, ["simulate", *origin, "--out", Path(tmp) / "s.csv", *argv])
+
+
+# --config files: the keys of a tiny valid run, optional keys from valid
+# ranges (the argv strategies' flags as keys), up to two keys given an edge
+# value or none, and now and then an unknown key (one a past version took
+# among them), a repeated line, a [section] line and a byte that is not UTF-8.
+_NOW_AND_THEN = st.sampled_from([False, False, False, True])
+
+
+def _as_keys(flags):
+    return {flag[2:].replace("-", "_"): value for flag, value in flags.items()}
+
+
+@st.composite
+def _config_file(draw, base, optional):
+    values = {key: draw(value) for key, value in _as_keys(base).items()}
+    optional = _as_keys(optional)
+    values.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    for key in draw(st.lists(st.sampled_from([*values, *optional]), max_size=2, unique=True)):
+        values[key] = draw(_ARGV_EDGE)
+    lines = [f"{key} = {'' if value is None else _text(value)}" for key, value in values.items()]
+    if draw(_NOW_AND_THEN):
+        lines.append(draw(st.sampled_from(["workers = 2", "learning_rte = 0.1", "seed = 1"])))
+    if draw(_NOW_AND_THEN):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    if draw(_NOW_AND_THEN):
+        lines.insert(draw(st.integers(0, len(lines))), "[section]")
+    text = ("\n".join(lines) + "\n").encode()
+    if draw(_NOW_AND_THEN):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+_GENERATE_BASE = {flag: st.just(value) for flag, value in zip(GEN_FAST[::2], GEN_FAST[1::2])}
+_TRAIN_BASE = {"--n-hidden": st.integers(1, 6), "--max-epochs": st.integers(1, 3),
+               "--patience": st.integers(1, 3)}
+
+
+class TestConfigFileContract:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_config_file(_GENERATE_BASE, _OPTIONAL))
+    def test_generate_data_exits_cleanly(self, capsys, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "exp.txt"
+            config.write_bytes(text)
+            _exits_cleanly(capsys, ["generate-data", "--out", Path(tmp) / "d", "--config", config])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_config_file(_TRAIN_BASE, {**_OPTIONAL, **_TRAIN_OPTIONAL}))
+    def test_train_exits_cleanly(self, cli_dataset, capsys, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "exp.txt"
+            config.write_bytes(text)
+            _exits_cleanly(capsys, ["train", "--data", cli_dataset, "--out", Path(tmp) / "t",
+                                    "--config", config])
 
 
 class TestSimulateCommand:
@@ -1011,22 +1068,23 @@ def test_console_entry_point_runs():
     assert "oehnn" in result.stdout
 
 
-def test_end_to_end_determinism(tmp_path):
-    """generate -> train (short) -> evaluate twice: metrics files identical."""
+def test_end_to_end_determinism(tmp_path, process_budget):
+    """generate -> train (short) -> evaluate at process budgets 1 and 2:
+    metrics files identical."""
     outputs = []
-    for tag, workers in (("a", "1"), ("b", "4")):
+    for tag, budget in (("a", 1), ("b", 2)):
         base = tmp_path / tag
+        process_budget(budget)
         assert run_cli(
-            "generate-data", "--out", base / "data", "--master-seed", 11,
-            "--workers", workers, *GEN_FAST,
+            "generate-data", "--out", base / "data", "--master-seed", 11, *GEN_FAST,
         ) == 0
         assert run_cli(
             "train", "--data", base / "data", "--out", base / "model",
-            "--model", "oe-hnn", "--workers", workers, *TRAIN_FAST,
+            "--model", "oe-hnn", *TRAIN_FAST,
         ) == 0
         assert run_cli(
             "evaluate", "--data", base / "data", "--out", base / "eval",
-            "--models", base / "model" / "model.txt", "--workers", workers,
+            "--models", base / "model" / "model.txt",
         ) == 0
         outputs.append(base)
     a, b = outputs

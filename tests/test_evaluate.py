@@ -177,25 +177,25 @@ def test_model_field_dispatch():
         model_field(object(), S)
 
 
-def test_compare_estimators_workers_do_not_change_results(tiny_duffing_dataset):
+def test_compare_estimators_workers_do_not_change_results(tiny_duffing_dataset, process_budget):
+    # sequential, then a pool of 2 and a pool of 3 over the three seeds
     kwargs = dict(
-        seeds=(1, 2),
+        seeds=(1, 2, 3),
         n_hidden=4,
         oe_stages=(TrainStage(5e-3, 10, 3), TrainStage(1e-3, None, 2)),
         baseline_epochs=3,
         baseline_patience=3,
     )
-    one, *others = [
-        compare_estimators(tiny_duffing_dataset, workers=workers, **kwargs)
-        for workers in (1, 0, 2)
-    ]
+    results = []
+    for budget in (1, 2, 3):
+        process_budget(budget)
+        results.append(compare_estimators(tiny_duffing_dataset, **kwargs))
+    one, *others = results
     for other in others:
         assert one.median_seed_index == other.median_seed_index
         for kind in one.kinds:
             assert np.array_equal(one.rmse_array(kind), other.rmse_array(kind))
     assert multiprocessing.active_children() == []
-    with pytest.raises(ValueError, match="workers"):
-        compare_estimators(tiny_duffing_dataset, workers=-1, **kwargs)
 
 
 def test_compare_estimators_needs_a_seed(tiny_duffing_dataset, monkeypatch):

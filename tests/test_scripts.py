@@ -31,6 +31,10 @@ def test_run_benchmark_quick(tmp_path):
     assert summary["seeds"] == [1, 2]
     assert set(summary["per_seed_rmse"]) == {"oe-hnn", "hnn", "mlp"}
     assert all(len(rows) == 2 for rows in summary["per_seed_rmse"].values())
+    # the budget the run used: every usable core of the affinity mask
+    budget, cores = summary["process_budget"], summary["usable_cores"]
+    assert budget == cores >= 1
+    assert f"process_budget {budget}, usable_cores {cores}" in result.stdout
 
 
 @pytest.mark.parametrize("n_train", ["0", "-1"])
@@ -42,6 +46,15 @@ def test_run_benchmark_refuses_n_train_below_one(tmp_path, n_train):
     assert result.stderr.splitlines()[-1] == (
         f"run_benchmark.py: error: argument --n-train: must be at least 1, got {n_train}"
     )
+    assert not out.exists()
+
+
+def test_run_benchmark_refuses_workers(tmp_path):
+    # the affinity mask sets the process budget; there is no flag for it
+    out = tmp_path / "out"
+    result = run_script("run_benchmark.py", "--quick", "--workers", "2", "--out", out)
+    assert result.returncode == 2
+    assert "unrecognized arguments: --workers 2" in result.stderr
     assert not out.exists()
 
 

@@ -48,6 +48,17 @@ SPEC = duffing_system()
 S = structure_matrices(SPEC)
 
 
+@pytest.fixture
+def fit_at(process_budget):
+    """`fit_at(budget, *args, **kwargs)` is `fit` at a pinned process budget."""
+
+    def run(budget, *args, **kwargs):
+        process_budget(budget)
+        return fit(*args, **kwargs)
+
+    return run
+
+
 def random_hnet(rng, n_hidden=4, scale=0.5, n_states=2):
     net = init_hamiltonian_net(n_states, n_hidden, rng)
     return with_params(net, rng.uniform(-scale, scale, flatten_params(net).size))
@@ -364,11 +375,11 @@ class TestDerivativeBlocks:
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
     def test_fits_are_bit_identical_for_every_workers(self, tiny_duffing_dataset, monkeypatch,
-                                                      kind):
+                                                      fit_at, kind):
         set_block_rows(monkeypatch, 8, 7)  # 120 rows: 17 blocks and 1 row
         cfg = TrainConfig(n_hidden=8, max_epochs=12, patience=12, seed=2)
-        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
-        helper = fit(kind, tiny_duffing_dataset, cfg, workers=2)
+        inline = fit_at(1, kind, tiny_duffing_dataset, cfg)
+        helper = fit_at(2, kind, tiny_duffing_dataset, cfg)
         assert_same_bits(inline.history, helper.history)
         assert_same_bits(flatten_params(inline.model), flatten_params(helper.model))
         assert multiprocessing.active_children() == []
@@ -495,7 +506,7 @@ class TestFit:
             fit("oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=3, patience=3))
 
     def test_chunked_fit_allocates_its_stage_record_once(self, tiny_duffing_dataset,
-                                                          monkeypatch):
+                                                          monkeypatch, fit_at):
         # every epoch's gradients, on both chunk lengths, share one record
         made, handed = [], []
         stage_record, sim_batch = oehnn.train._stage_record, oehnn.train._sim_batch
@@ -508,7 +519,7 @@ class TestFit:
                             lambda *args: made.append(stage_record(*args)) or made[-1])
         monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
         cfg = TrainConfig(n_hidden=6, max_epochs=4, patience=4, chunk_length=10)
-        result = fit("oe-hnn", tiny_duffing_dataset, cfg, workers=1)
+        result = fit_at(1, "oe-hnn", tiny_duffing_dataset, cfg)
         assert len(result.history) == 4
         assert len(made) == 1
         assert len(handed) == 4 * 2 and all(record is made[0] for record in handed)
@@ -557,7 +568,7 @@ def patience_stops(history):
 class LargestGroupPoison:
     """Makes the gradient of a fit's largest training group non-finite in the
     epoch given to `arm`, which each fit must call first; the parent computes
-    that group in every epoch, for every `workers`."""
+    that group in every epoch, at every process budget."""
 
     def __init__(self, monkeypatch, ds, cfg):
         groups = oehnn.train._lane_groups(ds.train, cfg.anchor, cfg.chunk_length)
@@ -585,10 +596,10 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
     )
-    def test_helper_is_bit_identical_to_inline(self, tiny_duffing_dataset, kind, chunk):
+    def test_helper_is_bit_identical_to_inline(self, tiny_duffing_dataset, fit_at, kind, chunk):
         cfg = TrainConfig(n_hidden=8, max_epochs=5, patience=5, chunk_length=chunk, seed=2)
-        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
-        helper = fit(kind, tiny_duffing_dataset, cfg, workers=2)
+        inline = fit_at(1, kind, tiny_duffing_dataset, cfg)
+        helper = fit_at(2, kind, tiny_duffing_dataset, cfg)
         assert np.array_equal(inline.history, helper.history)
         assert np.array_equal(flatten_params(inline.model), flatten_params(helper.model))
         assert multiprocessing.active_children() == []
@@ -596,16 +607,16 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
     )
-    def test_run_ahead_settles_in_epoch_order(self, tiny_duffing_dataset, kind, chunk):
+    def test_run_ahead_settles_in_epoch_order(self, tiny_duffing_dataset, fit_at, kind, chunk):
         # stops inside a validation window and on the edges of the first and
         # the second window, when the helper holds at most one window, and a
         # run whose epoch count is not a multiple of the window; each must be
-        # the prefix of the unstopped run and identical for every `workers`
+        # the prefix of the unstopped run and identical at every budget
         cfg = TrainConfig(
             n_hidden=8, max_epochs=40, patience=40, chunk_length=chunk, seed=2,
             learning_rate=0.05,
         )
-        full = fit(kind, tiny_duffing_dataset, cfg, workers=1).history
+        full = fit_at(1, kind, tiny_duffing_dataset, cfg).history
         stops = {}
         for patience in range(1, 40):
             best, best_epoch = np.inf, 0
@@ -626,7 +637,7 @@ class TestWorkers:
             (dataclasses.replace(cfg, max_epochs=13), 13),
         ]
         for run, n in runs:
-            results = [fit(kind, tiny_duffing_dataset, run, workers=w) for w in (0, 1, 2)]
+            results = [fit_at(budget, kind, tiny_duffing_dataset, run) for budget in (1, 2)]
             assert len(results[0].history) == n
             assert np.array_equal(results[0].history, full[:n])
             for other in results[1:]:
@@ -638,12 +649,12 @@ class TestWorkers:
             assert results[0].best_epoch == 1 + int(np.argmin(full[:n, 2]))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget", [1, 2])
     def test_non_finite_gradient_raises_only_when_no_earlier_stop(
-        self, tiny_duffing_dataset, monkeypatch, workers
+        self, tiny_duffing_dataset, monkeypatch, fit_at, budget
     ):
         cfg = TrainConfig(n_hidden=8, max_epochs=40, patience=3, seed=2, learning_rate=0.05)
-        reference = fit("hnn", tiny_duffing_dataset, cfg, workers=1)
+        reference = fit_at(1, "hnn", tiny_duffing_dataset, cfg)
         stop = len(reference.history)
         assert stop < cfg.max_epochs
         derivative_batch = oehnn.train._derivative_batch_hnn
@@ -657,25 +668,25 @@ class TestWorkers:
 
             monkeypatch.setattr(oehnn.train, "_derivative_batch_hnn", poisoned)
             if stopped:
-                result = fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+                result = fit_at(budget, "hnn", tiny_duffing_dataset, cfg)
                 assert np.array_equal(result.history, reference.history)
                 assert np.array_equal(
                     flatten_params(result.model), flatten_params(reference.model)
                 )
             else:
                 with pytest.raises(TrainingError, match="non-finite gradient"):
-                    fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+                    fit_at(budget, "hnn", tiny_duffing_dataset, cfg)
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("stop", ["max_epochs", "patience", "non-finite gradient"])
     def test_both_budgets_validate_the_same_windows(self, tiny_duffing_dataset, monkeypatch,
-                                                    stop):
+                                                    fit_at, stop):
         # the stacks the inline path validates and the helper is sent have the
         # same sizes: full windows, then the partial window of the last epoch
         # or of a non-finite gradient, and none past a patience stop
         window = oehnn.train._WINDOW
         cfg = TrainConfig(n_hidden=8, max_epochs=40, patience=8, seed=2, learning_rate=0.05)
-        reference = fit("hnn", tiny_duffing_dataset, cfg, workers=1)
+        reference = fit_at(1, "hnn", tiny_duffing_dataset, cfg)
         n_stop, n_params = len(reference.history), flatten_params(reference.model).size
         assert window < n_stop < cfg.max_epochs and n_stop % window, \
             "the fixture no longer stops inside a window after the first"
@@ -710,19 +721,19 @@ class TestWorkers:
 
         monkeypatch.setattr(oehnn.train, "_val_losses", validated)
         monkeypatch.setattr(oehnn.train._ValidationHelper, "submit", submitted)
-        for workers in (1, 2):
+        for budget in (1, 2):
             calls.clear()
             if stop == "non-finite gradient":
                 with pytest.raises(TrainingError, match="non-finite gradient"):
-                    fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+                    fit_at(budget, "hnn", tiny_duffing_dataset, cfg)
             else:
-                fit("hnn", tiny_duffing_dataset, cfg, workers=workers)
+                fit_at(budget, "hnn", tiny_duffing_dataset, cfg)
             assert multiprocessing.active_children() == []
         assert inline == expected
         assert sent == [(k, n_params) for k in expected]
 
     def test_helper_computes_every_group_but_the_largest(self, tiny_duffing_dataset,
-                                                         monkeypatch):
+                                                         monkeypatch, fit_at):
         # at a budget of 2 the parent computes only the largest group, except
         # in the epoch after it sends a window, while the helper validates it
         groups = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)
@@ -744,9 +755,9 @@ class TestWorkers:
             1: sizes * 17,
             2: [n for e in range(1, 18) for n in (sizes if e in after_a_window else [big])],
         }
-        for workers, calls in expected.items():
+        for budget, calls in expected.items():
             parent.clear()
-            fit("oe-hnn", tiny_duffing_dataset, cfg, workers=workers)
+            fit_at(budget, "oe-hnn", tiny_duffing_dataset, cfg)
             assert parent == calls
             assert multiprocessing.active_children() == []
 
@@ -755,8 +766,9 @@ class TestWorkers:
         ["9 epochs", "17 epochs", "patience stop", "non-finite gradient", "two lengths",
          "four lengths"],
     )
-    def test_helper_groups_keep_the_bits(self, tiny_duffing_dataset, monkeypatch, case):
-        # the helper's groups are summed in group order, so every `workers`
+    def test_helper_groups_keep_the_bits(self, tiny_duffing_dataset, monkeypatch, fit_at,
+                                         case):
+        # the helper's groups are summed in group order, so every budget
         # gives the same history, parameters and best epoch: a full window and
         # then the last epoch (the first-in-first-out edge), two windows and
         # the last epoch, a patience stop inside a window, a non-finite
@@ -784,17 +796,17 @@ class TestWorkers:
         elif case != "17 epochs":
             long = dataclasses.replace(cfg, max_epochs=40, patience=40)
             stop, patience = next(
-                (e, p) for e, p in patience_stops(fit("oe-hnn", ds, long, workers=1).history)
+                (e, p) for e, p in patience_stops(fit_at(1, "oe-hnn", ds, long).history)
                 if e > window and e % window
             )
             cfg = dataclasses.replace(long, patience=patience)
             if case == "non-finite gradient":
                 poison = LargestGroupPoison(monkeypatch, ds, cfg)
         results = []
-        for workers in (0, 1, 2):
+        for budget in (1, 2):
             if poison is not None:
                 poison.arm(stop)  # the patience stop at this epoch wins
-            results.append(fit("oe-hnn", ds, cfg, workers=workers))
+            results.append(fit_at(budget, "oe-hnn", ds, cfg))
             assert multiprocessing.active_children() == []
         for other in results[1:]:
             assert_same_bits(other.history, results[0].history)
@@ -803,14 +815,14 @@ class TestWorkers:
         if case in ("patience stop", "non-finite gradient"):
             assert len(results[0].history) == stop
         if poison is not None:
-            # at an earlier epoch inside a window, every `workers` refuses it
-            for workers in (0, 1, 2):
+            # at an earlier epoch inside a window, every budget refuses it
+            for budget in (1, 2):
                 poison.arm(next(e for e in range(stop - 1, 0, -1) if e % window))
                 with pytest.raises(TrainingError, match="non-finite gradient"):
-                    fit("oe-hnn", ds, cfg, workers=workers)
+                    fit_at(budget, "oe-hnn", ds, cfg)
                 assert multiprocessing.active_children() == []
 
-    def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset):
+    def test_helper_stopped_after_first_epoch_error(self, tiny_duffing_dataset, fit_at):
         rng = np.random.default_rng(51)
         net = random_hnet(rng)
         traj = self_generated_traj(net, np.array([0.1, 0.0]), 20, rng=rng)
@@ -819,40 +831,30 @@ class TestWorkers:
         bad = Trajectory(t=traj.t, u=traj.u, y=bad_y)
         ds = dataclasses.replace(tiny_duffing_dataset, train=[bad], validation=[traj], test=[])
         with pytest.raises(TrainingError, match="every training rollout diverged"):
-            fit("oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=3, patience=3), workers=2)
+            fit_at(2, "oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=3, patience=3))
         assert multiprocessing.active_children() == []
 
-    def test_helper_death_is_training_error(self, tiny_duffing_dataset, monkeypatch):
+    def test_helper_death_is_training_error(self, tiny_duffing_dataset, monkeypatch, fit_at):
         # only validation reaches _lane_loss in an hnn fit, so only the forked
         # helper (which inherits the patch) exits
         monkeypatch.setattr(oehnn.train, "_lane_loss", lambda *args: os._exit(3))
         cfg = TrainConfig(n_hidden=4, max_epochs=3, patience=3)
         with pytest.raises(TrainingError, match=r"validation helper .*\(exit code 3\)"):
-            fit("hnn", tiny_duffing_dataset, cfg, workers=2)
+            fit_at(2, "hnn", tiny_duffing_dataset, cfg)
         assert multiprocessing.active_children() == []
 
-    def test_negative_workers_rejected(self, tiny_duffing_dataset):
-        with pytest.raises(ValueError, match="workers"):
-            fit("hnn", tiny_duffing_dataset, TrainConfig(n_hidden=4, max_epochs=1), workers=-1)
-
     @pytest.mark.parametrize("kind, chunk", [("oe-hnn", 10), ("hnn", None)])
-    def test_fit_in_a_pool_worker_validates_inline(self, tiny_duffing_dataset, kind, chunk):
-        # a daemonic pool worker may not fork the helper, whatever `workers` asks
+    def test_fit_in_a_pool_worker_validates_inline(self, tiny_duffing_dataset, process_budget,
+                                                   fit_at, kind, chunk):
+        # a daemonic pool worker may not fork the helper, whatever the budget
         cfg = TrainConfig(n_hidden=8, max_epochs=5, patience=5, chunk_length=chunk, seed=2)
-        inline = fit(kind, tiny_duffing_dataset, cfg, workers=1)
+        inline = fit_at(1, kind, tiny_duffing_dataset, cfg)
+        process_budget(2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            pooled = pool.apply(fit, (kind, tiny_duffing_dataset, cfg), {"workers": 2})
+            pooled = pool.apply(fit, (kind, tiny_duffing_dataset, cfg))
         assert np.array_equal(inline.history, pooled.history)
         assert np.array_equal(flatten_params(inline.model), flatten_params(pooled.model))
         assert multiprocessing.active_children() == []
-
-    def test_workers_default_is_zero_everywhere(self):
-        from oehnn.cli import ExperimentConfig
-        from oehnn.evaluate import compare_estimators
-
-        for f in (fit, compare_estimators):
-            assert inspect.signature(f).parameters["workers"].default == 0
-        assert ExperimentConfig().workers == 0
 
 
 class TestLossDecomposition:
