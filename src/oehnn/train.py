@@ -7,18 +7,19 @@ loss actually computed. Nothing is recomputed: the forward records k1..k3 and
 the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
 
 `_lane_groups` alone turns trajectories into RK4 lanes, whole or in
-re-anchored segments, for training, validation, `simulation_loss(_grad)`
-and `evaluate`. `_energy_rollout` is the one energy-net rollout, plain or
-stacked, with or without a stage record; its field is
-`netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1], forms
-w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
+re-anchored segments of one length (a shorter last segment is padded and
+scored only over its own steps), for training, validation,
+`simulation_loss(_grad)` and `evaluate`. `_energy_rollout` is the one
+energy-net rollout, plain or stacked, with or without a stage record; its
+field is `netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1],
+forms w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
 rollout and writes only tanh to the stage's slot. The reverse sweep forms
 J.T v from v's two halves in one concatenation, and its VJP, `_grad_vjp`,
 takes the stage's rows [x, 1] too.
 
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
-per fit, sized for its largest lane group, and every group's gradient in every
+per fit, sized for its biggest lane group, and every group's gradient in every
 epoch uses the front of it; a caller that hands none, such as
 `simulation_loss_grad`, gets one per call. Before its loop the reverse sweep
 computes, in whole-array passes, each step's residual pullback (lane scale
@@ -30,11 +31,9 @@ these is the operation the loop would otherwise repeat, on the same
 operands, so the bits do not depend on where it runs. The sweep only reads
 the record.
 
-`fit` validates windows of `_WINDOW` epochs, one stacked rollout each, inline
-or in a forked helper process, and settles them in epoch order. The helper
-also computes every training lane group but the largest, except in the
-epoch after it is sent a window; the groups' results are summed in group
-order wherever they were computed.
+`fit` computes every training gradient itself and validates windows of
+`_WINDOW` epochs, one stacked rollout each, inline or in a forked helper
+process, and settles them in epoch order.
 
 The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the buffers
 it is handed, or allocates when it is handed none. The derivative batches
@@ -231,22 +230,30 @@ def _stage_vjp(net, xa, th, v, n, acc: _ThetaGrad, scratch=None):
     return _grad_vjp(net, xa, th, jt_v, acc, scratch=scratch) @ net.w1
 
 
-def _lane_loss(xs, y, diverged, weight, penalty):
-    """Per-lane weighted sum of residual norms; a dead lane pays `penalty`.
+def _lane_loss(xs, lanes, diverged, penalty):
+    """Per-lane weighted sum of residual norms over each lane's own `steps`;
+    a dead lane pays `penalty`.
 
-    Also returns the residuals and their norms, (T, B, d) and (T, B).
+    The residuals of a lane's padded steps are zeroed, and a lane whose
+    first non-finite state lies in its padding stays live. Also returns the
+    residuals and their norms, (T, B, d) and (T, B), and `diverged` with
+    such lanes set to -1.
     """
-    resid = xs[1:] - y[1:]
+    resid = xs[1:] - lanes.y[1:]
+    resid[np.arange(len(resid))[:, None] >= lanes.steps] = 0.0
+    diverged = np.where(diverged > lanes.steps, -1, diverged)
     norms = np.linalg.norm(resid, axis=2)
-    return np.where(diverged < 0, weight * norms.sum(axis=0), penalty), resid, norms
+    lane_loss = np.where(diverged < 0, lanes.weight * norms.sum(axis=0), penalty)
+    return lane_loss, resid, norms, diverged
 
 
 def _stage_record(n_rows: int, n_lanes: int, d: int, n_hidden: int):
     """Flat storage for `_sim_batch` gradients of at most `n_rows` lane-steps
-    (steps times lanes) and `n_lanes` lanes: k1..k3 and the four stages' tanh
-    of every lane-step, then two (lanes, n_hidden) scratch arrays. A call
-    views the front of each array in its own shape and overwrites what it
-    reads, so calls that run one after another can share one record."""
+    (steps times lanes, padded steps included) and `n_lanes` lanes: k1..k3
+    and the four stages' tanh of every lane-step, then two (lanes, n_hidden)
+    scratch arrays. A call views the front of each array in its own shape
+    and overwrites what it reads, so calls that run one after another can
+    share one record."""
     return (
         np.empty(n_rows * 3 * d),
         np.empty(n_rows * 4 * n_hidden),
@@ -263,19 +270,25 @@ class _LaneGroup(NamedTuple):
     h: float
     weight: np.ndarray  # (B,) 1/N of each lane's trajectory, N its samples
     source: np.ndarray  # (B,) each lane's trajectory index
+    steps: np.ndarray  # (B,) each lane's own steps; u and y repeat their last rows after them
 
 
 def _lane_groups(
     trajs: list[Trajectory], anchor: str, chunk: int | None = None
 ) -> list[_LaneGroup]:
     """Cut trajectories into RK4 lanes: whole trajectories, or with `chunk`
-    segments of that many transitions, each re-anchored at its first sample.
+    segments of min(chunk, N - 1) transitions, each re-anchored at its first
+    sample.
 
-    Every residual sample keeps its trajectory's 1/N weight, so the chunked
-    loss sums the same residual terms as the full rollout, just along shorter
-    horizons. There is one group per (segment length, step), in ascending
-    order, and its lanes keep the order of `trajs` and of their segments.
-    A trajectory of fewer than 2 samples raises `ValueError` naming its index.
+    A trajectory's last segment, when it is shorter, is padded to that
+    length by repeating its last input and measurement rows, and each lane
+    records its own step count; `_lane_loss` scores only those steps, and
+    every residual sample keeps its trajectory's 1/N weight, so the chunked
+    loss sums the same residual terms as the full rollout, just along
+    shorter horizons. Whole trajectories are never padded. There is one
+    group per (segment length, step), in ascending order, and its lanes keep
+    the order of `trajs` and of their segments. A trajectory of fewer than 2
+    samples raises `ValueError` naming its index.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
@@ -287,17 +300,21 @@ def _lane_groups(
         anchors = tr.y if anchor == "measured" else tr.x_true
         if anchors is None:
             raise TrainingError("anchor='true' requires stored noiseless states")
-        step = chunk or n - 1
-        for k0 in range(0, n - 1, step):
-            length = min(step, n - 1 - k0)
-            segments.setdefault((length, tr.ts), []).append(
-                (anchors[k0], tr.u[k0 : k0 + length], tr.y[k0 : k0 + length + 1], 1.0 / n, i)
-            )
+        length = min(chunk or n - 1, n - 1)
+        for k0 in range(0, n - 1, length):
+            # rows past the trajectory's end repeat its last input and measurement
+            rows = np.minimum(np.arange(k0, k0 + length + 1), n - 1)
+            segments.setdefault((length, tr.ts), []).append((
+                anchors[k0], tr.u[np.minimum(rows[:-1], n - 2)], tr.y[rows], 1.0 / n, i,
+                min(length, n - 1 - k0),
+            ))
     groups = []
     for (_, h), segs in sorted(segments.items()):
-        x0, u, y, weight, source = zip(*segs)
+        x0, u, y, weight, source, steps = zip(*segs)
         stacked = np.stack(x0), np.stack(u, axis=1), np.stack(y, axis=1)
-        groups.append(_LaneGroup(*stacked, h, np.array(weight), np.array(source)))
+        groups.append(
+            _LaneGroup(*stacked, h, np.array(weight), np.array(source), np.array(steps))
+        )
     return groups
 
 
@@ -338,15 +355,16 @@ def _sim_batch(
 ):
     """Loss and exact parameter gradient of a group of model rollouts.
 
-    Each lane's loss is its weight times its residual-norm sum. Returns
-    (per-lane loss, flat grad, diverged step per lane with -1 for clean
-    lanes). The forward, `_energy_rollout`, fills the stage record (k1..k3
-    and each stage's tanh) that the reverse sweep reads; `record`, from
-    `_stage_record` sized for at least T * B lane-steps and B lanes, holds it
-    and the (B, n_hidden) scratch arrays every RK4 stage of both passes
-    reuses (it is allocated when None).
+    Each lane's loss is its weight times its residual-norm sum over its own
+    steps. Returns (per-lane loss, flat grad, diverged step per lane with -1
+    for live lanes, as `_lane_loss` gives it). The forward,
+    `_energy_rollout`, fills the stage record (k1..k3 and each stage's tanh)
+    that the reverse sweep reads; `record`, from `_stage_record` sized for
+    at least T * B lane-steps and B lanes, holds it and the (B, n_hidden)
+    scratch arrays every RK4 stage of both passes reuses (it is allocated
+    when None).
     """
-    x0, u, y, h, weight, _ = lanes
+    x0, u, h = lanes.x0, lanes.u, lanes.h
     n_steps, B, d = len(u), *x0.shape
     n, n_hidden = d // 2, net.n_hidden
     k_flat, th_flat, scratch_flat = record or _stage_record(n_steps * B, B, d, n_hidden)
@@ -354,12 +372,12 @@ def _sim_batch(
     ths = th_flat[: n_steps * 4 * B * n_hidden].reshape(n_steps, 4, B, n_hidden)
     scratch = scratch_flat[: 2 * B * n_hidden].reshape(2, B, n_hidden)
     xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (ks, ths), scratch)
-    lane_loss, resid, norms = _lane_loss(xs, y, diverged, weight, penalty)
+    lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged, penalty)
 
     # everything the reverse sweep reads that no cotangent changes, in
     # whole-array passes: each step's residual pullback and the rows [x, 1]
     # of its four stage states, x and x + (h/2) k1, x + (h/2) k2, x + h k3
-    live_w = np.where(diverged < 0, weight, 0.0)
+    live_w = np.where(diverged < 0, lanes.weight, 0.0)
     scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
     pulls = scale[:, :, None] * resid
     xa_stages = np.empty((n_steps, 4, B, d + 1))
@@ -414,7 +432,7 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
         lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
     else:
         xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
-        lane_loss = _lane_loss(xs, lanes.y, diverged, lanes.weight, DIVERGENCE_PENALTY)[0]
+        lane_loss = _lane_loss(xs, lanes, diverged, DIVERGENCE_PENALTY)[0]
         grad = None
     if diverged[0] >= 0:
         raise TrainingError(f"model rollout diverged at step {diverged[0]}")
@@ -610,7 +628,8 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
     # a lone model runs as a plain net, whose 2-D matmuls cost less per call
     net = with_params(template, thetas[0] if K == 1 else thetas)
     totals = [0.0] * K
-    for x0, u, y, h, weight, _ in groups:
+    for lanes in groups:
+        x0, u, h = lanes.x0, lanes.u, lanes.h
         B, d = x0.shape
         if kind == "mlp":
             block = (B, d) if K == 1 else (K, B, d)
@@ -627,14 +646,14 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
         xs = xs.reshape(len(xs), K, B, d)
         diverged = diverged.reshape(K, B)
         for k in range(K):
-            totals[k] += float(_lane_loss(xs[:, k], y, diverged[k], weight, penalty)[0].sum())
+            totals[k] += float(_lane_loss(xs[:, k], lanes, diverged[k], penalty)[0].sum())
     return totals
 
 
-def _serve_validation(conn, parent_end, val_losses, group_grads) -> None:
-    """Helper-process loop, one reply per request in request order: a (W, P)
-    stack of parameter vectors is validated in one rollout and its W losses
-    go back as one list; one (P,) vector gets `group_grads` of it back."""
+def _serve_validation(conn, parent_end, val_losses) -> None:
+    """Helper-process loop: each (W, P) stack of parameter vectors it
+    receives is validated in one rollout, and its W losses go back as one
+    list."""
     import signal
 
     # an interrupt is the parent's to handle; the parent then stops this process
@@ -644,60 +663,47 @@ def _serve_validation(conn, parent_end, val_losses, group_grads) -> None:
     with conn:
         while True:
             try:
-                params = conn.recv()
-                conn.send(val_losses(params) if params.ndim == 2 else group_grads(params))
+                conn.send(val_losses(conn.recv()))
             except (EOFError, BrokenPipeError):
                 return
 
 
 class _ValidationHelper:
     """One forked process that validates a window of epochs while the parent
-    computes the next window's training gradients, and computes training lane
-    groups the parent hands it.
+    computes the next window's training gradients.
 
-    The fork inherits the validation and training arrays, the stage record
-    and the functions, so only parameters, losses and gradients cross the
-    pipe, and the helper runs the same code on the same bytes as an inline
-    call.
+    The fork inherits the validation arrays and the function, so only
+    parameters and losses cross the pipe, and the helper runs the same code
+    on the same bytes as an inline call. At most one window is outstanding:
+    each `submit` is followed by its `receive` before the next `submit`.
     """
 
-    def __init__(self, val_losses, group_grads):
+    def __init__(self, val_losses):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(
-            target=_serve_validation,
-            args=(child_end, self._conn, val_losses, group_grads),
-            daemon=True,
+            target=_serve_validation, args=(child_end, self._conn, val_losses), daemon=True
         )
         self._proc.start()
         # once closed here, the helper's exit shows as EOF on self._conn
         child_end.close()
-        self._sent = self._read = 0
-        self._replies = {}  # replies read on the way to a later one, by ticket
 
-    def submit(self, params: np.ndarray) -> int:
-        """Queue a (W, P) window to validate or one (P,) vector whose training
-        groups to compute; returns the ticket that `receive` takes."""
+    def submit(self, params: np.ndarray) -> None:
+        """Send a (W, P) window to validate."""
         try:
             self._conn.send(params)
         except ConnectionError:
             raise self._died() from None
-        self._sent += 1
-        return self._sent - 1
 
-    def receive(self, ticket: int):
-        """The reply to request `ticket`. Replies come in request order, and
-        each one read on the way is kept for its own `receive`."""
-        while ticket not in self._replies:
-            try:
-                self._replies[self._read] = self._conn.recv()
-            except (EOFError, ConnectionError):
-                # a helper that exits with parameters still unread resets the pipe
-                raise self._died() from None
-            self._read += 1
-        return self._replies.pop(ticket)
+    def receive(self) -> list[float]:
+        """The W losses of the window last submitted."""
+        try:
+            return self._conn.recv()
+        except (EOFError, ConnectionError):
+            # a helper that exits with parameters still unread resets the pipe
+            raise self._died() from None
 
     def _died(self) -> TrainingError:
         self._proc.join(timeout=1.0)
@@ -771,17 +777,13 @@ def fit(
     a budget of 1, this process validates each window when it is sent. With
     2 or more, one forked helper process validates each window while this
     process computes the next window's gradients; it holds at most one
-    window, so at most 2 * `_WINDOW` - 1 epochs await validation. An
-    'oe-hnn' fit whose lanes fall into several groups also has the helper
-    compute every group but the largest (by lane-steps) in each epoch except
-    the one after it is sent a window, when it is validating; that request
-    goes into the pipe ahead of the epoch's window, and the replies are read
-    in request order. Both budgets validate the same windows, each stacked
-    member's loss has the bits of validating that model alone, and the
-    groups' losses and gradients are summed in group order wherever they
-    were computed, so `history` and the returned model are bit-identical
-    for every process budget. The helper is stopped when `fit` returns or
-    raises; if it dies, `fit` raises `TrainingError`.
+    window, so at most 2 * `_WINDOW` - 1 epochs await validation. Every
+    training gradient is computed here, its groups summed in group order.
+    Both budgets validate the same windows, and each stacked member's loss
+    has the bits of validating that model alone, so `history` and the
+    returned model are bit-identical for every process budget. The helper is
+    stopped when `fit` returns or raises; if it dies, `fit` raises
+    `TrainingError`.
     """
     config = config or TrainConfig()
     if kind not in MODEL_KINDS:
@@ -806,21 +808,16 @@ def fit(
     theta = flatten_params(template)
     adam = init_adam(theta.size)
 
-    others = []  # the training groups the helper may compute
     if kind == "oe-hnn":
         train_groups = _lane_groups(dataset.train, config.anchor, config.chunk_length)
-        lane_steps = [lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups]
         # one stage record for the whole fit: the groups' gradients run one
-        # after another, so the largest group's size serves them all
+        # after another, so the biggest group's size serves them all
         record = _stage_record(
-            max(lane_steps),
+            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups),
             max(len(lanes.x0) for lanes in train_groups),
             d,
             template.n_hidden,
         )
-        # the helper may compute every group but the largest, in their order
-        largest = lane_steps.index(max(lane_steps))
-        others = [i for i in range(len(train_groups)) if i != largest]
     else:
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
@@ -828,33 +825,22 @@ def fit(
         buffers = _derivative_buffers(template, S, x_fit, u_fit)
     val_groups = _lane_groups(dataset.validation, config.anchor)
 
-    def group_grads(theta, indices):
-        """`_sim_batch` of each training group in `indices`, in that order."""
+    def train_loss_grad(theta):
+        """Training loss, gradient and whether every lane died."""
         model = with_params(template, theta)
-        return [_sim_batch(model, S, train_groups[i], DIVERGENCE_PENALTY, record) for i in indices]
-
-    def train_loss_grad(theta, ticket):
-        """Training loss, gradient and whether every lane died; with a `ticket`,
-        the helper's reply holds the groups in `others`."""
         if kind == "oe-hnn":
-            if ticket is None:
-                results = group_grads(theta, range(len(train_groups)))
-            else:
-                own = group_grads(theta, [largest])
-                results = helper.receive(ticket)
-                results.insert(largest, own[0])
-            # summed in group order, wherever each group was computed
             total = 0.0
             grad = np.zeros_like(theta)
             n_dead = 0
             n_lanes = 0
-            for lane_loss, g, diverged in results:
+            for lanes in train_groups:
+                lane_loss, g, diverged = _sim_batch(model, S, lanes, DIVERGENCE_PENALTY, record)
                 total += float(lane_loss.sum())
                 grad += g
                 n_dead += int((diverged >= 0).sum())
                 n_lanes += len(lane_loss)
             return total, grad, n_dead == n_lanes
-        loss, g = _derivative_blocks(with_params(template, theta), x_fit, dx_fit, w_fit, buffers)
+        loss, g = _derivative_blocks(model, x_fit, dx_fit, w_fit, buffers)
         return loss, g, False
 
     validate = partial(
@@ -867,10 +853,8 @@ def fit(
     best_epoch = 0
     train_losses = []  # of every epoch so far
     window = []  # (epoch, theta) of each epoch not yet sent for validation
-    sent = None  # (window, its losses, or the helper's ticket for them) out for validation
-    helper = _ValidationHelper(validate, partial(group_grads, indices=others)) if overlap else None
-    shares = helper is not None and bool(others)
-    validating = False  # the helper validates the window sent in the epoch before
+    sent = None  # (window, its losses, or None while the helper has it) out for validation
+    helper = _ValidationHelper(validate) if overlap else None
 
     def settle() -> bool:
         """Settle the window out for validation in epoch order; True at a patience stop."""
@@ -878,7 +862,7 @@ def fit(
         if sent is None:
             return False
         (epochs, losses), sent = sent, None
-        for (ep, th), v_loss in zip(epochs, losses if helper is None else helper.receive(losses)):
+        for (ep, th), v_loss in zip(epochs, losses if helper is None else helper.receive()):
             if ep == 1:
                 _check_first_loss("validation", v_loss)
             history.append((ep, train_losses[ep - 1], v_loss))
@@ -902,14 +886,9 @@ def fit(
         for epoch in range(1, config.max_epochs + 1):
             window.append((epoch, theta))
             last = epoch == config.max_epochs
-            due = len(window) == _WINDOW or last
-            # the helper computes the smaller training groups unless it is
-            # validating; their request goes ahead of this epoch's window
-            ticket = helper.submit(theta) if shares and not validating else None
-            validating = due
-            if due and send():
+            if (len(window) == _WINDOW or last) and send():
                 break
-            tr_loss, grad, all_dead = train_loss_grad(theta, ticket)
+            tr_loss, grad, all_dead = train_loss_grad(theta)
             if all_dead and epoch == 1:
                 raise TrainingError(
                     "every training rollout diverged at the first epoch; "

@@ -284,7 +284,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path, process_budget):
         assert cli_main([
             "train", "--data", str(base / "data"), "--out", str(base / "model"),
             "--model", "oe-hnn", "--n-hidden", "16", "--max-epochs", "10",
-            "--patience", "10",
+            "--patience", "10", "--chunk-length", "20",  # 79 steps: a padded tail of 19
         ]) == 0
         assert cli_main([
             "evaluate", "--data", str(base / "data"), "--out", str(base / "eval"),

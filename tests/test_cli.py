@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oehnn.cli
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
 from oehnn.data import GenerationProtocol, read_csv
 from oehnn.netmodel import init_blackbox_net, save_model
@@ -1004,7 +1005,7 @@ class TestOutOfMemory:
 
 
 class TestGradcheckCommand:
-    def test_passes_and_detects_fault(self, capsys):
+    def test_passes_and_detects_fault(self, capsys, monkeypatch):
         assert run_cli(
             "gradcheck", "--cases", 10, "--steps", 2, 5, "--long-steps", 20,
             "--n-hidden", 8,
@@ -1015,9 +1016,17 @@ class TestGradcheckCommand:
             # three blocks of the derivative batch and part of a fourth
             rows = 3 * _block_rows(8) + 5
             assert f"derivative-matching gradient, {kind}, {rows} rows, width 8" in out
+        # every analytic gradient with its sign flipped
+        def flipped(fn):
+            def run(*args):
+                out = fn(*args)
+                return -out if isinstance(out, np.ndarray) else (out[0], -out[1])
+            return run
+
+        for name in ("h_grad_x", "simulation_loss_grad", "derivative_loss_grad"):
+            monkeypatch.setattr(oehnn.cli, name, flipped(getattr(oehnn.cli, name)))
         assert run_cli(
-            "gradcheck", "--cases", 5, "--steps", 2, "--long-steps", 10,
-            "--n-hidden", 8, "--inject-fault", "sign-flip",
+            "gradcheck", "--cases", 5, "--steps", 2, "--long-steps", 10, "--n-hidden", 8,
         ) == 1
         out = capsys.readouterr().out
         assert "FAIL (5 checks)" in out and "PASS" not in out

@@ -426,8 +426,66 @@ class TestChunking:
         rng = np.random.default_rng(41)
         traj = make_traj(rng.normal(size=(23, 2)), rng.normal(size=(23, 1)))
         groups = _lane_groups([traj], "measured", 5)
-        total = sum(lanes.u.shape[0] * lanes.u.shape[1] for lanes in groups)
+        total = sum(int(lanes.steps.sum()) for lanes in groups)
         assert total == 22  # N-1 transitions
+
+    @pytest.mark.parametrize("chunk, lanes_per_traj", [(50, 10), (25, 20)])
+    def test_standard_split_is_one_group(self, standard_duffing_dataset, chunk,
+                                         lanes_per_traj):
+        # 499 transitions: 9 or 19 whole segments and a tail one step short
+        from oehnn.train import _lane_groups
+
+        (lanes,) = _lane_groups(standard_duffing_dataset.train, "measured", chunk)
+        assert lanes.u.shape[:2] == (chunk, 15 * lanes_per_traj)
+        assert lanes.y.shape[:2] == (chunk + 1, 15 * lanes_per_traj)
+        tail = [chunk] * (lanes_per_traj - 1) + [chunk - 1]
+        assert lanes.steps.tolist() == tail * 15
+
+    def padded_tails(self, ds):
+        """The tail lanes of the tiny training split cut at 10 (9 steps each,
+        padded to 10), and the same segments as whole 10-sample
+        trajectories, weighted as in the chunked fit."""
+        from oehnn.train import _lane_groups
+
+        (group,) = _lane_groups(ds.train, "true", 10)
+        assert group.u.shape[:2] == (10, 12)
+        assert group.steps.tolist() == [10, 10, 10, 9] * 3
+        tails = [3, 7, 11]
+        padded = group._replace(
+            x0=group.x0[tails], u=group.u[:, tails], y=group.y[:, tails],
+            weight=group.weight[tails], source=group.source[tails], steps=group.steps[tails],
+        )
+        segments = [Trajectory(t=tr.t[30:], u=tr.u[30:], y=tr.y[30:], x_true=tr.x_true[30:])
+                    for tr in ds.train]
+        (alone,) = _lane_groups(segments, "true")
+        assert alone.u.shape[:2] == (9, 3)
+        return padded, alone._replace(weight=padded.weight)
+
+    def test_padded_tail_scores_as_its_segment_alone(self, tiny_duffing_dataset):
+        net = random_hnet(np.random.default_rng(42), n_hidden=6)
+        padded, alone = self.padded_tails(tiny_duffing_dataset)
+        loss, grad, diverged = oehnn.train._sim_batch(net, S, padded, 1e6)
+        ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, alone, 1e6)
+        assert (diverged < 0).all()
+        assert rel_err(loss, ref_loss) <= 1e-13
+        assert rel_err(grad, ref_grad) <= 1e-13
+
+    def test_death_in_the_padding_pays_no_penalty(self, tiny_duffing_dataset):
+        # an input of 1e308 on the padded step kills the first tail lane
+        # after its own 9 steps: it stays live and scores as its segment does
+        net = random_hnet(np.random.default_rng(43), n_hidden=6)
+        padded, alone = self.padded_tails(tiny_duffing_dataset)
+        u = padded.u.copy()
+        u[9, 0] = 1e308
+        dying = padded._replace(u=u)
+        xs, diverged = oehnn.train._energy_rollout(net, dying.x0, dying.u @ S.G.T, dying.h)
+        assert diverged.tolist() == [10, -1, -1]
+        assert (oehnn.train._lane_loss(xs, dying, diverged, 1e6)[3] < 0).all()
+        loss, grad, diverged = oehnn.train._sim_batch(net, S, dying, 1e6)
+        ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, alone, 1e6)
+        assert (diverged < 0).all() and loss.max() < 1.0
+        assert rel_err(loss, ref_loss) <= 1e-13
+        assert rel_err(grad, ref_grad) <= 1e-13
 
 
 class TestFit:
@@ -507,7 +565,12 @@ class TestFit:
 
     def test_chunked_fit_allocates_its_stage_record_once(self, tiny_duffing_dataset,
                                                           monkeypatch, fit_at):
-        # every epoch's gradients, on both chunk lengths, share one record
+        # every epoch's gradients, on both segment lengths, share one record:
+        # a 6-sample trajectory is cut at 5, the others at 10
+        ds = dataclasses.replace(tiny_duffing_dataset, train=[
+            tiny_duffing_dataset.train[0], cut(tiny_duffing_dataset.train[1], 6),
+            tiny_duffing_dataset.train[2],
+        ])
         made, handed = [], []
         stage_record, sim_batch = oehnn.train._stage_record, oehnn.train._sim_batch
 
@@ -519,7 +582,8 @@ class TestFit:
                             lambda *args: made.append(stage_record(*args)) or made[-1])
         monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
         cfg = TrainConfig(n_hidden=6, max_epochs=4, patience=4, chunk_length=10)
-        result = fit_at(1, "oe-hnn", tiny_duffing_dataset, cfg)
+        assert len(oehnn.train._lane_groups(ds.train, "measured", 10)) == 2
+        result = fit_at(1, "oe-hnn", ds, cfg)
         assert len(result.history) == 4
         assert len(made) == 1
         assert len(handed) == 4 * 2 and all(record is made[0] for record in handed)
@@ -567,8 +631,7 @@ def patience_stops(history):
 
 class LargestGroupPoison:
     """Makes the gradient of a fit's largest training group non-finite in the
-    epoch given to `arm`, which each fit must call first; the parent computes
-    that group in every epoch, at every process budget."""
+    epoch given to `arm`, which each fit must call first."""
 
     def __init__(self, monkeypatch, ds, cfg):
         groups = oehnn.train._lane_groups(ds.train, cfg.anchor, cfg.chunk_length)
@@ -591,7 +654,8 @@ class LargestGroupPoison:
 
 class TestWorkers:
     """The validation helper process changes where a number is computed, not
-    the number."""
+    the number. The chunk of 10 cuts the 40-sample trajectories into three
+    segments of 10 steps and a padded tail of 9."""
 
     @pytest.mark.parametrize(
         "kind, chunk", [("oe-hnn", 10), ("oe-hnn", None), ("hnn", None), ("mlp", None)]
@@ -732,35 +796,6 @@ class TestWorkers:
         assert inline == expected
         assert sent == [(k, n_params) for k in expected]
 
-    def test_helper_computes_every_group_but_the_largest(self, tiny_duffing_dataset,
-                                                         monkeypatch, fit_at):
-        # at a budget of 2 the parent computes only the largest group, except
-        # in the epoch after it sends a window, while the helper validates it
-        groups = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)
-        sizes = [len(lanes.x0) for lanes in groups]
-        big = len(largest_group(groups).x0)
-        assert len(set(sizes)) == 2 and sizes[-1] == big
-        sim_batch, parent = oehnn.train._sim_batch, []
-
-        def spy(net, S_sys, lanes, *args):
-            parent.append(len(lanes.x0))  # the helper appends to its own copy
-            return sim_batch(net, S_sys, lanes, *args)
-
-        monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
-        cfg = TrainConfig(n_hidden=8, max_epochs=17, patience=17, chunk_length=10, seed=2)
-        window = oehnn.train._WINDOW
-        after_a_window = {e for e in range(2, 18) if (e - 1) % window == 0}
-        assert after_a_window == {9, 17}
-        expected = {
-            1: sizes * 17,
-            2: [n for e in range(1, 18) for n in (sizes if e in after_a_window else [big])],
-        }
-        for budget, calls in expected.items():
-            parent.clear()
-            fit_at(budget, "oe-hnn", tiny_duffing_dataset, cfg)
-            assert parent == calls
-            assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize(
         "case",
         ["9 epochs", "17 epochs", "patience stop", "non-finite gradient", "two lengths",
@@ -768,12 +803,12 @@ class TestWorkers:
     )
     def test_helper_groups_keep_the_bits(self, tiny_duffing_dataset, monkeypatch, fit_at,
                                          case):
-        # the helper's groups are summed in group order, so every budget
-        # gives the same history, parameters and best epoch: a full window and
-        # then the last epoch (the first-in-first-out edge), two windows and
-        # the last epoch, a patience stop inside a window, a non-finite
-        # gradient inside a window, and full-horizon groups of two lengths and
-        # of four, the largest third, where a sum out of group order shows
+        # every budget gives the same history, parameters and best epoch on
+        # a padded chunk: a full window and then the last epoch (the
+        # first-in-first-out edge), two windows and the last epoch, a patience
+        # stop inside a window, a non-finite gradient inside a window; and on
+        # full-horizon groups of two lengths and of four, the largest third,
+        # which every budget sums in group order
         ds = tiny_duffing_dataset
         cfg = TrainConfig(n_hidden=8, max_epochs=17, patience=17, chunk_length=10, seed=2,
                           learning_rate=0.05)
@@ -968,12 +1003,14 @@ def reference_buffered_grad_vjp(net, x, th, w, acc, scratch):
     return p
 
 
-def reference_sim_batch(net, S, x0, gu, y, h, weight, penalty, want_grad):
+def reference_sim_batch(net, S, lanes, penalty, want_grad):
     """`_sim_batch` before its stage record could be handed in: it allocates
     the record every call, the forward writes w1 @ x + b1 into the record
     slot and takes its tanh there, and the reverse sweep forms
     every step's residual scale, stage states and VJP factors inside its
     loop. `_sim_batch` must give the same bits."""
+    x0, h, weight = lanes.x0, lanes.h, lanes.weight
+    gu = lanes.u @ S.G.T
     n_steps, B, d = gu.shape
     n = d // 2
     scratch = (np.empty((B, net.n_hidden)), np.empty((B, net.n_hidden)) if want_grad else None)
@@ -998,7 +1035,7 @@ def reference_sim_batch(net, S, x0, gu, y, h, weight, penalty, want_grad):
         return reference_buffered_grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch) @ net.w1
 
     xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
-    lane_loss, resid, norms = oehnn.train._lane_loss(xs, y, diverged, weight, penalty)
+    lane_loss, resid, norms, diverged = oehnn.train._lane_loss(xs, lanes, diverged, penalty)
     if not want_grad:
         return lane_loss, None, diverged
     acc = oehnn.train._ThetaGrad(net)
@@ -1125,7 +1162,8 @@ class TestEnergyKernel:
         # across its groups and epochs: a record filled with NaN, then one
         # that another net's calls on every group have just filled, give the
         # bits of a record the call allocates itself
-        groups = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)
+        train = tiny_duffing_dataset.train
+        groups = oehnn.train._lane_groups([train[0], cut(train[1], 6), train[2]], "measured", 10)
         assert len(groups) == 2
         rng = np.random.default_rng(76)
         nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
@@ -1230,11 +1268,11 @@ class TestEnergyKernel:
 
     def test_matches_the_closed_form_at_benchmark_shape(self, standard_duffing_dataset,
                                                         monkeypatch):
-        # 15 trajectories of 500 samples cut at 50: 135 lanes of 50 steps, width 200
+        # 15 trajectories of 500 samples cut at 50: 150 lanes of 50 steps, the
+        # last of each trajectory a padded tail of 49, width 200
         ds = standard_duffing_dataset
-        lanes = max(oehnn.train._lane_groups(ds.train, "measured", 50),
-                    key=lambda group: len(group.x0))
-        assert lanes.u.shape[:2] == (50, 135)
+        (lanes,) = oehnn.train._lane_groups(ds.train, "measured", 50)
+        assert lanes.u.shape[:2] == (50, 150)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(41))
         loss, grad, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
         monkeypatch.setattr(oehnn.train, "_grad_vjp", reference_grad_vjp)
@@ -1310,8 +1348,8 @@ class TestReverseSweepBits:
     allocates and with an oversized one, filled with NaN, that it is handed."""
 
     def check(self, net, S_sys, lanes):
-        x0, u, y, h, weight, _ = lanes
-        ref = reference_sim_batch(net, S_sys, x0, u @ S_sys.G.T, y, h, weight, 1e6, True)
+        x0, u, h = lanes.x0, lanes.u, lanes.h
+        ref = reference_sim_batch(net, S_sys, lanes, 1e6, True)
         record = oehnn.train._stage_record(
             u.shape[0] * u.shape[1] + 7, len(x0) + 1, len(x0[0]), net.n_hidden
         )
@@ -1323,7 +1361,8 @@ class TestReverseSweepBits:
                 assert_same_bits(a, b)
         # the forward alone, as validation and `simulation_loss` run it
         xs, diverged = oehnn.train._energy_rollout(net, x0, u @ S_sys.G.T, h)
-        assert_same_bits(oehnn.train._lane_loss(xs, y, diverged, weight, 1e6)[0], ref[0])
+        lane_loss, _, _, diverged = oehnn.train._lane_loss(xs, lanes, diverged, 1e6)
+        assert_same_bits(lane_loss, ref[0])
         assert_same_bits(diverged, ref[2])
         return ref
 
@@ -1347,9 +1386,8 @@ class TestReverseSweepBits:
             assert (diverged[2:] < 0).all()
 
     def test_matches_the_reference_at_benchmark_shape(self, standard_duffing_dataset):
-        lanes = max(oehnn.train._lane_groups(standard_duffing_dataset.train, "measured", 50),
-                    key=lambda group: len(group.x0))
-        assert lanes.u.shape[:2] == (50, 135)
+        (lanes,) = oehnn.train._lane_groups(standard_duffing_dataset.train, "measured", 50)
+        assert lanes.u.shape[:2] == (50, 150)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(42))
         self.check(net, S, lanes)
 
@@ -1359,12 +1397,12 @@ def one_model_val_loss(net, kind, S, groups, penalty):
     was stacked: one rollout per group, on the reference forward for the
     energy net, lane losses summed per group."""
     total = 0.0
-    for x0, u, y, h, weight, _ in groups:
+    for lanes in groups:
         if kind == "mlp":
-            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), x0, u, h)
-            lane_loss = oehnn.train._lane_loss(xs, y, diverged, weight, penalty)[0]
+            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
+            lane_loss = oehnn.train._lane_loss(xs, lanes, diverged, penalty)[0]
         else:
-            lane_loss = reference_sim_batch(net, S, x0, u @ S.G.T, y, h, weight, penalty, False)[0]
+            lane_loss = reference_sim_batch(net, S, lanes, penalty, False)[0]
         total += float(lane_loss.sum())
     return total
 
