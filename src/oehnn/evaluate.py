@@ -13,7 +13,7 @@ from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import MODEL_KINDS, BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
-from oehnn.train import ANCHORS, TrainConfig, _lane_groups, _process_budget, fit
+from oehnn.train import ANCHORS, TrainConfig, _lanes, _process_budget, fit
 
 __all__ = [
     "Metrics",
@@ -81,11 +81,13 @@ def evaluate(
     """Simulate each test trajectory and report per-state RMSE.
 
     Rollouts start from the anchor sample of each trajectory under its
-    recorded inputs, as the lanes of `train._lane_groups`: one batch per
-    distinct length and step. The aggregate RMSE pools the squared errors of
-    all non-diverged trajectories; diverged ones are flagged per trajectory
-    instead of contaminating the pool. A finite rollout whose RMSE overflows
-    raises `ValueError`, not numpy's warning.
+    recorded inputs, as the lanes of `train._lanes`: one batch, each lane
+    padded to the longest trajectory and scored over its own samples alone,
+    so a lane that dies only in its padding is not flagged. The aggregate
+    RMSE pools the squared errors of all non-diverged trajectories; diverged
+    ones are flagged per trajectory instead of contaminating the pool. A
+    finite rollout whose RMSE overflows raises `ValueError`, not numpy's
+    warning. Trajectories whose sampling steps differ raise `ValueError`.
     """
     if not test:
         raise ValueError("test split is empty")
@@ -99,21 +101,21 @@ def evaluate(
     d = test[0].y.shape[1]
     per_traj: list[TrajectoryResult | None] = [None] * len(test)
     simulated: dict[int, np.ndarray] = {}  # the non-diverged rollouts
-    for lanes in _lane_groups(test, anchor):
-        states, diverged, _ = rk4_lanes(field_f, lanes.x0, lanes.u, lanes.h)
-        for lane, i in enumerate(lanes.source.tolist()):
-            if diverged[lane] >= 0:
-                # the input row whose update diverged, as `rollout` reports it
-                step = max(int(diverged[lane]) - 1, 0)
-                per_traj[i] = TrajectoryResult(
-                    index=i, rmse=np.full(d, np.nan), diverged=True, diverged_step=step
-                )
-            else:
-                simulated[i] = states[:, lane]
-                error = rmse(simulated[i], refs[i])
-                if not np.isfinite(error).all():
-                    raise ValueError(f"test trajectory {i}: its RMSE against {reference} overflows")
-                per_traj[i] = TrajectoryResult(index=i, rmse=error)
+    lanes = _lanes(test, anchor)  # lane i is trajectory i
+    states, diverged, _ = rk4_lanes(field_f, lanes.x0, lanes.u, lanes.h)
+    for i, steps in enumerate(lanes.steps.tolist()):
+        if 0 <= diverged[i] <= steps:
+            # the input row whose update diverged, as `rollout` reports it
+            step = max(int(diverged[i]) - 1, 0)
+            per_traj[i] = TrajectoryResult(
+                index=i, rmse=np.full(d, np.nan), diverged=True, diverged_step=step
+            )
+        else:
+            simulated[i] = states[: steps + 1, i]
+            error = rmse(simulated[i], refs[i])
+            if not np.isfinite(error).all():
+                raise ValueError(f"test trajectory {i}: its RMSE against {reference} overflows")
+            per_traj[i] = TrajectoryResult(index=i, rmse=error)
     if simulated:
         kept = sorted(simulated)
         pooled = rmse(

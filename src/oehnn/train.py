@@ -6,10 +6,10 @@ computation (reverse sweep over every solver stage), so it is exact for the
 loss actually computed. Nothing is recomputed: the forward records k1..k3 and
 the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
 
-`_lane_groups` alone turns trajectories into RK4 lanes, whole or in
-re-anchored segments of one length (a shorter last segment is padded and
-scored only over its own steps), for training, validation,
-`simulation_loss(_grad)` and `evaluate`. `_energy_rollout` is the one
+`_lanes` alone turns a split into RK4 lanes, whole trajectories or
+re-anchored segments, all padded to the longest lane's steps and each scored
+only over its own, for training, validation, `simulation_loss(_grad)` and
+`evaluate`. `_energy_rollout` is the one
 energy-net rollout, plain or stacked, with or without a stage record; its
 field is `netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1],
 forms w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
@@ -19,9 +19,9 @@ takes the stage's rows [x, 1] too.
 
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
-per fit, sized for its biggest lane group, and every group's gradient in every
-epoch uses the front of it; a caller that hands none, such as
-`simulation_loss_grad`, gets one per call. Before its loop the reverse sweep
+per fit, in the shapes of its training lanes, and every epoch's gradient
+reuses it; a caller that hands none, such as `simulation_loss_grad`, gets one
+per call. Before its loop the reverse sweep
 computes, in whole-array passes, each step's residual pullback (lane scale
 times residual) and the rows [x, 1] of its stage states x, x + (h/2) k1,
 x + (h/2) k2 and x + h k3, in one array;
@@ -38,11 +38,12 @@ process, and settles them in epoch order.
 The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the buffers
 it is handed, or allocates when it is handed none. The derivative batches
 run their rows through `_derivative_blocks` in blocks of about
-`_BLOCK_ELEMENTS` / n_hidden rows, and write only one block's (rows,
-n_hidden) arrays of `_derivative_buffers`, which `fit` allocates once with
-the fit's G u or [x, u] rows. Every buffer is overwritten before it is
-read, so no value carries from one block or call to the next, and no
-caller's states or cotangents are ever written.
+`_BLOCK_ELEMENTS` / n_hidden rows into one gradient accumulator, and write
+only one block's (rows, n_hidden) arrays of `_derivative_buffers`, which
+`fit` allocates once with the fit's [x, 1] and G u rows or [x, u] rows.
+Every work array is overwritten before it is read, so no value carries from
+one block or call to the next, and no caller's states or cotangents are
+ever written.
 """
 
 from __future__ import annotations
@@ -247,75 +248,70 @@ def _lane_loss(xs, lanes, diverged, penalty):
     return lane_loss, resid, norms, diverged
 
 
-def _stage_record(n_rows: int, n_lanes: int, d: int, n_hidden: int):
-    """Flat storage for `_sim_batch` gradients of at most `n_rows` lane-steps
-    (steps times lanes, padded steps included) and `n_lanes` lanes: k1..k3
-    and the four stages' tanh of every lane-step, then two (lanes, n_hidden)
-    scratch arrays. A call views the front of each array in its own shape
-    and overwrites what it reads, so calls that run one after another can
-    share one record."""
+def _stage_record(n_steps: int, n_lanes: int, d: int, n_hidden: int):
+    """The arrays a `_sim_batch` gradient over `n_steps` steps (padded steps
+    included) and `n_lanes` lanes writes: k1..k3, (T, 3, B, d), and the four
+    stages' tanh, (T, 4, B, n_hidden), of every lane-step, then two (B,
+    n_hidden) scratch arrays. A call overwrites what it reads, so calls on
+    lanes of these shapes that run one after another can share one record."""
     return (
-        np.empty(n_rows * 3 * d),
-        np.empty(n_rows * 4 * n_hidden),
-        np.empty(2 * n_lanes * n_hidden),
+        np.empty((n_steps, 3, n_lanes, d)),
+        np.empty((n_steps, 4, n_lanes, n_hidden)),
+        np.empty((2, n_lanes, n_hidden)),
     )
 
 
 class _LaneGroup(NamedTuple):
-    """RK4 lanes of one segment length and step, from `_lane_groups`."""
+    """The RK4 lanes of one split, from `_lanes`."""
 
     x0: np.ndarray  # (B, d) anchor states
     u: np.ndarray  # (T, B, m) recorded inputs, row k held over step k
     y: np.ndarray  # (T + 1, B, d) measured outputs, row 0 unused
     h: float
     weight: np.ndarray  # (B,) 1/N of each lane's trajectory, N its samples
-    source: np.ndarray  # (B,) each lane's trajectory index
     steps: np.ndarray  # (B,) each lane's own steps; u and y repeat their last rows after them
 
 
-def _lane_groups(
-    trajs: list[Trajectory], anchor: str, chunk: int | None = None
-) -> list[_LaneGroup]:
+def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _LaneGroup:
     """Cut trajectories into RK4 lanes: whole trajectories, or with `chunk`
     segments of min(chunk, N - 1) transitions, each re-anchored at its first
-    sample.
+    sample. Lanes keep the order of `trajs` and of their segments.
 
-    A trajectory's last segment, when it is shorter, is padded to that
-    length by repeating its last input and measurement rows, and each lane
-    records its own step count; `_lane_loss` scores only those steps, and
-    every residual sample keeps its trajectory's 1/N weight, so the chunked
-    loss sums the same residual terms as the full rollout, just along
-    shorter horizons. Whole trajectories are never padded. There is one
-    group per (segment length, step), in ascending order, and its lanes keep
-    the order of `trajs` and of their segments. A trajectory of fewer than 2
-    samples raises `ValueError` naming its index.
+    Every lane is padded to the longest lane's steps by repeating its last
+    input and measurement rows, and records its own step count; `_lane_loss`
+    scores only those steps, and every residual sample keeps its
+    trajectory's 1/N weight, so the chunked loss sums the same residual terms
+    as the full rollout, just along shorter horizons. A trajectory of fewer
+    than 2 samples, or whose sampling step differs from the first
+    trajectory's, raises `ValueError` naming its index.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
-    segments: dict[tuple[int, float], list] = {}
     for i, tr in enumerate(trajs):
-        n = tr.n_samples
-        if n < 2:
+        if tr.n_samples < 2:
             raise ValueError(f"trajectory {i} must contain at least 2 samples")
-        anchors = tr.y if anchor == "measured" else tr.x_true
-        if anchors is None:
+        if tr.ts != trajs[0].ts:
+            raise ValueError(f"trajectory {i} has step {tr.ts}, trajectory 0 has {trajs[0].ts}")
+        if anchor == "true" and tr.x_true is None:
             raise TrainingError("anchor='true' requires stored noiseless states")
-        length = min(chunk or n - 1, n - 1)
+    lengths = [min(chunk or tr.n_samples - 1, tr.n_samples - 1) for tr in trajs]
+    n_steps = max(lengths)
+    segs = []
+    for tr, length in zip(trajs, lengths):
+        n = tr.n_samples
+        anchors = tr.y if anchor == "measured" else tr.x_true
         for k0 in range(0, n - 1, length):
             # rows past the trajectory's end repeat its last input and measurement
-            rows = np.minimum(np.arange(k0, k0 + length + 1), n - 1)
-            segments.setdefault((length, tr.ts), []).append((
-                anchors[k0], tr.u[np.minimum(rows[:-1], n - 2)], tr.y[rows], 1.0 / n, i,
+            rows = np.minimum(np.arange(k0, k0 + n_steps + 1), n - 1)
+            segs.append((
+                anchors[k0], tr.u[np.minimum(rows[:-1], n - 2)], tr.y[rows], 1.0 / n,
                 min(length, n - 1 - k0),
             ))
-    groups = []
-    for (_, h), segs in sorted(segments.items()):
-        x0, u, y, weight, source, steps = zip(*segs)
-        stacked = np.stack(x0), np.stack(u, axis=1), np.stack(y, axis=1)
-        groups.append(
-            _LaneGroup(*stacked, h, np.array(weight), np.array(source), np.array(steps))
-        )
-    return groups
+    x0, u, y, weight, steps = zip(*segs)
+    return _LaneGroup(
+        np.stack(x0), np.stack(u, axis=1), np.stack(y, axis=1), trajs[0].ts,
+        np.array(weight), np.array(steps),
+    )
 
 
 def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=None):
@@ -353,24 +349,20 @@ def _sim_batch(
     penalty: float,
     record=None,
 ):
-    """Loss and exact parameter gradient of a group of model rollouts.
+    """Loss and exact parameter gradient of the model rollouts of `lanes`.
 
     Each lane's loss is its weight times its residual-norm sum over its own
     steps. Returns (per-lane loss, flat grad, diverged step per lane with -1
     for live lanes, as `_lane_loss` gives it). The forward,
     `_energy_rollout`, fills the stage record (k1..k3 and each stage's tanh)
-    that the reverse sweep reads; `record`, from `_stage_record` sized for
-    at least T * B lane-steps and B lanes, holds it and the (B, n_hidden)
-    scratch arrays every RK4 stage of both passes reuses (it is allocated
-    when None).
+    that the reverse sweep reads; `record`, from `_stage_record` in the
+    lanes' T steps and B lanes, holds it and the (B, n_hidden) scratch arrays
+    every RK4 stage of both passes reuses (it is allocated when None).
     """
     x0, u, h = lanes.x0, lanes.u, lanes.h
     n_steps, B, d = len(u), *x0.shape
-    n, n_hidden = d // 2, net.n_hidden
-    k_flat, th_flat, scratch_flat = record or _stage_record(n_steps * B, B, d, n_hidden)
-    ks = k_flat[: n_steps * 3 * B * d].reshape(n_steps, 3, B, d)
-    ths = th_flat[: n_steps * 4 * B * n_hidden].reshape(n_steps, 4, B, n_hidden)
-    scratch = scratch_flat[: 2 * B * n_hidden].reshape(2, B, n_hidden)
+    n = d // 2
+    ks, ths, scratch = record or _stage_record(n_steps, B, d, net.n_hidden)
     xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (ks, ths), scratch)
     lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged, penalty)
 
@@ -402,6 +394,14 @@ def _sim_batch(
     return lane_loss, acc.flat(), diverged
 
 
+def _sim_loss(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, penalty: float):
+    """The per-lane loss and diverged steps of `_sim_batch`, with the same
+    bits, from the forward alone and without a stage record."""
+    xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
+    lane_loss, _, _, diverged = _lane_loss(xs, lanes, diverged, penalty)
+    return lane_loss, diverged
+
+
 def simulation_loss(
     net: HamiltonianNet,
     S: StructureMatrices,
@@ -427,13 +427,11 @@ def simulation_loss_grad(
 
 
 def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
-    (lanes,) = _lane_groups([trajectory], anchor)
+    lanes = _lanes([trajectory], anchor)
     if want_grad:
         lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
     else:
-        xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
-        lane_loss = _lane_loss(xs, lanes, diverged, DIVERGENCE_PENALTY)[0]
-        grad = None
+        (lane_loss, diverged), grad = _sim_loss(net, S, lanes, DIVERGENCE_PENALTY), None
     if diverged[0] >= 0:
         raise TrainingError(f"model rollout diverged at step {diverged[0]}")
     return float(lane_loss[0]), grad
@@ -451,73 +449,73 @@ def _block_rows(n_hidden: int) -> int:
 
 
 def _derivative_buffers(net, S, x, u):
-    """What the derivative batch on rows x computes once and reuses: its input
-    term, the rows G u for the energy net or [x, u] for the black-box net,
-    one per row of x, then the (rows, n_hidden) arrays a block writes, three
-    for the energy net and two for the black-box net, with rows the block
-    size of `_derivative_blocks` (or N when smaller). A block overwrites
-    every one of them before reading it, so none carries a value from one
-    block or call to the next."""
+    """What the derivative batch on rows x computes once and reuses: its
+    input rows, a tuple of ([x, 1], G u) for the energy net or ([x, u],) for
+    the black-box net, one row per row of x, then the (rows, n_hidden)
+    arrays a block writes, three for the energy net and two for the
+    black-box net, with rows the block size of `_derivative_blocks` (or N
+    when smaller). A block overwrites every one of those arrays before
+    reading it, so none carries a value from one block or call to the
+    next."""
     rows = (min(len(x), _block_rows(net.n_hidden)), net.n_hidden)
     if isinstance(net, HamiltonianNet):
-        return u @ S.G.T, np.empty(rows), np.empty(rows), np.empty(rows)
-    return np.concatenate([x, u], axis=1), np.empty(rows), np.empty(rows)
+        return (_with_ones(x), u @ S.G.T), np.empty(rows), np.empty(rows), np.empty(rows)
+    return (np.concatenate([x, u], axis=1),), np.empty(rows), np.empty(rows)
 
 
-def _derivative_blocks(net, x, dx_target, sample_weight, buffers):
-    """Loss and gradient of the derivative batch on rows x, from
-    `_derivative_buffers` of the same rows: blocks of as many rows as its
+def _derivative_blocks(net, dx_target, sample_weight, buffers, want_grad=True):
+    """Loss and flat gradient (None unless `want_grad`) of the derivative
+    batch on the rows of `_derivative_buffers`: blocks of as many rows as its
     work arrays hold go through `_derivative_batch_hnn` or `_mlp` one after
-    another, and their losses and gradients are summed in block order. Rows
-    that fit in one block give the bits of that kernel on all of them."""
-    term, *work = buffers
+    another, which sum their losses and add their gradient terms into one
+    accumulator in block order. Rows that fit in one block give the bits of
+    that kernel on all of them."""
+    inputs, *work = buffers
     rows = len(work[0])
-    loss, grad = 0.0, None
-    for start in range(0, len(x), rows):
+    if isinstance(net, HamiltonianNet):
+        batch, acc = _derivative_batch_hnn, _ThetaGrad(net)
+    else:
+        batch, acc = _derivative_batch_mlp, with_params(net, np.zeros_like(flatten_params(net)))
+    loss = 0.0
+    for start in range(0, len(dx_target), rows):
         block = slice(start, start + rows)
-        n = len(x[block])
-        out = (term[block], *(a[:n] for a in work))
-        if isinstance(net, HamiltonianNet):
-            block_loss, block_grad = _derivative_batch_hnn(
-                net, x[block], dx_target[block], sample_weight[block], out
-            )
-        else:
-            block_loss, block_grad = _derivative_batch_mlp(
-                net, dx_target[block], sample_weight[block], out
-            )
-        loss += block_loss
-        if grad is None:
-            grad = block_grad
-        else:
-            grad += block_grad
-    return loss, grad
+        n = len(dx_target[block])
+        out = (*(a[block] for a in inputs), *(a[:n] for a in work))
+        loss += batch(
+            net, dx_target[block], sample_weight[block], out, acc if want_grad else None
+        )
+    if not want_grad:
+        return loss, None
+    return loss, acc.flat() if batch is _derivative_batch_hnn else flatten_params(acc)
 
 
-def _derivative_batch_hnn(net, x, dx_target, sample_weight, out):
-    """One block of `_derivative_blocks` for the energy net; `out` is the
-    block's rows of `_derivative_buffers`."""
-    gu, th, s, p = out
+def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
+    """One block of `_derivative_blocks` for the energy net: returns its loss
+    and adds its gradient into `acc`, a `_ThetaGrad`, unless that is None;
+    `out` is the block's rows of `_derivative_buffers`."""
+    xa, gu, th, s, p = out  # xa: the rows of both the forward and the VJP
     n = net.n_states // 2
-    xa = _with_ones(x)  # the rows of both the forward and the VJP
     g = _energy_kernel(net, xa, net.w1, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
     n1 = np.linalg.norm(r1, axis=1)
     n2 = np.linalg.norm(r2, axis=1)
     loss = float(np.sum(sample_weight * (n1 + n2)))
-    g_cot = np.zeros_like(g)
-    s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
-    s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
-    g_cot[:, n:] = s1[:, None] * r1
-    g_cot[:, :n] = s2[:, None] * r2
-    acc = _ThetaGrad(net)
-    _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
-    return loss, acc.flat()
+    if acc is not None:
+        g_cot = np.zeros_like(g)
+        s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
+        s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
+        g_cot[:, n:] = s1[:, None] * r1
+        g_cot[:, :n] = s2[:, None] * r2
+        _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
+    return loss
 
 
-def _derivative_batch_mlp(net, dx_target, sample_weight, out):
-    """One block of `_derivative_blocks` for the black-box net; `out` is the
-    block's rows of `_derivative_buffers`, whose [x, u] rows it reads."""
+def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
+    """One block of `_derivative_blocks` for the black-box net: returns its
+    loss and adds its gradient into `acc`, a `BlackBoxNet` of gradients,
+    unless that is None; `out` is the block's rows of `_derivative_buffers`,
+    whose [x, u] rows it reads."""
     xu, th, hidden = out
     np.matmul(xu, net.w1.T, out=th)
     th += net.b1
@@ -526,15 +524,18 @@ def _derivative_batch_mlp(net, dx_target, sample_weight, out):
     r = f - dx_target
     nr = np.linalg.norm(r, axis=1)
     loss = float(np.sum(sample_weight * nr))
-    scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
-    f_cot = scale[:, None] * r
-    w2_grad = f_cot.T @ th
-    np.matmul(f_cot, net.w2, out=hidden)
-    np.square(th, out=th)  # th is read no more: it takes sech^2
-    np.subtract(1.0, th, out=th)
-    hidden *= th
-    grad = BlackBoxNet(hidden.T @ xu, hidden.sum(axis=0), w2_grad, f_cot.sum(axis=0))
-    return loss, flatten_params(grad)
+    if acc is not None:
+        scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
+        f_cot = scale[:, None] * r
+        acc.w2[...] += f_cot.T @ th
+        np.matmul(f_cot, net.w2, out=hidden)
+        np.square(th, out=th)  # th is read no more: it takes sech^2
+        np.subtract(1.0, th, out=th)
+        hidden *= th
+        acc.w1[...] += hidden.T @ xu
+        acc.b1[...] += hidden.sum(axis=0)
+        acc.b2[...] += f_cot.sum(axis=0)
+    return loss
 
 
 def _sample_rows(name: str, a, shape: tuple[int, int]) -> np.ndarray:
@@ -573,7 +574,7 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     m = S.n_inputs if isinstance(model, HamiltonianNet) else model.n_inputs
     u = _sample_rows("u", u, (len(x), m))
     weight = np.full(x.shape[0], 1.0 / x.shape[0])
-    return _derivative_blocks(model, x, dx_target, weight, _derivative_buffers(model, S, x, u))
+    return _derivative_blocks(model, dx_target, weight, _derivative_buffers(model, S, x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +617,8 @@ def _derivative_training_set(trajs, source, ts):
     )
 
 
-def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
-    """Validation loss of each parameter vector in `thetas` (K, P).
+def _val_losses(template, thetas, kind, S, lanes, penalty) -> list[float]:
+    """Validation loss on `lanes` of each parameter vector in `thetas` (K, P).
 
     One RK4 rollout of the stacked model steps all K models at once, over
     K * B lanes. Each model's block of B lanes goes through the same
@@ -627,27 +628,25 @@ def _val_losses(template, thetas, kind, S, groups, penalty) -> list[float]:
     K = len(thetas)
     # a lone model runs as a plain net, whose 2-D matmuls cost less per call
     net = with_params(template, thetas[0] if K == 1 else thetas)
-    totals = [0.0] * K
-    for lanes in groups:
-        x0, u, h = lanes.x0, lanes.u, lanes.h
-        B, d = x0.shape
-        if kind == "mlp":
-            block = (B, d) if K == 1 else (K, B, d)
-            if K > 1:
-                u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
-            b1 = np.broadcast_to(net.b1, (*block[:-1], net.n_hidden)).copy()
+    x0, u, h = lanes.x0, lanes.u, lanes.h
+    B, d = x0.shape
+    if kind == "mlp":
+        block = (B, d) if K == 1 else (K, B, d)
+        if K > 1:
+            u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
+        b1 = np.broadcast_to(net.b1, (*block[:-1], net.n_hidden)).copy()
 
-            def field(x, uk):
-                return _blackbox_rows(net, x.reshape(block), uk, b1).reshape(K * B, d)
+        def field(x, uk):
+            return _blackbox_rows(net, x.reshape(block), uk, b1).reshape(K * B, d)
 
-            xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
-        else:
-            xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h)
-        xs = xs.reshape(len(xs), K, B, d)
-        diverged = diverged.reshape(K, B)
-        for k in range(K):
-            totals[k] += float(_lane_loss(xs[:, k], lanes, diverged[k], penalty)[0].sum())
-    return totals
+        xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
+    else:
+        xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h)
+    xs = xs.reshape(len(xs), K, B, d)
+    diverged = diverged.reshape(K, B)
+    return [
+        float(_lane_loss(xs[:, k], lanes, diverged[k], penalty)[0].sum()) for k in range(K)
+    ]
 
 
 def _serve_validation(conn, parent_end, val_losses) -> None:
@@ -752,8 +751,10 @@ def fit(
 
     One full-batch Adam step per epoch: the training loss and gradient are
     summed over all training trajectories (simulation loss for 'oe-hnn',
-    derivative matching for 'hnn' and 'mlp'). Validation is always the
-    simulation loss, so model selection is comparable across estimators.
+    derivative matching for 'hnn' and 'mlp'). The epoch `max_epochs`, which
+    no step follows, computes only its training loss, which has the bits a
+    gradient pass would give it. Validation is always the simulation loss, so
+    model selection is comparable across estimators.
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
     initialization (used for staged chunked-then-full training).
 
@@ -778,7 +779,7 @@ def fit(
     2 or more, one forked helper process validates each window while this
     process computes the next window's gradients; it holds at most one
     window, so at most 2 * `_WINDOW` - 1 epochs await validation. Every
-    training gradient is computed here, its groups summed in group order.
+    training gradient is computed here, in one batch of all training lanes.
     Both budgets validate the same windows, and each stacked member's loss
     has the bits of validating that model alone, so `history` and the
     returned model are bit-identical for every process budget. The helper is
@@ -809,43 +810,32 @@ def fit(
     adam = init_adam(theta.size)
 
     if kind == "oe-hnn":
-        train_groups = _lane_groups(dataset.train, config.anchor, config.chunk_length)
-        # one stage record for the whole fit: the groups' gradients run one
-        # after another, so the biggest group's size serves them all
-        record = _stage_record(
-            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in train_groups),
-            max(len(lanes.x0) for lanes in train_groups),
-            d,
-            template.n_hidden,
-        )
+        train_lanes = _lanes(dataset.train, config.anchor, config.chunk_length)
+        # one stage record for the whole fit, which every epoch's gradient overwrites
+        record = _stage_record(*train_lanes.u.shape[:2], d, template.n_hidden)
     else:
         x_fit, dx_fit, u_fit, w_fit = _derivative_training_set(
             dataset.train, config.derivative_source, dataset.ts
         )
         buffers = _derivative_buffers(template, S, x_fit, u_fit)
-    val_groups = _lane_groups(dataset.validation, config.anchor)
+    val_lanes = _lanes(dataset.validation, config.anchor)
 
-    def train_loss_grad(theta):
-        """Training loss, gradient and whether every lane died."""
+    def train_loss_grad(theta, want_grad):
+        """Training loss, gradient (None unless `want_grad`) and whether every lane died."""
         model = with_params(template, theta)
         if kind == "oe-hnn":
-            total = 0.0
-            grad = np.zeros_like(theta)
-            n_dead = 0
-            n_lanes = 0
-            for lanes in train_groups:
-                lane_loss, g, diverged = _sim_batch(model, S, lanes, DIVERGENCE_PENALTY, record)
-                total += float(lane_loss.sum())
-                grad += g
-                n_dead += int((diverged >= 0).sum())
-                n_lanes += len(lane_loss)
-            return total, grad, n_dead == n_lanes
-        loss, g = _derivative_blocks(model, x_fit, dx_fit, w_fit, buffers)
-        return loss, g, False
+            if want_grad:
+                lane_loss, grad, diverged = _sim_batch(
+                    model, S, train_lanes, DIVERGENCE_PENALTY, record
+                )
+            else:
+                grad = None
+                lane_loss, diverged = _sim_loss(model, S, train_lanes, DIVERGENCE_PENALTY)
+            return float(lane_loss.sum()), grad, bool((diverged >= 0).all())
+        return *_derivative_blocks(model, dx_fit, w_fit, buffers, want_grad), False
 
     validate = partial(
-        _val_losses, template, kind=kind, S=S, groups=val_groups,
-        penalty=DIVERGENCE_PENALTY,
+        _val_losses, template, kind=kind, S=S, lanes=val_lanes, penalty=DIVERGENCE_PENALTY
     )
     history = []
     best_theta = theta.copy()
@@ -888,7 +878,7 @@ def fit(
             last = epoch == config.max_epochs
             if (len(window) == _WINDOW or last) and send():
                 break
-            tr_loss, grad, all_dead = train_loss_grad(theta)
+            tr_loss, grad, all_dead = train_loss_grad(theta, want_grad=not last)
             if all_dead and epoch == 1:
                 raise TrainingError(
                     "every training rollout diverged at the first epoch; "
@@ -897,12 +887,15 @@ def fit(
             if epoch == 1:
                 _check_first_loss("training", tr_loss)
             train_losses.append(tr_loss)
-            # settle every epoch before the last one or before a non-finite
-            # gradient is refused; inline, each window as soon as it can be
+            if last:
+                settle()
+                break
+            # settle every epoch before a non-finite gradient is refused;
+            # inline, each window as soon as it can be
             finite = np.isfinite(grad).all()
             if not finite and window and send():
                 break
-            if (helper is None or last or not finite) and settle():
+            if (helper is None or not finite) and settle():
                 break
             theta, adam = adam_step(theta, grad, adam, config)
     finally:

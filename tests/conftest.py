@@ -3,7 +3,7 @@ import os
 import pytest
 
 from oehnn.data import GenerationProtocol, generate
-from oehnn.dynamics import duffing_system
+from oehnn.dynamics import coupled_system, duffing_system
 from oehnn.signals import NoiseSpec
 
 
@@ -27,6 +27,12 @@ def tiny_duffing_dataset():
 def standard_duffing_dataset():
     """The full default single-mass recording protocol."""
     return generate(duffing_system(), GenerationProtocol(), NoiseSpec(variance=0.1), master_seed=0)
+
+
+@pytest.fixture(scope="session")
+def standard_coupled_dataset():
+    """The full default two-mass recording protocol."""
+    return generate(coupled_system(), GenerationProtocol(), NoiseSpec(variance=0.05), master_seed=0)
 
 
 @pytest.fixture

@@ -20,8 +20,9 @@ from oehnn.evaluate import (
     write_comparison_csv,
     write_metrics_report,
 )
-from oehnn.integrate import rollout
+from oehnn.integrate import rk4_lanes, rollout
 from oehnn.netmodel import init_hamiltonian_net
+from oehnn.train import _lanes
 
 SPEC = duffing_system()
 S = structure_matrices(SPEC)
@@ -114,6 +115,33 @@ class TestEvaluate:
         assert metrics.n_diverged == 1
         assert metrics.per_trajectory[0].diverged
         assert np.all(np.isnan(metrics.per_trajectory[0].rmse))
+
+    def test_death_in_the_padding_is_not_flagged(self):
+        # a linear field that grows about 1e10-fold per RK4 step: from 1, a
+        # 10-sample trajectory stays finite over its own 9 steps and
+        # overflows in its padding to the 40-sample one, which starts at 0
+        def growth(x, u):
+            return (700.0 / 0.01) * x
+
+        short = Trajectory(t=np.arange(10) * 0.01, u=np.zeros((10, 1)), y=np.ones((10, 2)),
+                           x_true=np.zeros((10, 2)))
+        long = Trajectory(t=np.arange(40) * 0.01, u=np.zeros((40, 1)), y=np.zeros((40, 2)),
+                          x_true=np.zeros((40, 2)))
+        lanes = _lanes([short, long], "measured")
+        diverged = rk4_lanes(growth, lanes.x0, lanes.u, lanes.h).diverged
+        assert diverged[0] > 9 and diverged[1] < 0
+        metrics = evaluate(growth, [short, long], anchor="measured")
+        assert metrics.n_diverged == 0
+        alone = evaluate(growth, [short], anchor="measured").per_trajectory[0].rmse
+        assert np.isfinite(alone).all() and alone.min() > 1e80
+        assert np.array_equal(metrics.per_trajectory[0].rmse, alone)
+        assert np.array_equal(metrics.per_trajectory[1].rmse, np.zeros(2))
+
+    def test_mixed_steps_are_named(self, tiny_duffing_dataset):
+        good = tiny_duffing_dataset.test[0]
+        slow = Trajectory(t=2 * good.t, u=good.u, y=good.y, x_true=good.x_true)
+        with pytest.raises(ValueError, match="trajectory 1 has step"):
+            evaluate(field_fn(SPEC), [good, slow])
 
     def test_empty_test_split(self):
         with pytest.raises(ValueError):

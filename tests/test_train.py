@@ -421,43 +421,41 @@ class TestChunking:
         assert result.history[0, 1] < 1e-10
 
     def test_chunk_covers_every_residual_exactly_once(self):
-        from oehnn.train import _lane_groups
-
         rng = np.random.default_rng(41)
         traj = make_traj(rng.normal(size=(23, 2)), rng.normal(size=(23, 1)))
-        groups = _lane_groups([traj], "measured", 5)
-        total = sum(int(lanes.steps.sum()) for lanes in groups)
-        assert total == 22  # N-1 transitions
+        lanes = oehnn.train._lanes([traj], "measured", 5)
+        assert int(lanes.steps.sum()) == 22  # N-1 transitions
 
     @pytest.mark.parametrize("chunk, lanes_per_traj", [(50, 10), (25, 20)])
-    def test_standard_split_is_one_group(self, standard_duffing_dataset, chunk,
-                                         lanes_per_traj):
-        # 499 transitions: 9 or 19 whole segments and a tail one step short
-        from oehnn.train import _lane_groups
-
-        (lanes,) = _lane_groups(standard_duffing_dataset.train, "measured", chunk)
-        assert lanes.u.shape[:2] == (chunk, 15 * lanes_per_traj)
-        assert lanes.y.shape[:2] == (chunk + 1, 15 * lanes_per_traj)
-        tail = [chunk] * (lanes_per_traj - 1) + [chunk - 1]
-        assert lanes.steps.tolist() == tail * 15
+    def test_standard_split_is_one_group(self, standard_duffing_dataset,
+                                         standard_coupled_dataset, chunk, lanes_per_traj):
+        # 499 transitions: 9 or 19 whole segments and a tail one step short;
+        # the full-horizon training and validation splits are 15 and 5 lanes
+        # of all 499 steps, unpadded
+        for ds in (standard_duffing_dataset, standard_coupled_dataset):
+            d, m = ds.system.n_states, ds.system.n_inputs
+            lanes = oehnn.train._lanes(ds.train, "measured", chunk)
+            assert lanes.u.shape == (chunk, 15 * lanes_per_traj, m)
+            assert lanes.y.shape == (chunk + 1, 15 * lanes_per_traj, d)
+            tail = [chunk] * (lanes_per_traj - 1) + [chunk - 1]
+            assert lanes.steps.tolist() == tail * 15
+            for split, n_lanes in ((ds.train, 15), (ds.validation, 5)):
+                lanes = oehnn.train._lanes(split, "measured")
+                assert lanes.u.shape == (499, n_lanes, m)
+                assert lanes.y.shape == (500, n_lanes, d)
+                assert lanes.steps.tolist() == [499] * n_lanes
 
     def padded_tails(self, ds):
         """The tail lanes of the tiny training split cut at 10 (9 steps each,
         padded to 10), and the same segments as whole 10-sample
         trajectories, weighted as in the chunked fit."""
-        from oehnn.train import _lane_groups
-
-        (group,) = _lane_groups(ds.train, "true", 10)
-        assert group.u.shape[:2] == (10, 12)
-        assert group.steps.tolist() == [10, 10, 10, 9] * 3
-        tails = [3, 7, 11]
-        padded = group._replace(
-            x0=group.x0[tails], u=group.u[:, tails], y=group.y[:, tails],
-            weight=group.weight[tails], source=group.source[tails], steps=group.steps[tails],
-        )
+        lanes = oehnn.train._lanes(ds.train, "true", 10)
+        assert lanes.u.shape[:2] == (10, 12)
+        assert lanes.steps.tolist() == [10, 10, 10, 9] * 3
+        padded = lanes_at(lanes, [3, 7, 11])
         segments = [Trajectory(t=tr.t[30:], u=tr.u[30:], y=tr.y[30:], x_true=tr.x_true[30:])
                     for tr in ds.train]
-        (alone,) = _lane_groups(segments, "true")
+        alone = oehnn.train._lanes(segments, "true")
         assert alone.u.shape[:2] == (9, 3)
         return padded, alone._replace(weight=padded.weight)
 
@@ -466,6 +464,19 @@ class TestChunking:
         padded, alone = self.padded_tails(tiny_duffing_dataset)
         loss, grad, diverged = oehnn.train._sim_batch(net, S, padded, 1e6)
         ref_loss, ref_grad, _ = oehnn.train._sim_batch(net, S, alone, 1e6)
+        assert (diverged < 0).all()
+        assert rel_err(loss, ref_loss) <= 1e-13
+        assert rel_err(grad, ref_grad) <= 1e-13
+        # a whole 25-sample trajectory padded to a 40-sample one's 39 steps
+        # scores as it does alone
+        train = tiny_duffing_dataset.train
+        short = cut(train[1], 25)
+        lanes = oehnn.train._lanes([train[0], short], "true")
+        assert lanes.u.shape[:2] == (39, 2) and lanes.steps.tolist() == [39, 24]
+        loss, grad, diverged = oehnn.train._sim_batch(net, S, lanes_at(lanes, [1]), 1e6)
+        ref_loss, ref_grad, _ = oehnn.train._sim_batch(
+            net, S, oehnn.train._lanes([short], "true"), 1e6
+        )
         assert (diverged < 0).all()
         assert rel_err(loss, ref_loss) <= 1e-13
         assert rel_err(grad, ref_grad) <= 1e-13
@@ -565,12 +576,9 @@ class TestFit:
 
     def test_chunked_fit_allocates_its_stage_record_once(self, tiny_duffing_dataset,
                                                           monkeypatch, fit_at):
-        # every epoch's gradients, on both segment lengths, share one record:
-        # a 6-sample trajectory is cut at 5, the others at 10
-        ds = dataclasses.replace(tiny_duffing_dataset, train=[
-            tiny_duffing_dataset.train[0], cut(tiny_duffing_dataset.train[1], 6),
-            tiny_duffing_dataset.train[2],
-        ])
+        # every epoch's gradient shares one record in the shapes of the
+        # training lanes: 12 lanes of 10 steps, width 6
+        ds = tiny_duffing_dataset
         made, handed = [], []
         stage_record, sim_batch = oehnn.train._stage_record, oehnn.train._sim_batch
 
@@ -582,11 +590,52 @@ class TestFit:
                             lambda *args: made.append(stage_record(*args)) or made[-1])
         monkeypatch.setattr(oehnn.train, "_sim_batch", spy)
         cfg = TrainConfig(n_hidden=6, max_epochs=4, patience=4, chunk_length=10)
-        assert len(oehnn.train._lane_groups(ds.train, "measured", 10)) == 2
         result = fit_at(1, "oe-hnn", ds, cfg)
         assert len(result.history) == 4
         assert len(made) == 1
-        assert len(handed) == 4 * 2 and all(record is made[0] for record in handed)
+        assert [a.shape for a in made[0]] == [(10, 3, 12, 2), (10, 4, 12, 6), (2, 12, 6)]
+        # the last epoch computes only its loss
+        assert len(handed) == 3 and all(record is made[0] for record in handed)
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("kind, chunk", [("oe-hnn", 10), ("hnn", None), ("mlp", None)])
+    def test_last_epoch_computes_only_its_loss(self, tiny_duffing_dataset, monkeypatch,
+                                               fit_at, kind, chunk, budget):
+        # no step follows the last epoch, so its gradient is never computed:
+        # one that would be non-finite from the last epoch on loses nothing,
+        # and the last epoch's loss has the bits of a gradient pass
+        cfg = TrainConfig(n_hidden=8, max_epochs=10, patience=10, chunk_length=chunk, seed=2,
+                          learning_rate=0.05)
+        reference = fit_at(budget, kind, tiny_duffing_dataset, cfg)
+        longer = fit_at(budget, kind, tiny_duffing_dataset,
+                        dataclasses.replace(cfg, max_epochs=11, patience=11))
+        assert_same_bits(longer.history[:10], reference.history)
+        name = "_sim_batch" if kind == "oe-hnn" else "_derivative_blocks"
+        batch, calls = getattr(oehnn.train, name), []
+
+        def poisoned(*args):
+            out = list(batch(*args))
+            calls.append(None)
+            if len(calls) >= cfg.max_epochs and out[1] is not None:
+                out[1] = out[1] * np.nan
+            return tuple(out)
+
+        monkeypatch.setattr(oehnn.train, name, poisoned)
+        result = fit_at(budget, kind, tiny_duffing_dataset, cfg)
+        assert len(result.history) == cfg.max_epochs
+        assert_same_bits(result.history, reference.history)
+        assert_same_bits(flatten_params(result.model), flatten_params(reference.model))
+        assert result.best_epoch == reference.best_epoch
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind, split", [("oe-hnn", "train"), ("hnn", "validation")])
+    def test_mixed_steps_are_named(self, tiny_duffing_dataset, kind, split):
+        trajs = getattr(tiny_duffing_dataset, split)
+        tr = trajs[1]
+        slow = Trajectory(t=2 * tr.t, u=tr.u, y=tr.y, x_true=tr.x_true, dx_true=tr.dx_true)
+        mixed = dataclasses.replace(tiny_duffing_dataset, **{split: [trajs[0], slow, *trajs[2:]]})
+        with pytest.raises(ValueError, match="trajectory 1 has step"):
+            fit(kind, mixed, TrainConfig(n_hidden=4, max_epochs=1))
 
     def test_empty_split_rejected(self, tiny_duffing_dataset):
         ds = dataclasses.replace(tiny_duffing_dataset, validation=[])
@@ -604,14 +653,18 @@ class TestFit:
             )
 
 
-def largest_group(groups):
-    return max(groups, key=lambda lanes: lanes.u.shape[0] * lanes.u.shape[1])
-
-
 def cut(tr, n):
     """The first n samples of a trajectory."""
     return Trajectory(t=tr.t[:n], u=tr.u[:n], y=tr.y[:n], x_true=tr.x_true[:n],
                       dx_true=tr.dx_true[:n])
+
+
+def lanes_at(lanes, index):
+    """The lanes `index` of a lane group, in their padded shapes."""
+    return lanes._replace(
+        x0=lanes.x0[index], u=lanes.u[:, index], y=lanes.y[:, index],
+        weight=lanes.weight[index], steps=lanes.steps[index],
+    )
 
 
 def patience_stops(history):
@@ -629,21 +682,18 @@ def patience_stops(history):
     return sorted(stops.items())
 
 
-class LargestGroupPoison:
-    """Makes the gradient of a fit's largest training group non-finite in the
-    epoch given to `arm`, which each fit must call first."""
+class GradientPoison:
+    """Makes a fit's training gradient non-finite in the epoch given to
+    `arm`, which each fit must call first."""
 
-    def __init__(self, monkeypatch, ds, cfg):
-        groups = oehnn.train._lane_groups(ds.train, cfg.anchor, cfg.chunk_length)
-        shape = largest_group(groups).u.shape
+    def __init__(self, monkeypatch):
         sim_batch = oehnn.train._sim_batch
 
-        def poisoned(net, S_sys, lanes, *args):
-            lane_loss, grad, diverged = sim_batch(net, S_sys, lanes, *args)
-            if lanes.u.shape == shape:
-                self.calls += 1
-                if self.calls == self.bad_epoch:
-                    grad = grad * np.nan
+        def poisoned(*args):
+            lane_loss, grad, diverged = sim_batch(*args)
+            self.calls += 1
+            if self.calls == self.bad_epoch:
+                grad = grad * np.nan
             return lane_loss, grad, diverged
 
         monkeypatch.setattr(oehnn.train, "_sim_batch", poisoned)
@@ -721,16 +771,16 @@ class TestWorkers:
         reference = fit_at(1, "hnn", tiny_duffing_dataset, cfg)
         stop = len(reference.history)
         assert stop < cfg.max_epochs
-        derivative_batch = oehnn.train._derivative_batch_hnn
+        derivative_blocks = oehnn.train._derivative_blocks
         for bad_epoch, stopped in ((stop - 1, False), (stop, True), (stop + 1, True)):
             calls = []
 
             def poisoned(*args, bad_epoch=bad_epoch, calls=calls):
-                loss, grad = derivative_batch(*args)
+                loss, grad = derivative_blocks(*args)
                 calls.append(None)
                 return loss, grad * np.nan if len(calls) == bad_epoch else grad
 
-            monkeypatch.setattr(oehnn.train, "_derivative_batch_hnn", poisoned)
+            monkeypatch.setattr(oehnn.train, "_derivative_blocks", poisoned)
             if stopped:
                 result = fit_at(budget, "hnn", tiny_duffing_dataset, cfg)
                 assert np.array_equal(result.history, reference.history)
@@ -764,14 +814,14 @@ class TestWorkers:
             bad_epoch = next(e for e in range(n_stop - 1, 0, -1) if e % window)
             assert bad_epoch > window
             expected = [window] * (bad_epoch // window) + [bad_epoch % window]
-            derivative_batch = oehnn.train._derivative_batch_hnn
+            derivative_blocks = oehnn.train._derivative_blocks
 
             def poisoned(*args):
-                loss, grad = derivative_batch(*args)
+                loss, grad = derivative_blocks(*args)
                 calls.append(None)
                 return loss, grad * np.nan if len(calls) == bad_epoch else grad
 
-            monkeypatch.setattr(oehnn.train, "_derivative_batch_hnn", poisoned)
+            monkeypatch.setattr(oehnn.train, "_derivative_blocks", poisoned)
         val_losses, submit = oehnn.train._val_losses, oehnn.train._ValidationHelper.submit
         inline, sent = [], []
 
@@ -807,8 +857,8 @@ class TestWorkers:
         # a padded chunk: a full window and then the last epoch (the
         # first-in-first-out edge), two windows and the last epoch, a patience
         # stop inside a window, a non-finite gradient inside a window; and on
-        # full-horizon groups of two lengths and of four, the largest third,
-        # which every budget sums in group order
+        # full-horizon trajectories of two lengths and of four, padded to the
+        # longest
         ds = tiny_duffing_dataset
         cfg = TrainConfig(n_hidden=8, max_epochs=17, patience=17, chunk_length=10, seed=2,
                           learning_rate=0.05)
@@ -819,15 +869,11 @@ class TestWorkers:
         elif case == "two lengths":
             ds = dataclasses.replace(ds, train=[ds.train[0], cut(ds.train[1], 25), ds.train[2]])
             cfg = dataclasses.replace(cfg, chunk_length=None)
-            assert len(oehnn.train._lane_groups(ds.train, "measured")) == 2
         elif case == "four lengths":
             train = [cut(ds.train[0], 6), cut(ds.train[1], 15), cut(ds.train[2], 25),
                      cut(ds.validation[0], 25), ds.validation[1]]
             ds = dataclasses.replace(ds, train=train)
             cfg = dataclasses.replace(cfg, chunk_length=None)
-            groups = oehnn.train._lane_groups(ds.train, "measured")
-            assert [len(lanes.x0) for lanes in groups] == [1, 1, 2, 1]
-            assert largest_group(groups) is groups[2]
         elif case != "17 epochs":
             long = dataclasses.replace(cfg, max_epochs=40, patience=40)
             stop, patience = next(
@@ -836,7 +882,7 @@ class TestWorkers:
             )
             cfg = dataclasses.replace(long, patience=patience)
             if case == "non-finite gradient":
-                poison = LargestGroupPoison(monkeypatch, ds, cfg)
+                poison = GradientPoison(monkeypatch)
         results = []
         for budget in (1, 2):
             if poison is not None:
@@ -908,16 +954,14 @@ class TestLossDecomposition:
         net = random_hnet(rng, n_hidden=6)
         trajs = tiny_duffing_dataset.train
         grads = [simulation_loss_grad(net, S, tr)[1] for tr in trajs]
-        from oehnn.train import _lane_groups, _sim_batch
-
-        (lanes,) = _lane_groups(trajs, "measured")
-        _, batched, _ = _sim_batch(net, S, lanes, 1e6)
+        lanes = oehnn.train._lanes(trajs, "measured")
+        _, batched, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
         assert np.allclose(batched, np.sum(grads, axis=0), atol=1e-12)
 
     def test_full_horizon_takes_trajectories_of_two_lengths(self, tiny_duffing_dataset):
-        # one lane group per length: the fit's loss is still the sum of the
-        # per-trajectory losses, and `evaluate` still scores each trajectory
-        # as a rollout of its own
+        # lanes padded to the longest trajectory: the fit's loss is still the
+        # sum of the per-trajectory losses, and `evaluate` still scores each
+        # trajectory as a rollout of its own
         from oehnn.evaluate import evaluate, model_field
 
         ds = tiny_duffing_dataset
@@ -939,6 +983,7 @@ class TestLossDecomposition:
                     assert np.array_equal(res.rmse, alone)
                 else:
                     assert np.allclose(res.rmse, alone, rtol=1e-12, atol=0.0)
+                    assert rel_err(res.rmse, alone) <= 1e-13
 
 
 def test_history_csv(tmp_path):
@@ -1106,7 +1151,7 @@ def set_block_rows(monkeypatch, n_hidden, rows):
 def derivative_batch(net, x, dx, u, w, buffers=None):
     """The derivative batch as `fit` runs it, on fresh buffers when none are handed."""
     buffers = buffers or oehnn.train._derivative_buffers(net, S, x, u)
-    return oehnn.train._derivative_blocks(net, x, dx, w, buffers)
+    return oehnn.train._derivative_blocks(net, dx, w, buffers)
 
 
 class NumpyWithEmpty:
@@ -1147,7 +1192,7 @@ class TestEnergyKernel:
 
     def test_simulation_gradient_leaves_inputs_and_repeats(self, tiny_duffing_dataset):
         net = random_hnet(np.random.default_rng(72), n_hidden=6)
-        lanes = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured", 10)[0]
+        lanes = oehnn.train._lanes(tiny_duffing_dataset.train, "measured", 10)
         x0, u, y, w = frozen(lanes.x0, lanes.u, lanes.y, lanes.weight)
         lanes = lanes._replace(x0=x0, u=u, y=y, weight=w)
         runs = [oehnn.train._sim_batch(net, S, lanes, 1e6) for _ in range(2)]
@@ -1159,29 +1204,22 @@ class TestEnergyKernel:
 
     def test_simulation_gradient_ignores_stale_buffers(self, tiny_duffing_dataset, monkeypatch):
         # a gradient reads the stage record it is handed, as `fit` shares one
-        # across its groups and epochs: a record filled with NaN, then one
-        # that another net's calls on every group have just filled, give the
-        # bits of a record the call allocates itself
-        train = tiny_duffing_dataset.train
-        groups = oehnn.train._lane_groups([train[0], cut(train[1], 6), train[2]], "measured", 10)
-        assert len(groups) == 2
+        # across its epochs: a record filled with NaN, then one that another
+        # net's call has just filled, give the bits of a record the call
+        # allocates itself
+        lanes = oehnn.train._lanes(tiny_duffing_dataset.train, "measured", 10)
         rng = np.random.default_rng(76)
         nets = [random_hnet(rng, n_hidden=6) for _ in range(2)]
-        record = oehnn.train._stage_record(
-            max(lanes.u.shape[0] * lanes.u.shape[1] for lanes in groups),
-            max(len(lanes.x0) for lanes in groups), 2, 6,
-        )
+        record = oehnn.train._stage_record(*lanes.u.shape[:2], 2, 6)
         for arr in record:
             arr.fill(np.nan)
         for net in nets:
-            for lanes in groups:
-                fresh = oehnn.train._sim_batch(net, S, lanes, 1e6)
-                stale = oehnn.train._sim_batch(net, S, lanes, 1e6, record)
-                for a, b in zip(stale, fresh):
-                    assert_same_bits(a, b)
+            fresh = oehnn.train._sim_batch(net, S, lanes, 1e6)
+            stale = oehnn.train._sim_batch(net, S, lanes, 1e6, record)
+            for a, b in zip(stale, fresh):
+                assert_same_bits(a, b)
         # the forward alone keeps no record, and its two scratch arrays come
         # from one np.empty: hand it the values another net's call left
-        lanes = groups[1]
         args = (lanes.x0, lanes.u @ S.G.T, lanes.h)
         fresh = oehnn.train._energy_rollout(nets[0], *args)
         handed = []
@@ -1249,7 +1287,7 @@ class TestEnergyKernel:
         net = saturated_hnet(rng, 9) if saturated else random_hnet(rng, n_hidden=9)
         x = rng.normal(size=(40, 2))
         assert rel_err(h_grad_x(net, x), reference_h_grad_x(net, x)) <= 1e-12
-        (lanes,) = oehnn.train._lane_groups(tiny_duffing_dataset.train, "measured")
+        lanes = oehnn.train._lanes(tiny_duffing_dataset.train, "measured")
         xf, dxf, uf, wf = oehnn.train._derivative_training_set(
             tiny_duffing_dataset.train, "fd", tiny_duffing_dataset.ts
         )
@@ -1271,7 +1309,7 @@ class TestEnergyKernel:
         # 15 trajectories of 500 samples cut at 50: 150 lanes of 50 steps, the
         # last of each trajectory a padded tail of 49, width 200
         ds = standard_duffing_dataset
-        (lanes,) = oehnn.train._lane_groups(ds.train, "measured", 50)
+        lanes = oehnn.train._lanes(ds.train, "measured", 50)
         assert lanes.u.shape[:2] == (50, 150)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(41))
         loss, grad, _ = oehnn.train._sim_batch(net, S, lanes, 1e6)
@@ -1345,23 +1383,19 @@ def with_dead_lanes(lanes):
 
 class TestReverseSweepBits:
     """`_sim_batch` gives the bits of `reference_sim_batch`, with a record it
-    allocates and with an oversized one, filled with NaN, that it is handed."""
+    allocates and with one, filled with NaN, that it is handed."""
 
     def check(self, net, S_sys, lanes):
-        x0, u, h = lanes.x0, lanes.u, lanes.h
         ref = reference_sim_batch(net, S_sys, lanes, 1e6, True)
-        record = oehnn.train._stage_record(
-            u.shape[0] * u.shape[1] + 7, len(x0) + 1, len(x0[0]), net.n_hidden
-        )
+        record = oehnn.train._stage_record(*lanes.u.shape[:2], len(lanes.x0[0]), net.n_hidden)
         for arr in record:
             arr.fill(np.nan)
         for handed in (None, record):
             new = oehnn.train._sim_batch(net, S_sys, lanes, 1e6, handed)
             for a, b in zip(new, ref):
                 assert_same_bits(a, b)
-        # the forward alone, as validation and `simulation_loss` run it
-        xs, diverged = oehnn.train._energy_rollout(net, x0, u @ S_sys.G.T, h)
-        lane_loss, _, _, diverged = oehnn.train._lane_loss(xs, lanes, diverged, 1e6)
+        # the forward alone, as `simulation_loss` and a fit's last epoch run it
+        lane_loss, diverged = oehnn.train._sim_loss(net, S_sys, lanes, 1e6)
         assert_same_bits(lane_loss, ref[0])
         assert_same_bits(diverged, ref[2])
         return ref
@@ -1376,9 +1410,8 @@ class TestReverseSweepBits:
         d = ds.system.n_states
         rng = np.random.default_rng(90)
         net = saturated_hnet(rng, 9, d) if saturated else random_hnet(rng, 9, n_states=d)
-        groups = oehnn.train._lane_groups(ds.train, "measured", 10)
-        groups += oehnn.train._lane_groups(ds.train, "measured")
-        for lanes in groups:
+        for lanes in (oehnn.train._lanes(ds.train, "measured", 10),
+                      oehnn.train._lanes(ds.train, "measured")):
             _, grad, diverged = self.check(net, S_sys, lanes)
             assert (diverged < 0).all() and np.abs(grad).max() > 0.0
             _, _, diverged = self.check(net, S_sys, with_dead_lanes(lanes))
@@ -1386,25 +1419,22 @@ class TestReverseSweepBits:
             assert (diverged[2:] < 0).all()
 
     def test_matches_the_reference_at_benchmark_shape(self, standard_duffing_dataset):
-        (lanes,) = oehnn.train._lane_groups(standard_duffing_dataset.train, "measured", 50)
+        lanes = oehnn.train._lanes(standard_duffing_dataset.train, "measured", 50)
         assert lanes.u.shape[:2] == (50, 150)
         net = init_hamiltonian_net(2, 200, np.random.default_rng(42))
         self.check(net, S, lanes)
 
 
-def one_model_val_loss(net, kind, S, groups, penalty):
+def one_model_val_loss(net, kind, S, lanes, penalty):
     """Validation loss of one model, as `fit` computed it before validation
-    was stacked: one rollout per group, on the reference forward for the
-    energy net, lane losses summed per group."""
-    total = 0.0
-    for lanes in groups:
-        if kind == "mlp":
-            xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
-            lane_loss = oehnn.train._lane_loss(xs, lanes, diverged, penalty)[0]
-        else:
-            lane_loss = reference_sim_batch(net, S, lanes, penalty, False)[0]
-        total += float(lane_loss.sum())
-    return total
+    was stacked: one rollout, on the reference forward for the energy net,
+    lane losses summed."""
+    if kind == "mlp":
+        xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
+        lane_loss = oehnn.train._lane_loss(xs, lanes, diverged, penalty)[0]
+    else:
+        lane_loss = reference_sim_batch(net, S, lanes, penalty, False)[0]
+    return float(lane_loss.sum())
 
 
 @pytest.fixture(scope="module")
@@ -1444,11 +1474,11 @@ class TestStackedValidation:
                 thetas[diverging, block] = value
         penalty = 1e6
         for trajs in (ds.validation[:1], ds.validation):
-            groups = oehnn.train._lane_groups(trajs, "measured")
-            losses = oehnn.train._val_losses(template, thetas, kind, S_sys, groups, penalty)
+            lanes = oehnn.train._lanes(trajs, "measured")
+            losses = oehnn.train._val_losses(template, thetas, kind, S_sys, lanes, penalty)
             assert len(losses) == K
             for k, loss in enumerate(losses):
                 net = with_params(template, thetas[k])
-                assert loss == one_model_val_loss(net, kind, S_sys, groups, penalty)
+                assert loss == one_model_val_loss(net, kind, S_sys, lanes, penalty)
             if diverging is not None:
                 assert losses[diverging] == penalty * len(trajs)
