@@ -87,7 +87,8 @@ def evaluate(
     RMSE pools the squared errors of all non-diverged trajectories; diverged
     ones are flagged per trajectory instead of contaminating the pool. A
     finite rollout whose RMSE overflows raises `ValueError`, not numpy's
-    warning. Trajectories whose sampling steps differ raise `ValueError`.
+    warning. Trajectories whose sampling steps differ by more than
+    `train._lanes` allows raise `ValueError`.
     """
     if not test:
         raise ValueError("test split is empty")

@@ -272,6 +272,14 @@ class _LaneGroup(NamedTuple):
     steps: np.ndarray  # (B,) each lane's own steps; u and y repeat their last rows after them
 
 
+def _same_step(a: Trajectory, b: Trajectory) -> bool:
+    """Whether the steps t[1] - t[0] of two trajectories differ by no more
+    than a few ulps of their first two times, which is what rounding the
+    times of one grid step apart leaves."""
+    ulps = np.spacing(np.abs(a.t[:2]).max()) + np.spacing(np.abs(b.t[:2]).max())
+    return abs(a.ts - b.ts) <= 4.0 * ulps
+
+
 def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _LaneGroup:
     """Cut trajectories into RK4 lanes: whole trajectories, or with `chunk`
     segments of min(chunk, N - 1) transitions, each re-anchored at its first
@@ -281,16 +289,18 @@ def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _L
     input and measurement rows, and records its own step count; `_lane_loss`
     scores only those steps, and every residual sample keeps its
     trajectory's 1/N weight, so the chunked loss sums the same residual terms
-    as the full rollout, just along shorter horizons. A trajectory of fewer
-    than 2 samples, or whose sampling step differs from the first
-    trajectory's, raises `ValueError` naming its index.
+    as the full rollout, just along shorter horizons. Every lane steps at the
+    first trajectory's step t[1] - t[0]; another trajectory's step may differ
+    from it only by the rounding of their times, as for equal grids that
+    start at different times. A trajectory of fewer than 2 samples, or whose
+    step differs by more, raises `ValueError` naming its index.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
     for i, tr in enumerate(trajs):
         if tr.n_samples < 2:
             raise ValueError(f"trajectory {i} must contain at least 2 samples")
-        if tr.ts != trajs[0].ts:
+        if not _same_step(tr, trajs[0]):
             raise ValueError(f"trajectory {i} has step {tr.ts}, trajectory 0 has {trajs[0].ts}")
         if anchor == "true" and tr.x_true is None:
             raise TrainingError("anchor='true' requires stored noiseless states")
@@ -450,26 +460,25 @@ def _block_rows(n_hidden: int) -> int:
 
 def _derivative_buffers(net, S, x, u):
     """What the derivative batch on rows x computes once and reuses: its
-    input rows, a tuple of ([x, 1], G u) for the energy net or ([x, u],) for
-    the black-box net, one row per row of x, then the (rows, n_hidden)
-    arrays a block writes, three for the energy net and two for the
-    black-box net, with rows the block size of `_derivative_blocks` (or N
-    when smaller). A block overwrites every one of those arrays before
-    reading it, so none carries a value from one block or call to the
-    next."""
+    input rows, a tuple of (x, G u) for the energy net or ([x, u],) for the
+    black-box net, one row per row of x, then the (rows, n_hidden) arrays a
+    block writes, three for the energy net and two for the black-box net,
+    with rows the block size of `_derivative_blocks` (or N when smaller). A
+    block overwrites every one of those arrays before reading it, so none
+    carries a value from one block or call to the next."""
     rows = (min(len(x), _block_rows(net.n_hidden)), net.n_hidden)
     if isinstance(net, HamiltonianNet):
-        return (_with_ones(x), u @ S.G.T), np.empty(rows), np.empty(rows), np.empty(rows)
+        return (x, u @ S.G.T), np.empty(rows), np.empty(rows), np.empty(rows)
     return (np.concatenate([x, u], axis=1),), np.empty(rows), np.empty(rows)
 
 
-def _derivative_blocks(net, dx_target, sample_weight, buffers, want_grad=True):
-    """Loss and flat gradient (None unless `want_grad`) of the derivative
-    batch on the rows of `_derivative_buffers`: blocks of as many rows as its
-    work arrays hold go through `_derivative_batch_hnn` or `_mlp` one after
-    another, which sum their losses and add their gradient terms into one
-    accumulator in block order. Rows that fit in one block give the bits of
-    that kernel on all of them."""
+def _derivative_blocks(net, dx_target, sample_weight, buffers):
+    """Loss and flat gradient of the derivative batch on the rows of
+    `_derivative_buffers`: blocks of as many rows as its work arrays hold go
+    through `_derivative_batch_hnn` or `_mlp` one after another, which sum
+    their losses and add their gradient terms into one accumulator in block
+    order. Rows that fit in one block give the bits of that kernel on all of
+    them."""
     inputs, *work = buffers
     rows = len(work[0])
     if isinstance(net, HamiltonianNet):
@@ -481,41 +490,37 @@ def _derivative_blocks(net, dx_target, sample_weight, buffers, want_grad=True):
         block = slice(start, start + rows)
         n = len(dx_target[block])
         out = (*(a[block] for a in inputs), *(a[:n] for a in work))
-        loss += batch(
-            net, dx_target[block], sample_weight[block], out, acc if want_grad else None
-        )
-    if not want_grad:
-        return loss, None
+        loss += batch(net, dx_target[block], sample_weight[block], out, acc)
     return loss, acc.flat() if batch is _derivative_batch_hnn else flatten_params(acc)
 
 
 def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
     """One block of `_derivative_blocks` for the energy net: returns its loss
-    and adds its gradient into `acc`, a `_ThetaGrad`, unless that is None;
-    `out` is the block's rows of `_derivative_buffers`."""
-    xa, gu, th, s, p = out  # xa: the rows of both the forward and the VJP
+    and adds its gradient into `acc`, a `_ThetaGrad`; `out` is the block's
+    rows of `_derivative_buffers`."""
+    x, gu, th, s, p = out
     n = net.n_states // 2
+    xa = _with_ones(x)  # the rows of both the forward and the VJP
     g = _energy_kernel(net, xa, net.w1, th, s)
     r1 = g[:, n:] - dx_target[:, :n]  # momentum gradient vs position rate
     r2 = g[:, :n] + dx_target[:, n:] - gu[:, n:]  # position gradient vs forced momentum rate
     n1 = np.linalg.norm(r1, axis=1)
     n2 = np.linalg.norm(r2, axis=1)
     loss = float(np.sum(sample_weight * (n1 + n2)))
-    if acc is not None:
-        g_cot = np.zeros_like(g)
-        s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
-        s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
-        g_cot[:, n:] = s1[:, None] * r1
-        g_cot[:, :n] = s2[:, None] * r2
-        _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
+    g_cot = np.zeros_like(g)
+    s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
+    s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
+    g_cot[:, n:] = s1[:, None] * r1
+    g_cot[:, :n] = s2[:, None] * r2
+    _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
     return loss
 
 
 def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
     """One block of `_derivative_blocks` for the black-box net: returns its
-    loss and adds its gradient into `acc`, a `BlackBoxNet` of gradients,
-    unless that is None; `out` is the block's rows of `_derivative_buffers`,
-    whose [x, u] rows it reads."""
+    loss and adds its gradient into `acc`, a `BlackBoxNet` of gradients;
+    `out` is the block's rows of `_derivative_buffers`, whose [x, u] rows it
+    reads."""
     xu, th, hidden = out
     np.matmul(xu, net.w1.T, out=th)
     th += net.b1
@@ -524,17 +529,16 @@ def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
     r = f - dx_target
     nr = np.linalg.norm(r, axis=1)
     loss = float(np.sum(sample_weight * nr))
-    if acc is not None:
-        scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
-        f_cot = scale[:, None] * r
-        acc.w2[...] += f_cot.T @ th
-        np.matmul(f_cot, net.w2, out=hidden)
-        np.square(th, out=th)  # th is read no more: it takes sech^2
-        np.subtract(1.0, th, out=th)
-        hidden *= th
-        acc.w1[...] += hidden.T @ xu
-        acc.b1[...] += hidden.sum(axis=0)
-        acc.b2[...] += f_cot.sum(axis=0)
+    scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
+    f_cot = scale[:, None] * r
+    acc.w2[...] += f_cot.T @ th
+    np.matmul(f_cot, net.w2, out=hidden)
+    np.square(th, out=th)  # th is read no more: it takes sech^2
+    np.subtract(1.0, th, out=th)
+    hidden *= th
+    acc.w1[...] += hidden.T @ xu
+    acc.b1[...] += hidden.sum(axis=0)
+    acc.b2[...] += f_cot.sum(axis=0)
     return loss
 
 
@@ -751,10 +755,10 @@ def fit(
 
     One full-batch Adam step per epoch: the training loss and gradient are
     summed over all training trajectories (simulation loss for 'oe-hnn',
-    derivative matching for 'hnn' and 'mlp'). The epoch `max_epochs`, which
-    no step follows, computes only its training loss, which has the bits a
-    gradient pass would give it. Validation is always the simulation loss, so
-    model selection is comparable across estimators.
+    derivative matching for 'hnn' and 'mlp'). No step follows the epoch
+    `max_epochs`, so its gradient is neither checked nor applied. Validation
+    is always the simulation loss, so model selection is comparable across
+    estimators.
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
     initialization (used for staged chunked-then-full training).
 
@@ -820,19 +824,15 @@ def fit(
         buffers = _derivative_buffers(template, S, x_fit, u_fit)
     val_lanes = _lanes(dataset.validation, config.anchor)
 
-    def train_loss_grad(theta, want_grad):
-        """Training loss, gradient (None unless `want_grad`) and whether every lane died."""
+    def train_loss_grad(theta):
+        """Training loss, gradient and whether every lane died."""
         model = with_params(template, theta)
         if kind == "oe-hnn":
-            if want_grad:
-                lane_loss, grad, diverged = _sim_batch(
-                    model, S, train_lanes, DIVERGENCE_PENALTY, record
-                )
-            else:
-                grad = None
-                lane_loss, diverged = _sim_loss(model, S, train_lanes, DIVERGENCE_PENALTY)
+            lane_loss, grad, diverged = _sim_batch(
+                model, S, train_lanes, DIVERGENCE_PENALTY, record
+            )
             return float(lane_loss.sum()), grad, bool((diverged >= 0).all())
-        return *_derivative_blocks(model, dx_fit, w_fit, buffers, want_grad), False
+        return *_derivative_blocks(model, dx_fit, w_fit, buffers), False
 
     validate = partial(
         _val_losses, template, kind=kind, S=S, lanes=val_lanes, penalty=DIVERGENCE_PENALTY
@@ -878,7 +878,7 @@ def fit(
             last = epoch == config.max_epochs
             if (len(window) == _WINDOW or last) and send():
                 break
-            tr_loss, grad, all_dead = train_loss_grad(theta, want_grad=not last)
+            tr_loss, grad, all_dead = train_loss_grad(theta)
             if all_dead and epoch == 1:
                 raise TrainingError(
                     "every training rollout diverged at the first epoch; "

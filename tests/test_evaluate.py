@@ -143,6 +143,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="trajectory 1 has step"):
             evaluate(field_fn(SPEC), [good, slow])
 
+    def test_later_start_shares_the_step(self, tiny_duffing_dataset):
+        # the same grid started 5 s later: its step differs by some ulps and
+        # it is run at the first trajectory's step
+        good = tiny_duffing_dataset.test[0]
+        later = dataclasses.replace(good, t=good.t + 5.0)
+        assert later.ts != good.ts
+        metrics = evaluate(field_fn(SPEC), [good, later])
+        np.testing.assert_allclose(metrics.per_trajectory[1].rmse,
+                                   metrics.per_trajectory[0].rmse, rtol=1e-12)
+
     def test_empty_test_split(self):
         with pytest.raises(ValueError):
             evaluate(field_fn(SPEC), [], reference="true")

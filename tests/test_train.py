@@ -594,16 +594,14 @@ class TestFit:
         assert len(result.history) == 4
         assert len(made) == 1
         assert [a.shape for a in made[0]] == [(10, 3, 12, 2), (10, 4, 12, 6), (2, 12, 6)]
-        # the last epoch computes only its loss
-        assert len(handed) == 3 and all(record is made[0] for record in handed)
+        assert len(handed) == 4 and all(record is made[0] for record in handed)
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("kind, chunk", [("oe-hnn", 10), ("hnn", None), ("mlp", None)])
-    def test_last_epoch_computes_only_its_loss(self, tiny_duffing_dataset, monkeypatch,
-                                               fit_at, kind, chunk, budget):
-        # no step follows the last epoch, so its gradient is never computed:
-        # one that would be non-finite from the last epoch on loses nothing,
-        # and the last epoch's loss has the bits of a gradient pass
+    def test_last_epoch_gradient_is_not_checked(self, tiny_duffing_dataset, monkeypatch,
+                                                fit_at, kind, chunk, budget):
+        # no step follows the last epoch, so a gradient that is non-finite
+        # from the last epoch on loses nothing
         cfg = TrainConfig(n_hidden=8, max_epochs=10, patience=10, chunk_length=chunk, seed=2,
                           learning_rate=0.05)
         reference = fit_at(budget, kind, tiny_duffing_dataset, cfg)
@@ -616,7 +614,7 @@ class TestFit:
         def poisoned(*args):
             out = list(batch(*args))
             calls.append(None)
-            if len(calls) >= cfg.max_epochs and out[1] is not None:
+            if len(calls) >= cfg.max_epochs:
                 out[1] = out[1] * np.nan
             return tuple(out)
 
@@ -636,6 +634,20 @@ class TestFit:
         mixed = dataclasses.replace(tiny_duffing_dataset, **{split: [trajs[0], slow, *trajs[2:]]})
         with pytest.raises(ValueError, match="trajectory 1 has step"):
             fit(kind, mixed, TrainConfig(n_hidden=4, max_epochs=1))
+
+    @pytest.mark.parametrize("kind, split", [("oe-hnn", "train"), ("hnn", "validation")])
+    def test_later_start_shares_the_step(self, tiny_duffing_dataset, kind, split):
+        # the same grid started 5 s later has a step t[1] - t[0] some ulps
+        # off the first trajectory's; it is accepted and run at that step
+        trajs = getattr(tiny_duffing_dataset, split)
+        later = dataclasses.replace(trajs[1], t=trajs[1].t + 5.0)
+        assert later.ts != trajs[0].ts
+        shifted = dataclasses.replace(tiny_duffing_dataset,
+                                      **{split: [trajs[0], later, *trajs[2:]]})
+        cfg = TrainConfig(n_hidden=4, max_epochs=3, patience=3)
+        reference = fit(kind, tiny_duffing_dataset, cfg)
+        result = fit(kind, shifted, cfg)
+        np.testing.assert_allclose(result.history, reference.history, rtol=1e-12)
 
     def test_empty_split_rejected(self, tiny_duffing_dataset):
         ds = dataclasses.replace(tiny_duffing_dataset, validation=[])
@@ -1394,7 +1406,7 @@ class TestReverseSweepBits:
             new = oehnn.train._sim_batch(net, S_sys, lanes, 1e6, handed)
             for a, b in zip(new, ref):
                 assert_same_bits(a, b)
-        # the forward alone, as `simulation_loss` and a fit's last epoch run it
+        # the forward alone, as `simulation_loss` runs it
         lane_loss, diverged = oehnn.train._sim_loss(net, S_sys, lanes, 1e6)
         assert_same_bits(lane_loss, ref[0])
         assert_same_bits(diverged, ref[2])
