@@ -52,7 +52,7 @@ from oehnn.netmodel import (
     save_model,
     with_params,
 )
-from oehnn.signals import NoiseSpec, multisine_inputs
+from oehnn.signals import NoiseSpec, _check_multisine, multisine_inputs
 from oehnn.evaluate import (
     REFERENCES,
     evaluate,
@@ -383,6 +383,8 @@ def cmd_simulate(args) -> int:
     if args.input == "zero":
         u = np.zeros((n_steps, m))
     else:
+        with _config_errors("--steps: "):
+            _check_multisine(cfg.harmonics, cfg.f0, cfg.amplitude, (n_steps - 1) * cfg.ts)
         with _config_errors("--phase-seed: "):
             rng = np.random.default_rng(args.phase_seed)
         u = multisine_inputs(t, m, cfg.harmonics, cfg.f0, cfg.amplitude, rng)

@@ -17,7 +17,7 @@ import numpy as np
 from oehnn import textio
 from oehnn.dynamics import SystemSpec, field_fn, system_defaults
 from oehnn.integrate import rk4_lanes
-from oehnn.signals import NoiseSpec, add_noise, multisine_inputs
+from oehnn.signals import NoiseSpec, _check_multisine, add_noise, multisine_inputs
 
 __all__ = [
     "Trajectory",
@@ -116,10 +116,15 @@ class GenerationProtocol:
             )
         if self.harmonics < 1:
             raise ValueError("need at least one harmonic")
+        if self.harmonics > np.iinfo(np.intp).max:
+            raise ValueError("more harmonics than an array can hold")
         if not 0 < self.f0 < np.inf:
             raise ValueError("base frequency must be positive and finite")
         if self.amplitude is not None and not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
+        # on the simulated grid, from t = 0 to the window's end
+        t_last = (round(self.t_start / self.ts) + self.n_samples - 1) * self.ts
+        _check_multisine(self.harmonics, self.f0, self.amplitude or 0.0, t_last)
         if not 0 <= self.init_range < np.inf:
             raise ValueError("init_range must be non-negative and finite")
         if not self.q_max > 0:
@@ -178,6 +183,12 @@ def _attempt_inputs(system, protocol, master_seed, realization, attempt, t_grid)
     return rng, x0, u_grid
 
 
+def _max_abs_q(states, n_masses: int) -> np.ndarray:
+    """Each lane's largest |q| in states (T, B, d), with no |q| array made."""
+    q = states[:, :, :n_masses]
+    return np.maximum(q.max(axis=(0, 2)), -q.min(axis=(0, 2)))
+
+
 def _simulate_realizations(system, protocol, master_seed, realizations):
     """Simulate the accepted attempt of each listed realization, in lockstep.
 
@@ -188,7 +199,8 @@ def _simulate_realizations(system, protocol, master_seed, realizations):
     ... attempts (`_FIRST_BLOCK`, then doubling) up to max_retries in all,
     and accepts the lowest-index passing attempt, so the accepted attempts
     are exactly those of trying one attempt at a time, whatever the blocks.
-    Only the recorded window of each lane is kept.
+    The lead-in to the window and the window are two rollouts; of the
+    lead-in only each lane's end state and largest |q| are kept.
     Returns (t, u, x_true, dx_true, rng, attempt) per realization, in order.
     """
     truth = field_fn(system)
@@ -214,10 +226,12 @@ def _simulate_realizations(system, protocol, master_seed, realizations):
         ]
         x0 = np.stack([lane[3] for lane in lanes])
         u = np.stack([lane[4] for lane in lanes], axis=1)  # (n_total, B, m)
-        x_win, diverged, peak = rk4_lanes(
-            truth, x0, u[:-1], protocol.ts, keep_from=n_pre, peak=True
-        )
-        passed = (diverged < 0) & (peak[:, : system.n_masses].max(axis=1) <= protocol.q_max)
+        lead, lead_diverged = rk4_lanes(truth, x0, u[:n_pre], protocol.ts)
+        x_start, top = lead[-1].copy(), _max_abs_q(lead, system.n_masses)
+        del lead
+        x_win, diverged = rk4_lanes(truth, x_start, u[n_pre:-1], protocol.ts)
+        top = np.maximum(top, _max_abs_q(x_win, system.n_masses))
+        passed = (lead_diverged < 0) & (diverged < 0) & (top <= protocol.q_max)
         for i, (r, a, rng, _, u_grid) in enumerate(lanes):
             if passed[i] and r not in accepted:
                 x_true = x_win[:, i].copy()

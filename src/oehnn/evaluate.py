@@ -103,7 +103,7 @@ def evaluate(
     per_traj: list[TrajectoryResult | None] = [None] * len(test)
     simulated: dict[int, np.ndarray] = {}  # the non-diverged rollouts
     lanes = _lanes(test, anchor)  # lane i is trajectory i
-    states, diverged, _ = rk4_lanes(field_f, lanes.x0, lanes.u, lanes.h)
+    states, diverged = rk4_lanes(field_f, lanes.x0, lanes.u, lanes.h)
     for i, steps in enumerate(lanes.steps.tolist()):
         if 0 <= diverged[i] <= steps:
             # the input row whose update diverged, as `rollout` reports it

@@ -72,6 +72,14 @@ def sample_phases(harmonics: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.0, TWO_PI, size=harmonics)
 
 
+def _check_multisine(harmonics: int, f0: float, amplitude: float, t_last: float) -> None:
+    """Refuse a multisine whose values or phases overflow by t_last: K |amplitude|
+    and 2 pi f0 t_last K, formed as `multisine_value` forms its largest, must be finite."""
+    if not (harmonics * abs(amplitude) < np.inf and TWO_PI * f0 * t_last * harmonics < np.inf):
+        raise ValueError(f"a multisine of {harmonics} harmonics, amplitude {amplitude:g} and "
+                         f"base frequency {f0:g} overflows by t = {t_last:g}")
+
+
 def multisine_inputs(
     t, n_inputs: int, harmonics: int, f0: float, amplitude: float, rng: np.random.Generator
 ) -> np.ndarray:

@@ -3,16 +3,16 @@
 The simulation loss rolls the model field out with RK4 and measures the
 output residual; its gradient is the adjoint of the discrete unrolled
 computation (reverse sweep over every solver stage), so it is exact for the
-loss actually computed. Nothing is recomputed: the forward records k1..k3 and
-the four stages' tanh of every step, so memory is O(steps * batch * n_hidden).
+loss actually computed. Nothing is recomputed: the forward records each
+stage's rows [x, 1] and tanh, so memory is O(steps * batch * n_hidden).
 
 `_lanes` alone turns a split into RK4 lanes, whole trajectories or
 re-anchored segments, all padded to the longest lane's steps and each scored
 only over its own, for training, validation, `simulation_loss(_grad)` and
-`evaluate`. `_energy_rollout` is the one
-energy-net rollout, plain or stacked, with or without a stage record; its
-field is `netmodel._energy_kernel`, which returns J dH/dx from rows [x, 1],
-forms w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
+`evaluate`. `_energy_rollout` is the one energy-net rollout, plain or
+stacked, with or without a stage record; each stage writes its rows [x, 1]
+to its slot, and `netmodel._energy_kernel` returns J dH/dx from them, forms
+w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
 rollout and writes only tanh to the stage's slot. The reverse sweep forms
 J.T v from v's two halves in one concatenation, and its VJP, `_grad_vjp`,
 takes the stage's rows [x, 1] too.
@@ -21,10 +21,8 @@ The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
 per fit, in the shapes of its training lanes, and every epoch's gradient
 reuses it; a caller that hands none, such as `simulation_loss_grad`, gets one
-per call. Before its loop the reverse sweep
-computes, in whole-array passes, each step's residual pullback (lane scale
-times residual) and the rows [x, 1] of its stage states x, x + (h/2) k1,
-x + (h/2) k2 and x + h k3, in one array;
+per call. Before its loop the reverse sweep computes each step's residual
+pullback (lane scale times residual) in one whole-array pass;
 `_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T and
 w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
 these is the operation the loop would otherwise repeat, on the same
@@ -169,8 +167,8 @@ def adam_step(
 
 # ---------------------------------------------------------------------------
 # Batched rollout of the Hamiltonian model field with adjoint backward sweep.
-# Lanes (batch rows) are independent trajectory segments; a lane that turns
-# non-finite is frozen at zero and contributes a fixed penalty with no
+# The lanes (batch rows) are independent trajectory segments; a lane that
+# turns non-finite is frozen at zero and contributes a fixed penalty with no
 # gradient, so one runaway segment cannot poison an epoch.
 # ---------------------------------------------------------------------------
 
@@ -250,12 +248,13 @@ def _lane_loss(xs, lanes, diverged, penalty):
 
 def _stage_record(n_steps: int, n_lanes: int, d: int, n_hidden: int):
     """The arrays a `_sim_batch` gradient over `n_steps` steps (padded steps
-    included) and `n_lanes` lanes writes: k1..k3, (T, 3, B, d), and the four
-    stages' tanh, (T, 4, B, n_hidden), of every lane-step, then two (B,
-    n_hidden) scratch arrays. A call overwrites what it reads, so calls on
-    lanes of these shapes that run one after another can share one record."""
+    included) and `n_lanes` lanes writes: the rows [x, 1] of the four RK4
+    stage states, (T, 4, B, d + 1), and their tanh, (T, 4, B, n_hidden), of
+    every lane-step, then two (B, n_hidden) scratch arrays. A call overwrites
+    what it reads, so calls on lanes of these shapes that run one after
+    another can share one record."""
     return (
-        np.empty((n_steps, 3, n_lanes, d)),
+        np.empty((n_steps, 4, n_lanes, d + 1)),
         np.empty((n_steps, 4, n_lanes, n_hidden)),
         np.empty((2, n_lanes, n_hidden)),
     )
@@ -283,7 +282,7 @@ def _same_step(a: Trajectory, b: Trajectory) -> bool:
 def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _LaneGroup:
     """Cut trajectories into RK4 lanes: whole trajectories, or with `chunk`
     segments of min(chunk, N - 1) transitions, each re-anchored at its first
-    sample. Lanes keep the order of `trajs` and of their segments.
+    sample. The lanes keep the order of `trajs` and of their segments.
 
     Every lane is padded to the longest lane's steps by repeating its last
     input and measurement rows, and records its own step count; `_lane_loss`
@@ -324,32 +323,36 @@ def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _L
     )
 
 
-def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, stages=None, scratch=None):
+def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, record=None, scratch=None):
     """RK4 states and diverged steps of J dH/dx + G u from anchors x0 (B, d)
     under injections gu (T, B, d); a stacked net of K members steps K * B
     lanes, member k's block from x0, each block as the plain net would.
-    `stages` (k1..k3 and tanh arrays of a stage record) gets each stage's
-    tanh in its own slot, else `scratch[0]` takes every tanh; `scratch[1]`
-    takes w1 @ x + b1. `scratch` is allocated when None. Each stage copies
-    its states into one array of rows [x, 1], and `_energy_kernel` returns
-    J dH/dx, scaled by one tile of w2 for all stages, to which G u is added
-    in place."""
+    Each stage writes its rows [x, 1] and its tanh to its own slots of
+    `record` (a stage record's first two arrays), else to one array of rows
+    and `scratch[0]`; `scratch[1]` takes w1 @ x + b1 (`scratch` is allocated
+    when None). `_energy_kernel` returns J dH/dx, scaled by one tile of w2
+    for all stages, to which G u is added in place."""
     B, d = x0.shape
     lead = net.w1.shape[:-2]  # (K,) for a stacked net
     block = (*lead, B, d)
     if scratch is None:
         scratch = np.empty((2, *lead, B, net.n_hidden))
-    slots = repeat(scratch[0]) if stages is None else iter(stages[1].reshape(-1, *scratch[0].shape))
-    xa = _with_ones(np.broadcast_to(x0, block))
+    if record is None:
+        xas, ths = repeat(_with_ones(np.broadcast_to(x0, block))), repeat(scratch[0])
+    else:
+        record[0][..., d] = 1.0
+        xas = iter(record[0].reshape(-1, *block[:-1], d + 1))
+        ths = iter(record[1].reshape(-1, *scratch[0].shape))
     w2 = np.broadcast_to(net.w2, scratch[0].shape).copy()
 
     def field(x, g_in):
+        xa = next(xas)
         xa[..., :d] = x.reshape(block)
-        f = _energy_kernel(net, xa, net.w1_j, next(slots), scratch[1], w2)
+        f = _energy_kernel(net, xa, net.w1_j, next(ths), scratch[1], w2)
         f += g_in
         return f.reshape(x.shape)
 
-    return rk4_lanes(field, np.broadcast_to(x0, block).reshape(-1, d), gu, h, stages=stages)[:2]
+    return rk4_lanes(field, np.broadcast_to(x0, block).reshape(-1, d), gu, h)
 
 
 def _sim_batch(
@@ -364,37 +367,35 @@ def _sim_batch(
     Each lane's loss is its weight times its residual-norm sum over its own
     steps. Returns (per-lane loss, flat grad, diverged step per lane with -1
     for live lanes, as `_lane_loss` gives it). The forward,
-    `_energy_rollout`, fills the stage record (k1..k3 and each stage's tanh)
-    that the reverse sweep reads; `record`, from `_stage_record` in the
-    lanes' T steps and B lanes, holds it and the (B, n_hidden) scratch arrays
-    every RK4 stage of both passes reuses (it is allocated when None).
+    `_energy_rollout`, writes the stage record that the reverse sweep reads,
+    each stage's rows [x, 1] and tanh; `record`, from `_stage_record` in the
+    lanes' T steps and B lanes, holds it and the (B, n_hidden) scratch
+    arrays every RK4 stage of both passes reuses (it is allocated when None).
     """
     x0, u, h = lanes.x0, lanes.u, lanes.h
     n_steps, B, d = len(u), *x0.shape
     n = d // 2
-    ks, ths, scratch = record or _stage_record(n_steps, B, d, net.n_hidden)
-    xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (ks, ths), scratch)
+    xas, ths, scratch = record or _stage_record(n_steps, B, d, net.n_hidden)
+    xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (xas, ths), scratch)
+    # from the step a lane dies on, its rows may hold anything (NaN, a handed
+    # record's old values); the sweep's cotangent on them is zero, and zeroed
+    # rows keep it finite
+    dead = (diverged >= 0) & (np.arange(n_steps)[:, None] >= diverged - 1)
+    xas.transpose(0, 2, 1, 3)[dead, :, :d] = 0.0
+    ths.transpose(0, 2, 1, 3)[dead] = 0.0
     lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged, penalty)
 
-    # everything the reverse sweep reads that no cotangent changes, in
-    # whole-array passes: each step's residual pullback and the rows [x, 1]
-    # of its four stage states, x and x + (h/2) k1, x + (h/2) k2, x + h k3
+    # each step's residual pullback, in one whole-array pass
     live_w = np.where(diverged < 0, lanes.weight, 0.0)
     scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
     pulls = scale[:, :, None] * resid
-    xa_stages = np.empty((n_steps, 4, B, d + 1))
-    xa_stages[..., d] = 1.0
-    xa_stages[:, 0, :, :d] = xs[:-1]
-    stage_x = xa_stages[:, 1:, :, :d]
-    np.multiply(np.array([h / 2.0, h / 2.0, h])[:, None, None], ks, out=stage_x)
-    stage_x += xs[:-1, None]
     acc = _ThetaGrad(net)
     lam = np.zeros((B, d))
     for k in range(n_steps - 1, -1, -1):
         lam = lam + pulls[k]
         lam6 = (h / 6.0) * lam
         lam3 = (h / 3.0) * lam
-        xa1, xa2, xa3, xa4 = xa_stages[k]
+        xa1, xa2, xa3, xa4 = xas[k]
         th1, th2, th3, th4 = ths[k]
         x4_bar = _stage_vjp(net, xa4, th4, lam6, n, acc, scratch)
         x3_bar = _stage_vjp(net, xa3, th3, lam3 + h * x4_bar, n, acc, scratch)
@@ -442,8 +443,11 @@ def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
         lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
     else:
         (lane_loss, diverged), grad = _sim_loss(net, S, lanes, DIVERGENCE_PENALTY), None
-    if diverged[0] >= 0:
-        raise TrainingError(f"model rollout diverged at step {diverged[0]}")
+    if diverged[0] == 0:  # named as `rollout` names them
+        raise TrainingError("model rollout diverged: initial state is not finite")
+    if diverged[0] > 0:
+        where = f"non-finite state while applying input row {diverged[0] - 1}"
+        raise TrainingError(f"model rollout diverged: {where}")
     return float(lane_loss[0]), grad
 
 
@@ -643,7 +647,7 @@ def _val_losses(template, thetas, kind, S, lanes, penalty) -> list[float]:
         def field(x, uk):
             return _blackbox_rows(net, x.reshape(block), uk, b1).reshape(K * B, d)
 
-        xs, diverged, _ = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
+        xs, diverged = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
     else:
         xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h)
     xs = xs.reshape(len(xs), K, B, d)

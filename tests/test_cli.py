@@ -177,8 +177,15 @@ class TestGenerateCommand:
             ["--t-start", "1e300"],  # a grid too long for an array
             ["--n-samples", "1" + "0" * 400],  # too many samples even for a float
             ["--ts", "1e308"],  # a grid whose last time overflows
+            # a multisine that overflows, with no numpy warning: 20 harmonics
+            # of 1e308, a phase 2 pi f0 t K that overflows by the last sample
+            # (t = 0.79), more harmonics than an array can hold
+            ["--amplitude", "1e308"],
+            ["--f0", "1e307"],
+            ["--harmonics", "1" + "0" * 400],
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_generation_value_is_usage_error(self, tmp_path, capsys, flags):
         code = run_cli("generate-data", "--out", tmp_path / "d", *GEN_FAST, *flags)
         assert code == 2
@@ -959,9 +966,11 @@ class TestSimulateCommand:
             ["--harmonics", "0"],
             ["--f0", "0"],
             ["--phase-seed", "-1"],
+            ["--amplitude", "1e308"],  # 20 harmonics of 1e308 overflow
         ],
     )
     @pytest.mark.parametrize("source", ["--true-system", "--model-file"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_signal_setting_is_usage_error(self, trained_models, tmp_path, capsys, flags,
                                                source):
         model = [trained_models["oe-hnn"]] if source == "--model-file" else []
@@ -977,7 +986,10 @@ class TestSimulateCommand:
         ["--x0", "0.1,abc"],
         ["--steps", 10**20],  # a grid too long for an array
         ["--steps", 3, "--n-samples", 2, "--ts", "1e308"],  # the last time overflows
+        # the multisine's phase overflows by t = 49.99, not on the protocol's grid (t = 9.99)
+        ["--f0", "1e305", "--steps", 5000],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_steps_or_x0_is_usage_error(self, tmp_path, capsys, flags):
         code = run_cli("simulate", "--true-system", *flags, "--out", tmp_path / "x.csv")
         assert code == 2

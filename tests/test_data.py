@@ -102,6 +102,21 @@ class TestGenerate:
         for tr in ds.all_trajectories():
             assert np.max(np.abs(tr.x_true[:, :n])) <= protocol.q_max
 
+    def test_lead_in_peak_is_kept(self):
+        # attempt 0 of duffing realization 5 reaches its largest |q| before
+        # the recorded window: with q_max between that peak and the window's,
+        # the attempt is rejected, as a one-lane rollout of it would be
+        system = duffing_system()
+        n_pre = round(TINY_PROTOCOL.t_start / TINY_PROTOCOL.ts)
+        t_grid = np.arange(n_pre + TINY_PROTOCOL.n_samples) * TINY_PROTOCOL.ts
+        _, x0, u = _attempt_inputs(system, TINY_PROTOCOL, 0, 5, 0, t_grid)
+        q = np.abs(rollout(field_fn(system), x0, u, TINY_PROTOCOL.ts)[:, 0])
+        lead_peak, window_peak = q[:n_pre].max(), q[n_pre:].max()
+        assert lead_peak > window_peak
+        protocol = dataclasses.replace(TINY_PROTOCOL, q_max=(lead_peak + window_peak) / 2)
+        ds = generate(system, protocol, NoiseSpec(variance=0.1), master_seed=0)
+        assert ds.all_trajectories()[5].attempt > 0
+
     def test_split_must_sum(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TINY_PROTOCOL, split=(3, 2, 2))

@@ -128,7 +128,7 @@ class TestEvaluate:
         long = Trajectory(t=np.arange(40) * 0.01, u=np.zeros((40, 1)), y=np.zeros((40, 2)),
                           x_true=np.zeros((40, 2)))
         lanes = _lanes([short, long], "measured")
-        diverged = rk4_lanes(growth, lanes.x0, lanes.u, lanes.h).diverged
+        _, diverged = rk4_lanes(growth, lanes.x0, lanes.u, lanes.h)
         assert diverged[0] > 9 and diverged[1] < 0
         metrics = evaluate(growth, [short, long], anchor="measured")
         assert metrics.n_diverged == 0

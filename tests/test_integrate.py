@@ -124,9 +124,9 @@ class TestLanes:
     def test_true_field_lane_independent_of_batch(self, spec):
         x0, u = lane_batch(spec, 6, 300, seed=3)
         field = field_fn(spec)
-        full = rk4_lanes(field, x0, u, 0.01).states
+        full = rk4_lanes(field, x0, u, 0.01)[0]
         subset = [4, 1, 3]
-        part = rk4_lanes(field, x0[subset], u[:, subset], 0.01).states
+        part = rk4_lanes(field, x0[subset], u[:, subset], 0.01)[0]
         assert np.array_equal(part, full[:, subset])
         for lane in range(6):
             alone = rollout(field, x0[lane], np.concatenate([u[:, lane], u[-1:, lane]]), 0.01)
@@ -136,12 +136,12 @@ class TestLanes:
         spec = duffing_system()
         x0, u = lane_batch(spec, 3, 400, seed=4)
         x0[1] = [30.0, 0.0]  # escapes the softening well and blows up
-        states, diverged, _ = rk4_lanes(field_fn(spec), x0, u, 0.01)
+        states, diverged = rk4_lanes(field_fn(spec), x0, u, 0.01)
         assert diverged[0] == diverged[2] == -1
         assert 0 < diverged[1] < 400
         assert np.all(np.isfinite(states[: diverged[1], 1]))
         assert np.array_equal(states[diverged[1], 1], [0.0, 0.0])
-        live = rk4_lanes(field_fn(spec), x0[[0, 2]], u[:, [0, 2]], 0.01).states
+        live = rk4_lanes(field_fn(spec), x0[[0, 2]], u[:, [0, 2]], 0.01)[0]
         assert np.array_equal(live, states[:, [0, 2]])
 
     def test_all_dead_stops_with_zero_states(self):
@@ -151,84 +151,44 @@ class TestLanes:
             calls.append(1)
             return x * np.inf
 
-        states, diverged, _ = rk4_lanes(field, np.array([[1.0], [np.nan]]), np.zeros((50, 2, 1)), 0.1)
+        states, diverged = rk4_lanes(field, np.array([[1.0], [np.nan]]), np.zeros((50, 2, 1)), 0.1)
         assert list(diverged) == [1, 0]
         assert len(calls) == 4
         assert np.array_equal(states[0], [[1.0], [0.0]])
         assert np.array_equal(states[1:], np.zeros((50, 2, 1)))
 
-    def test_keep_from_and_peak(self):
-        spec = coupled_system()
-        x0, u = lane_batch(spec, 4, 200, seed=5)
-        full = rk4_lanes(field_fn(spec), x0, u, 0.01).states
-        states, diverged, peak = rk4_lanes(field_fn(spec), x0, u, 0.01, keep_from=150, peak=True)
-        assert np.array_equal(states, full[150:])
-        assert np.array_equal(peak, np.abs(full).max(axis=0))
-        assert np.all(diverged == -1)
-
-    def test_stage_record(self):
-        field = lambda x, u: -x + u  # noqa: E731
-        x0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        u = np.ones((5, 2, 1))
-        u[2, 1] = np.inf  # lane 1 dies on step 2
-        ks = np.full((5, 3, 2, 2), np.nan)
-        states, diverged, _ = rk4_lanes(field, x0, u, 0.1, stages=(ks,))
-        assert list(diverged) == [-1, 3]
-        for k in range(5):
-            x, h = states[k, 0], 0.1
-            k1 = field(x, u[k, 0])
-            k2 = field(x + (h / 2.0) * k1, u[k, 0])
-            k3 = field(x + (h / 2.0) * k2, u[k, 0])
-            assert np.array_equal(ks[k, :, 0], [k1, k2, k3])
-        assert np.array_equal(ks[2, :, 1], np.zeros((3, 2)))
-        assert np.all(np.isfinite(ks))
-
     def test_whole_array_test_finds_every_dead_lane(self):
         # lanes die at step 0, two at step 3 and one at step 6; against a
-        # stepper that tests every lane at every step, the states, the
-        # diverged steps and both record arrays (k1..k3, and one the field
-        # fills) keep their bits, dead rows zeroed
+        # stepper that tests every lane at every step, the states and the
+        # diverged steps keep their bits, dead states zeroed
         x0 = np.array([[1.0, -2.0], [np.nan, 3.0], [0.5, 0.5], [2.0, 1.0], [-1.0, 0.0]])
         u = np.ones((8, 5, 1))
         u[2, [2, 3]] = np.inf
         u[5, 4] = 1e308
 
-        def stepped(every_lane_every_step):
-            ks, filled = np.full((8, 3, 5, 2), np.nan), np.full((8, 4, 5, 3), np.nan)
-            slots = iter(filled.reshape(-1, 5, 3))
+        def field(x, uk):
+            return -x + uk
 
-            def field(x, uk):
-                np.multiply(x[:, :1], [1.0, 2.0, 3.0], out=next(slots))
-                return -x + uk
+        dead = ~np.isfinite(x0).all(axis=1)
+        x, ref_diverged = np.where(dead[:, None], 0.0, x0), np.where(dead, 0, -1)
+        ref_states = [x]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(u)):
+                k1 = field(x, u[k])
+                k2 = field(x + (0.1 / 2.0) * k1, u[k])
+                k3 = field(x + (0.1 / 2.0) * k2, u[k])
+                k4 = field(x + 0.1 * k3, u[k])
+                x = x + (0.1 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                bad = ~np.isfinite(x).all(axis=1)
+                ref_diverged[bad & (ref_diverged < 0)] = k + 1
+                x = np.where(bad[:, None], 0.0, x)
+                ref_states.append(x)
 
-            if not every_lane_every_step:
-                return (*rk4_lanes(field, x0, u, 0.1, stages=(ks, filled))[:2], ks, filled)
-            dead = ~np.isfinite(x0).all(axis=1)
-            x, diverged = np.where(dead[:, None], 0.0, x0), np.where(dead, 0, -1)
-            states = [x]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(len(u)):
-                    k1 = field(x, u[k])
-                    k2 = field(x + (0.1 / 2.0) * k1, u[k])
-                    k3 = field(x + (0.1 / 2.0) * k2, u[k])
-                    k4 = field(x + 0.1 * k3, u[k])
-                    x = x + (0.1 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    ks[k] = k1, k2, k3
-                    bad = ~np.isfinite(x).all(axis=1)
-                    diverged[bad & (diverged < 0)] = k + 1
-                    x = np.where(bad[:, None], 0.0, x)
-                    ks[k][:, bad] = filled[k][:, bad] = 0.0
-                    states.append(x)
-            return np.array(states), diverged, ks, filled
-
-        new, ref = stepped(False), stepped(True)
-        assert list(new[1]) == [-1, 0, 3, 3, 6]
-        for a, b in zip(new, ref):
+        states, diverged = rk4_lanes(field, x0, u, 0.1)
+        assert list(diverged) == [-1, 0, 3, 3, 6]
+        for a, b in ((states, np.array(ref_states)), (diverged, ref_diverged)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        states, _, ks, filled = new
-        assert np.array_equal(ks[5, :, 4], np.zeros((3, 2)))
-        assert np.array_equal(filled[5, :, 4], np.zeros((4, 3)))
-        assert np.all(np.isfinite(ks)) and np.all(np.isfinite(filled))
+        assert np.array_equal(states[6, 4], np.zeros(2))
 
 
 class TestEnergyDrift:

@@ -17,7 +17,8 @@ from oehnn.dynamics import (
     field_fn,
     structure_matrices,
 )
-from oehnn.integrate import rk4_lanes, rollout
+from oehnn.evaluate import evaluate
+from oehnn.integrate import IntegrationError, rk4_lanes, rollout
 from oehnn.netmodel import (
     _blackbox_rows,
     _with_ones,
@@ -178,6 +179,29 @@ class TestSimulationLoss:
         net = random_hnet(np.random.default_rng(3))
         with pytest.raises(ValueError):
             simulation_loss(net, S, make_traj(np.zeros((1, 2))))
+
+    def test_divergence_is_named_as_rollout_and_evaluate_name_it(self):
+        # 30 samples with an input of 1e308 at row 10: `rollout` names input
+        # row 10 and `evaluate` gives diverged_step 10, and so do both losses;
+        # a NaN anchor is "initial state is not finite" and diverged_step 0
+        net = random_hnet(np.random.default_rng(4))
+        field = partial(oe_hnn_field, net, S)
+        u = np.zeros((30, 1))
+        u[10] = 1e308
+        y = np.full((30, 2), 0.1)
+        nan_anchor = y.copy()
+        nan_anchor[0] = np.nan
+        for y_k, step, message in ((y, 10, "non-finite state while applying input row 10"),
+                                   (nan_anchor, 0, "initial state is not finite")):
+            traj = Trajectory(t=np.arange(30) * 0.01, u=u, y=y_k, x_true=y)
+            with pytest.raises(IntegrationError, match=f"^{message}$") as raised:
+                rollout(field, y_k[0], u, 0.01)
+            assert raised.value.step_index == step
+            result = evaluate(field, [traj]).per_trajectory[0]
+            assert result.diverged and result.diverged_step == step
+            for loss in (simulation_loss, simulation_loss_grad):
+                with pytest.raises(TrainingError, match=f"^model rollout diverged: {message}$"):
+                    loss(net, S, traj)
 
 
 def assert_matches_central_differences(spec, n_steps, rng):
@@ -593,7 +617,7 @@ class TestFit:
         result = fit_at(1, "oe-hnn", ds, cfg)
         assert len(result.history) == 4
         assert len(made) == 1
-        assert [a.shape for a in made[0]] == [(10, 3, 12, 2), (10, 4, 12, 6), (2, 12, 6)]
+        assert [a.shape for a in made[0]] == [(10, 4, 12, 3), (10, 4, 12, 6), (2, 12, 6)]
         assert len(handed) == 4 and all(record is made[0] for record in handed)
 
     @pytest.mark.parametrize("budget", [1, 2])
@@ -1060,10 +1084,37 @@ def reference_buffered_grad_vjp(net, x, th, w, acc, scratch):
     return p
 
 
+def reference_rk4_stages(field, x0, u, h, stages):
+    """`rk4_lanes` with a stage record, as the integrator once kept it: k1..k3
+    of every step go to stages[0], (T, 3, B, d), `field` fills the rest, and
+    at the step a lane dies its rows in every record array are zeroed. It
+    steps every lane to the end, dead ones from zero."""
+    x = np.asarray(x0, dtype=float)
+    diverged = np.where(np.isfinite(x).all(axis=1), -1, 0)
+    x = np.where(diverged[:, None] < 0, x, 0.0)
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(u)):
+            k1 = field(x, u[k])
+            k2 = field(x + (h / 2.0) * k1, u[k])
+            k3 = field(x + (h / 2.0) * k2, u[k])
+            k4 = field(x + h * k3, u[k])
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            stages[0][k] = k1, k2, k3
+            bad = ~np.isfinite(x).all(axis=1)
+            diverged[bad & (diverged < 0)] = k + 1
+            x = np.where(bad[:, None], 0.0, x)
+            for record in stages:
+                record[k][:, bad] = 0.0
+            states.append(x)
+    return np.array(states), diverged
+
+
 def reference_sim_batch(net, S, lanes, penalty, want_grad):
     """`_sim_batch` before its stage record could be handed in: it allocates
-    the record every call, the forward writes w1 @ x + b1 into the record
-    slot and takes its tanh there, and the reverse sweep forms
+    the record every call, its own RK4 loop records k1..k3 and the field
+    writes w1 @ x + b1 into the record slot and takes its tanh there, the
+    rows of a lane zeroed at the step it dies, and the reverse sweep forms
     every step's residual scale, stage states and VJP factors inside its
     loop. `_sim_batch` must give the same bits."""
     x0, h, weight = lanes.x0, lanes.h, lanes.weight
@@ -1091,7 +1142,10 @@ def reference_sim_batch(net, S, lanes, penalty, want_grad):
     def stage_vjp(x, th, v):
         return reference_buffered_grad_vjp(net, x, th, _j_apply(-v, n), acc, scratch) @ net.w1
 
-    xs, diverged, _ = rk4_lanes(field, x0, gu, h, stages=stages)
+    if want_grad:
+        xs, diverged = reference_rk4_stages(field, x0, gu, h, stages)
+    else:
+        xs, diverged = rk4_lanes(field, x0, gu, h)
     lane_loss, resid, norms, diverged = oehnn.train._lane_loss(xs, lanes, diverged, penalty)
     if not want_grad:
         return lane_loss, None, diverged
@@ -1442,7 +1496,7 @@ def one_model_val_loss(net, kind, S, lanes, penalty):
     was stacked: one rollout, on the reference forward for the energy net,
     lane losses summed."""
     if kind == "mlp":
-        xs, diverged, _ = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
+        xs, diverged = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
         lane_loss = oehnn.train._lane_loss(xs, lanes, diverged, penalty)[0]
     else:
         lane_loss = reference_sim_batch(net, S, lanes, penalty, False)[0]
