@@ -355,18 +355,27 @@ def write_csv(dataset: Dataset, directory) -> None:
     (directory / MANIFEST_NAME).write_text(text, encoding="utf-8")
 
 
-def _read_trajectory(path: Path, m: int, d: int, n_samples: int, realization: int, attempt: int):
+def _read_trajectory(path: Path, m: int, d: int, protocol, realization: int, attempt: int):
     header, data = textio.read_table(path, DatasetFormatError)
     with_truth = header == _traj_header(m, d, True)
     if not with_truth and header != _traj_header(m, d, False):
         raise DatasetFormatError(f"{path}: unexpected column header {header}")
-    if len(data) != n_samples:
+    if len(data) != protocol.n_samples:
         raise DatasetFormatError(
-            f"{path}: contains {len(data)} samples, manifest expects {n_samples}"
+            f"{path}: contains {len(data)} samples, manifest expects {protocol.n_samples}"
         )
     t = data[:, 0]
     if not np.all(t[1:] > t[:-1]):
         raise DatasetFormatError(f"{path}: the time column is not strictly increasing")
+    # rounded times k * ts step within an ulp or two of ts; fd targets take
+    # the manifest's ts and rollouts t[1] - t[0], so the two must agree
+    off = np.flatnonzero(np.abs(np.diff(t) - protocol.ts) > 4.0 * np.spacing(np.abs(t).max()))
+    if off.size:
+        step = float(t[off[0] + 1] - t[off[0]])
+        raise DatasetFormatError(
+            f"{path}:{off[0] + 3}: the time column steps by {step!r}, "
+            f"the manifest's ts is {protocol.ts!r}"
+        )
     u = data[:, 1 : 1 + m]
     y = data[:, 1 + m : 1 + m + d]
     x_true = dx_true = None
@@ -382,7 +391,9 @@ def read_csv(directory) -> Dataset:
     """Rebuild a dataset from the files produced by write_csv, bit-exactly.
 
     A trajectory cell that is NaN or infinite raises `DatasetFormatError`
-    naming its line, since no model can be fitted to or judged on it.
+    naming its line, since no model can be fitted to or judged on it, and so
+    does a time column whose steps differ from the manifest's `ts` by more
+    than the rounding of its times (4 ulps of the largest |t|).
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -407,7 +418,7 @@ def read_csv(directory) -> Dataset:
     if master_seed < 0:
         raise DatasetFormatError(f"{manifest_path}: master_seed must be at least 0")
 
-    system, n_samples = specs["system"], specs["protocol"].n_samples
+    system = specs["system"]
     splits: dict[str, list[Trajectory]] = {name: [] for name in SPLITS}
     entries = sorted(sections["trajectories"].items(), key=lambda kv: int(kv[0]))
     for _, (fname, split_name, realization, attempt) in entries:
@@ -417,7 +428,7 @@ def read_csv(directory) -> Dataset:
         if not path.exists():
             raise DatasetFormatError(f"missing trajectory file {path}")
         trajectory = _read_trajectory(
-            path, system.n_inputs, system.n_states, n_samples, realization, attempt
+            path, system.n_inputs, system.n_states, specs["protocol"], realization, attempt
         )
         splits[split_name].append(trajectory)
     return Dataset(**splits, **specs, master_seed=master_seed)

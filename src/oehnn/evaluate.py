@@ -13,7 +13,7 @@ from oehnn.data import Dataset, Trajectory
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import MODEL_KINDS, BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
-from oehnn.train import ANCHORS, TrainConfig, _lanes, _process_budget, fit
+from oehnn.train import TrainConfig, _lanes, _process_budget, fit
 
 __all__ = [
     "Metrics",
@@ -87,15 +87,14 @@ def evaluate(
     RMSE pools the squared errors of all non-diverged trajectories; diverged
     ones are flagged per trajectory instead of contaminating the pool. A
     finite rollout whose RMSE overflows raises `ValueError`, not numpy's
-    warning. Trajectories whose sampling steps differ by more than
-    `train._lanes` allows raise `ValueError`.
+    warning. `train._lanes` raises `ValueError` for an anchor other than
+    `train.ANCHORS` and for sampling steps that differ by more than it
+    allows.
     """
     if not test:
         raise ValueError("test split is empty")
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}")
-    if anchor not in ANCHORS:
-        raise ValueError(f"anchor must be one of {ANCHORS}")
     if "true" in (reference, anchor) and any(traj.x_true is None for traj in test):
         raise ValueError("reference or anchor 'true' requires stored noiseless states")
     refs = [traj.x_true if reference == "true" else traj.y for traj in test]

@@ -13,7 +13,8 @@ passes into its GEMMs: the first takes rows [x, 1] against [w1.T; b1]
 (`HamiltonianNet.w_in`), so b1 is added inside the product, and the output
 GEMM takes w1 with J folded in as a signed column permutation
 (`HamiltonianNet.w1_j`), so it returns J dH/dx without a pass of its own.
-Its pullback (`train._grad_vjp`) takes the same rows [x, 1] and reads the
+Its pullback (`train._grad_vjp`) takes the same rows [x, 1] and the net's
+cached (w1 * -2 w2[:, None]).T (`HamiltonianNet.p_factor`), and reads the
 b1 gradient off the last column of its GEMM p.T @ [x, 1].
 Negation is exact, and the accumulation of each product runs over the same
 terms in the same order as x @ w1.T followed by + b1, as s @ w1 followed by
@@ -27,8 +28,9 @@ at one row are not (numpy takes a matrix-vector path there).
 
 A net's flat parameter vector (`flatten_params`, `with_params`) is its
 dataclass fields in order, each row-major: w1, b1, w2, b2. The field order
-is the one statement of that layout; the gradients in `train` are built as
-nets and flattened the same way.
+is the one statement of that layout; every gradient in `train` (the
+adjoint's and both derivative batches') is added in place into a net of
+zeros of the model's class and flattened the same way.
 
 A stacked net (`with_params` on a (K, P) array) carries K models along a
 leading axis of every parameter; its per-unit vectors are (K, 1, n), so
@@ -102,6 +104,13 @@ class HamiltonianNet:
         """w1 with J applied to each row, so that s @ w1_j = J (s @ w1)."""
         return _j_apply(self.w1, self.n_states // 2)
 
+    @cached_property
+    def p_factor(self) -> np.ndarray:
+        """(w1 * -2 w2[:, None]).T of a plain net, whose product with a
+        cotangent gives the pullback's p before its sech^2 factor
+        (`train._grad_vjp`)."""
+        return (self.w1 * (-2.0 * self.w2)[:, None]).T
+
 
 @dataclass(frozen=True)
 class BlackBoxNet:
@@ -164,18 +173,12 @@ def _energy_kernel(
     return s @ w_out
 
 
-def h_grad_x(
-    net: HamiltonianNet,
-    x: np.ndarray,
-    th_out: np.ndarray | None = None,
-    s_out: np.ndarray | None = None,
-) -> np.ndarray:
+def h_grad_x(net: HamiltonianNet, x: np.ndarray) -> np.ndarray:
     """Closed-form state gradient: w1.T @ (w2 * sech^2(w1 @ x + b1)).
 
-    `th_out` and `s_out` as in `_energy_kernel`. Never writes `x`. A stacked
-    net takes x of shape (K, B, d).
+    Never writes `x`. A stacked net takes x of shape (K, B, d).
     """
-    return _energy_kernel(net, _with_ones(np.asarray(x, dtype=float)), net.w1, th_out, s_out)
+    return _energy_kernel(net, _with_ones(np.asarray(x, dtype=float)), net.w1)
 
 
 def h_hess_vec(net: HamiltonianNet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -337,8 +340,8 @@ _META_TYPES = {"kind": "str", "n_states": "int", "n_inputs": "int", "n_hidden": 
 _SCHEMA = {"meta": _META_TYPES.get, "params": lambda key: "ndarray"}  # rows checked below
 
 
-def load_model(path, expect_kind: str | None = None) -> SavedModel:
-    """Read a model file back; optionally enforce the stored kind tag.
+def load_model(path) -> SavedModel:
+    """Read a model file back, with its architecture and kind tag.
 
     Any section other than [meta] and [params], and any [meta] key that
     `save_model` does not write, is an error rather than silently ignored.
@@ -360,10 +363,6 @@ def load_model(path, expect_kind: str | None = None) -> SavedModel:
         raise ModelFormatError(f"{path}: n_states, n_inputs and n_hidden must be positive")
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
-        raise ModelFormatError(
-            f"{path}: model kind is {kind!r} but {expect_kind!r} was requested"
-        )
     if meta.get("normalization", "none") != "none":
         raise ModelFormatError(f"{path}: unsupported normalization {meta['normalization']!r}")
 

@@ -22,25 +22,26 @@ of both passes reuses, comes from `_stage_record`. `fit` allocates one record
 per fit, in the shapes of its training lanes, and every epoch's gradient
 reuses it; a caller that hands none, such as `simulation_loss_grad`, gets one
 per call. Before its loop the reverse sweep computes each step's residual
-pullback (lane scale times residual) in one whole-array pass;
-`_ThetaGrad` holds the VJP's net factors (w1 * -2 w2[:, None]).T and
-w2[:, None]; each step forms (h/6) lambda and (h/3) lambda once. Each of
-these is the operation the loop would otherwise repeat, on the same
-operands, so the bits do not depend on where it runs. The sweep only reads
-the record.
+pullback (lane scale times residual) in one whole-array pass; the VJP's
+net factor (w1 * -2 w2[:, None]).T is the net's cached `p_factor`; each
+step forms (h/6) lambda and (h/3) lambda once. Each of these is the
+operation the loop would otherwise repeat, on the same operands, so the bits
+do not depend on where it runs. The sweep only reads the record. The
+adjoint and both derivative batches add their gradients in place into one
+net of zeros of the model's class, which `flatten_params` flattens.
 
 `fit` computes every training gradient itself and validates windows of
 `_WINDOW` epochs, one stacked rollout each, inline or in a forked helper
 process, and settles them in epoch order.
 
-The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the buffers
-it is handed, or allocates when it is handed none. The derivative batches
-run their rows through `_derivative_blocks` in blocks of about
-`_BLOCK_ELEMENTS` / n_hidden rows into one gradient accumulator, and write
-only one block's (rows, n_hidden) arrays of `_derivative_buffers`, which
-`fit` allocates once with the fit's [x, 1] and G u rows or [x, u] rows.
-Every work array is overwritten before it is read, so no value carries from
-one block or call to the next, and no caller's states or cotangents are
+The energy-net kernel (`_energy_kernel`, `_grad_vjp`) writes only the
+buffers it is handed; `_energy_kernel` allocates when it is handed none. The
+derivative batches run their rows through `_derivative_blocks` in blocks of
+about `_BLOCK_ELEMENTS` / n_hidden rows into one gradient accumulator, and
+write only one block's (rows, n_hidden) arrays of `_derivative_buffers`,
+which `fit` allocates once with the fit's [x, 1] and G u rows or [x, u]
+rows. Every work array is overwritten before it is read, so no value carries
+from one block or call to the next, and no caller's states or cotangents are
 ever written.
 """
 
@@ -173,65 +174,46 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-class _ThetaGrad:
-    """Accumulator for gradients in HamiltonianNet layout.
-
-    It also holds the net's factors that `_grad_vjp` reads at every call:
-    (w1 * -2 w2[:, None]).T, whose product with a cotangent gives the VJP's
-    p before its sech^2 factor, and w2 as a column.
-    """
-
-    def __init__(self, net: HamiltonianNet):
-        self.w1 = np.zeros_like(net.w1)
-        self.b1 = np.zeros_like(net.b1)
-        self.w2 = np.zeros_like(net.w2)
-        self.b2 = 0.0
-        self.p_factor = (net.w1 * (-2.0 * net.w2)[:, None]).T
-        self.w2_column = net.w2[:, None]
-
-    def flat(self) -> np.ndarray:
-        return flatten_params(HamiltonianNet(self.w1, self.b1, self.w2, self.b2))
-
-
-def _grad_vjp(net, xa, th, w, acc: _ThetaGrad, scratch=None):
-    """Accumulate the parameter pullback of a cotangent w on dH/dx(x).
+def _grad_vjp(net: HamiltonianNet, xa, th, w, acc: HamiltonianNet, scratch):
+    """Accumulate the parameter pullback of a cotangent w on dH/dx(x) into
+    `acc`, a net of zeros of the net's class, in place.
 
     `xa` holds the rows [x, 1] (`_with_ones`) and `th` is tanh(z), z = w1 @ x
     + b1. Returns p = (w2 * s'(z)) * (w @ w1.T), s'(z) = -2 tanh(z) sech^2(z),
-    so p @ w1 is the state pullback. The w2 gradient comes from
-    sech^2(z).T @ w, which the w1 gradient needs anyway; one GEMM p.T @ xa
-    gives the w1 term and, in its last column, the b1 gradient. `scratch`,
-    two arrays shaped like `th`, receives the sech^2 terms and p (both are
-    allocated when it is None), so the returned p is its second array.
+    so p @ w1 is the state pullback; w @ net.p_factor is p before its
+    sech^2 factor. The w2 gradient comes from sech^2(z).T @ w, which the w1
+    gradient needs anyway; one GEMM p.T @ xa gives the w1 term and, in its
+    last column, the b1 gradient. `scratch`, two arrays shaped like `th`,
+    receives the sech^2 terms and p, so the returned p is its second array.
     Writes nothing else, never `xa`, `th` or `w`.
     """
-    s, p = scratch if scratch is not None else (None, None)
+    s, p = scratch
     s = np.square(th, out=s)
     np.subtract(1.0, s, out=s)
     sw = s.T @ w
     s *= th
-    p = np.matmul(w, acc.p_factor, out=p)
+    p = np.matmul(w, net.p_factor, out=p)
     p *= s
-    acc.w2 += (sw * net.w1).sum(axis=1)
+    acc.w2[...] += (sw * net.w1).sum(axis=1)
     p_xa = p.T @ xa
-    acc.b1 += p_xa[:, -1]
-    acc.w1 += sw * acc.w2_column + p_xa[:, :-1]
+    acc.b1[...] += p_xa[:, -1]
+    acc.w1[...] += sw * net.w2[:, None] + p_xa[:, :-1]
     return p
 
 
-def _stage_vjp(net, xa, th, v, n, acc: _ThetaGrad, scratch=None):
+def _stage_vjp(net, xa, th, v, n, acc, scratch):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
     `xa` is the stage's rows [x, 1], `th` its forward tanh(w1 @ x + b1),
     `scratch` as in `_grad_vjp`; J.T v is v's last n columns negated, then
     its first n."""
     jt_v = np.concatenate([-v[:, n:], v[:, :n]], axis=1)
-    return _grad_vjp(net, xa, th, jt_v, acc, scratch=scratch) @ net.w1
+    return _grad_vjp(net, xa, th, jt_v, acc, scratch) @ net.w1
 
 
-def _lane_loss(xs, lanes, diverged, penalty):
+def _lane_loss(xs, lanes, diverged):
     """Per-lane weighted sum of residual norms over each lane's own `steps`;
-    a dead lane pays `penalty`.
+    a dead lane pays `DIVERGENCE_PENALTY`.
 
     The residuals of a lane's padded steps are zeroed, and a lane whose
     first non-finite state lies in its padding stays live. Also returns the
@@ -242,7 +224,7 @@ def _lane_loss(xs, lanes, diverged, penalty):
     resid[np.arange(len(resid))[:, None] >= lanes.steps] = 0.0
     diverged = np.where(diverged > lanes.steps, -1, diverged)
     norms = np.linalg.norm(resid, axis=2)
-    lane_loss = np.where(diverged < 0, lanes.weight * norms.sum(axis=0), penalty)
+    lane_loss = np.where(diverged < 0, lanes.weight * norms.sum(axis=0), DIVERGENCE_PENALTY)
     return lane_loss, resid, norms, diverged
 
 
@@ -355,13 +337,7 @@ def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, record=None, scratch=
     return rk4_lanes(field, np.broadcast_to(x0, block).reshape(-1, d), gu, h)
 
 
-def _sim_batch(
-    net: HamiltonianNet,
-    S: StructureMatrices,
-    lanes: _LaneGroup,
-    penalty: float,
-    record=None,
-):
+def _sim_batch(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, record=None):
     """Loss and exact parameter gradient of the model rollouts of `lanes`.
 
     Each lane's loss is its weight times its residual-norm sum over its own
@@ -383,13 +359,13 @@ def _sim_batch(
     dead = (diverged >= 0) & (np.arange(n_steps)[:, None] >= diverged - 1)
     xas.transpose(0, 2, 1, 3)[dead, :, :d] = 0.0
     ths.transpose(0, 2, 1, 3)[dead] = 0.0
-    lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged, penalty)
+    lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged)
 
     # each step's residual pullback, in one whole-array pass
     live_w = np.where(diverged < 0, lanes.weight, 0.0)
     scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
     pulls = scale[:, :, None] * resid
-    acc = _ThetaGrad(net)
+    acc = with_params(net, np.zeros_like(flatten_params(net)))
     lam = np.zeros((B, d))
     for k in range(n_steps - 1, -1, -1):
         lam = lam + pulls[k]
@@ -402,15 +378,17 @@ def _sim_batch(
         x2_bar = _stage_vjp(net, xa2, th2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
         x1_bar = _stage_vjp(net, xa1, th1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
         lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
-    return lane_loss, acc.flat(), diverged
+    return lane_loss, flatten_params(acc), diverged
 
 
-def _sim_loss(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, penalty: float):
-    """The per-lane loss and diverged steps of `_sim_batch`, with the same
-    bits, from the forward alone and without a stage record."""
-    xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
-    lane_loss, _, _, diverged = _lane_loss(xs, lanes, diverged, penalty)
-    return lane_loss, diverged
+def _check_rollout(diverged: int) -> None:
+    """Raise `TrainingError` for a lane that diverged at step `diverged`
+    (-1 for none), named as `rollout` names it."""
+    if diverged == 0:
+        raise TrainingError("model rollout diverged: initial state is not finite")
+    if diverged > 0:
+        where = f"non-finite state while applying input row {diverged - 1}"
+        raise TrainingError(f"model rollout diverged: {where}")
 
 
 def simulation_loss(
@@ -422,9 +400,14 @@ def simulation_loss(
     """Mean output-residual norm of the model rollout against measurements.
 
     The model starts from the anchor sample and is driven by the recorded
-    inputs; the loss is (1/N) * sum_{k>=1} ||y_k - y_hat_k||_2.
+    inputs; the loss is (1/N) * sum_{k>=1} ||y_k - y_hat_k||_2. It has the
+    bits of `simulation_loss_grad`'s loss, from the forward alone.
     """
-    return _sim_loss_value_grad(net, S, trajectory, anchor, want_grad=False)[0]
+    lanes = _lanes([trajectory], anchor)
+    xs, diverged = _energy_rollout(net, lanes.x0, lanes.u @ S.G.T, lanes.h)
+    lane_loss, _, _, diverged = _lane_loss(xs, lanes, diverged)
+    _check_rollout(diverged[0])
+    return float(lane_loss[0])
 
 
 def simulation_loss_grad(
@@ -434,20 +417,8 @@ def simulation_loss_grad(
     anchor: str = "measured",
 ) -> tuple[float, np.ndarray]:
     """Simulation loss and its exact gradient with respect to the parameters."""
-    return _sim_loss_value_grad(net, S, trajectory, anchor, want_grad=True)
-
-
-def _sim_loss_value_grad(net, S, trajectory, anchor, want_grad):
-    lanes = _lanes([trajectory], anchor)
-    if want_grad:
-        lane_loss, grad, diverged = _sim_batch(net, S, lanes, DIVERGENCE_PENALTY)
-    else:
-        (lane_loss, diverged), grad = _sim_loss(net, S, lanes, DIVERGENCE_PENALTY), None
-    if diverged[0] == 0:  # named as `rollout` names them
-        raise TrainingError("model rollout diverged: initial state is not finite")
-    if diverged[0] > 0:
-        where = f"non-finite state while applying input row {diverged[0] - 1}"
-        raise TrainingError(f"model rollout diverged: {where}")
+    lane_loss, grad, diverged = _sim_batch(net, S, _lanes([trajectory], anchor))
+    _check_rollout(diverged[0])
     return float(lane_loss[0]), grad
 
 
@@ -485,23 +456,21 @@ def _derivative_blocks(net, dx_target, sample_weight, buffers):
     them."""
     inputs, *work = buffers
     rows = len(work[0])
-    if isinstance(net, HamiltonianNet):
-        batch, acc = _derivative_batch_hnn, _ThetaGrad(net)
-    else:
-        batch, acc = _derivative_batch_mlp, with_params(net, np.zeros_like(flatten_params(net)))
+    batch = _derivative_batch_hnn if isinstance(net, HamiltonianNet) else _derivative_batch_mlp
+    acc = with_params(net, np.zeros_like(flatten_params(net)))
     loss = 0.0
     for start in range(0, len(dx_target), rows):
         block = slice(start, start + rows)
         n = len(dx_target[block])
         out = (*(a[block] for a in inputs), *(a[:n] for a in work))
         loss += batch(net, dx_target[block], sample_weight[block], out, acc)
-    return loss, acc.flat() if batch is _derivative_batch_hnn else flatten_params(acc)
+    return loss, flatten_params(acc)
 
 
 def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
     """One block of `_derivative_blocks` for the energy net: returns its loss
-    and adds its gradient into `acc`, a `_ThetaGrad`; `out` is the block's
-    rows of `_derivative_buffers`."""
+    and adds its gradient into `acc`, a net of zeros of the net's class;
+    `out` is the block's rows of `_derivative_buffers`."""
     x, gu, th, s, p = out
     n = net.n_states // 2
     xa = _with_ones(x)  # the rows of both the forward and the VJP
@@ -516,13 +485,13 @@ def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
     s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
     g_cot[:, n:] = s1[:, None] * r1
     g_cot[:, :n] = s2[:, None] * r2
-    _grad_vjp(net, xa, th, g_cot, acc, scratch=(s, p))
+    _grad_vjp(net, xa, th, g_cot, acc, (s, p))
     return loss
 
 
 def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
     """One block of `_derivative_blocks` for the black-box net: returns its
-    loss and adds its gradient into `acc`, a `BlackBoxNet` of gradients;
+    loss and adds its gradient into `acc`, a net of zeros of the net's class;
     `out` is the block's rows of `_derivative_buffers`, whose [x, u] rows it
     reads."""
     xu, th, hidden = out
@@ -592,8 +561,10 @@ def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
 
 @dataclass
 class FitResult:
+    """The best-validation model of a fit, its per-epoch history and the
+    epoch and validation loss at which it was taken."""
+
     model: object
-    kind: str
     history: np.ndarray  # (epochs, 3): epoch, train_loss, val_loss
     best_epoch: int
     best_val_loss: float
@@ -625,8 +596,9 @@ def _derivative_training_set(trajs, source, ts):
     )
 
 
-def _val_losses(template, thetas, kind, S, lanes, penalty) -> list[float]:
-    """Validation loss on `lanes` of each parameter vector in `thetas` (K, P).
+def _val_losses(template, thetas, S, lanes) -> list[float]:
+    """Validation loss on `lanes` of each parameter vector in `thetas` (K, P),
+    K = 1 included, for a model of the class of `template`.
 
     One RK4 rollout of the stacked model steps all K models at once, over
     K * B lanes. Each model's block of B lanes goes through the same
@@ -634,27 +606,22 @@ def _val_losses(template, thetas, kind, S, lanes, penalty) -> list[float]:
     lanes alone, so each loss has the bits of validating that model alone.
     """
     K = len(thetas)
-    # a lone model runs as a plain net, whose 2-D matmuls cost less per call
-    net = with_params(template, thetas[0] if K == 1 else thetas)
+    net = with_params(template, thetas)
     x0, u, h = lanes.x0, lanes.u, lanes.h
     B, d = x0.shape
-    if kind == "mlp":
-        block = (B, d) if K == 1 else (K, B, d)
-        if K > 1:
-            u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
-        b1 = np.broadcast_to(net.b1, (*block[:-1], net.n_hidden)).copy()
+    if isinstance(net, BlackBoxNet):
+        u = np.repeat(u[:, None], K, axis=1)  # each model's block of lanes
+        b1 = np.broadcast_to(net.b1, (K, B, net.n_hidden)).copy()
 
         def field(x, uk):
-            return _blackbox_rows(net, x.reshape(block), uk, b1).reshape(K * B, d)
+            return _blackbox_rows(net, x.reshape(K, B, d), uk, b1).reshape(K * B, d)
 
         xs, diverged = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
     else:
         xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h)
     xs = xs.reshape(len(xs), K, B, d)
     diverged = diverged.reshape(K, B)
-    return [
-        float(_lane_loss(xs[:, k], lanes, diverged[k], penalty)[0].sum()) for k in range(K)
-    ]
+    return [float(_lane_loss(xs[:, k], lanes, diverged[k])[0].sum()) for k in range(K)]
 
 
 def _serve_validation(conn, parent_end, val_losses) -> None:
@@ -832,15 +799,11 @@ def fit(
         """Training loss, gradient and whether every lane died."""
         model = with_params(template, theta)
         if kind == "oe-hnn":
-            lane_loss, grad, diverged = _sim_batch(
-                model, S, train_lanes, DIVERGENCE_PENALTY, record
-            )
+            lane_loss, grad, diverged = _sim_batch(model, S, train_lanes, record)
             return float(lane_loss.sum()), grad, bool((diverged >= 0).all())
         return *_derivative_blocks(model, dx_fit, w_fit, buffers), False
 
-    validate = partial(
-        _val_losses, template, kind=kind, S=S, lanes=val_lanes, penalty=DIVERGENCE_PENALTY
-    )
+    validate = partial(_val_losses, template, S=S, lanes=val_lanes)
     history = []
     best_theta = theta.copy()
     best_val = np.inf
@@ -908,7 +871,6 @@ def fit(
 
     return FitResult(
         model=with_params(template, best_theta),
-        kind=kind,
         history=np.array(history),
         best_epoch=best_epoch,
         best_val_loss=float(best_val),

@@ -150,3 +150,82 @@ def test_only_textio_owns_the_text_formats():
             found += [f"{path.name} imports {name}" for name in names
                       if name.split(".")[0] in ("csv", "configparser")]
     assert found == []
+
+
+def _calls(path: Path, tree):
+    """(module.name, positional count, keyword names) of each call in this
+    file of a function of the package, direct or through `functools.partial`
+    (whose later arguments count as the call's). A call that unpacks `*` or
+    `**` arguments is left out: which parameters it passes is not written in
+    it."""
+    own = path.stem if path.parent == PACKAGE else None
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "oehnn":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oehnn."):
+            module = node.module.split(".")[1]
+            names.update((a.asname or a.name, f"{module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                (a.asname, a.name.split(".")[1]) for a in node.names
+                if a.asname and a.name.startswith("oehnn.")
+            )
+
+    def callee(func):
+        if isinstance(func, ast.Name):
+            return names.get(func.id, f"{own}.{func.id}" if own else None)
+        if isinstance(func, ast.Attribute) and _module_of(func.value, modules):
+            return f"{_module_of(func.value, modules)}.{func.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if (isinstance(func, ast.Name) and func.id == "partial") or (
+            isinstance(func, ast.Attribute) and func.attr == "partial"
+        ):
+            if not args:
+                continue
+            func, args = args[0], args[1:]
+        if any(isinstance(a, ast.Starred) for a in args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        name = callee(func)
+        if name:
+            yield name, len(args), {k.arg for k in node.keywords}
+
+
+def test_every_private_default_is_passed_and_omitted():
+    """A defaulted parameter of a module-level private function is an
+    option: at least one call in `src/oehnn`, `scripts/` or `perfbench/`
+    passes it and at least one omits it, or it has one value in use and
+    should be a constant or a required parameter."""
+    sources = _sources()
+    calls = [call for path, tree in sources.items() for call in _calls(path, tree)]
+    flagged = []
+    for path, tree in sources.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            name = f"{path.stem}.{node.name}"
+            own = [(n_args, keywords) for callee, n_args, keywords in calls if callee == name]
+            for index, param in defaulted:
+                passed = [
+                    (index is not None and n_args > index) or param in keywords
+                    for n_args, keywords in own
+                ]
+                if not (any(passed) and not all(passed)):
+                    flagged.append(f"{name}({param})")
+    assert flagged == [], f"defaulted but passed by every call or by none: {flagged}"

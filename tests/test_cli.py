@@ -607,12 +607,13 @@ class TestCorruptDataset:
             ("non-UTF-8 manifest", "manifest.txt: not UTF-8"),
             ("non-UTF-8 trajectory", "traj_001.csv: not UTF-8"),
             ("repeated time stamp", "traj_000.csv: the time column is not strictly increasing"),
+            ("stretched time column", "traj_000.csv:3: the time column steps by 0.02"),
             ("unknown manifest key", "manifest.txt:12: unknown protocol key 'tss'"),
             ("duplicate manifest key", "manifest.txt:12: duplicate key 'ts'"),
             ("missing manifest key", "manifest.txt: [protocol] has no 'ts'"),
         ],
         ids=["realization", "trajectory-key", "manifest-bytes", "trajectory-bytes", "time-stamp",
-             "unknown-key", "duplicate-key", "missing-key"],
+             "time-step", "unknown-key", "duplicate-key", "missing-key"],
     )
     @pytest.mark.parametrize("command", ["train", "evaluate", "simulate"])
     def test_is_usage_error(self, cli_dataset, trained_models, tmp_path, capsys, defect, named,
@@ -633,6 +634,13 @@ class TestCorruptDataset:
             victim = data / "traj_000.csv"
             lines = victim.read_text().splitlines()
             lines[2] = lines[1].split(",")[0] + "," + lines[2].split(",", 1)[1]
+            victim.write_text("\n".join(lines) + "\n")
+        elif defect == "stretched time column":
+            # a training trajectory sampled at 0.02 under a manifest's ts of 0.01
+            victim = data / "traj_000.csv"
+            lines = victim.read_text().splitlines()
+            lines[1:] = [f"{2.0 * float(ln.split(',')[0])!r},{ln.split(',', 1)[1]}"
+                         for ln in lines[1:]]
             victim.write_text("\n".join(lines) + "\n")
         elif defect == "unknown manifest key":
             manifest.write_text(text.replace("\nts = 0.01\n", "\nts = 0.01\ntss = 0.02\n"))

@@ -412,6 +412,28 @@ class TestCsvRoundTrip:
             read_csv(tmp_path)
         assert named in str(excinfo.value)
 
+    @pytest.mark.parametrize("t_start", [0.5, 50.0])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", ["duffing", "coupled"])
+    def test_time_column_steps_by_ts(self, name, seed, t_start, tmp_path):
+        # every dataset `generate` writes reads back, though rounding puts
+        # its times up to an ulp off the grid k * ts (more at a later start);
+        # a time column stretched to steps of 2 ts is refused, naming its file
+        protocol = dataclasses.replace(TINY_PROTOCOL, t_start=t_start, amplitude=0.02)
+        ds = generate(SYSTEMS[name], protocol, NoiseSpec(variance=0.1), master_seed=seed)
+        write_csv(ds, tmp_path)
+        back = read_csv(tmp_path)
+        for ta, tb in zip(ds.all_trajectories(), back.all_trajectories(), strict=True):
+            assert ta.t.tobytes() == tb.t.tobytes()
+        victim = tmp_path / "traj_002.csv"
+        lines = victim.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            t, rest = line.split(",", 1)
+            lines[i] = f"{2.0 * float(t)!r},{rest}"
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"traj_002.csv:3: the time column steps by"):
+            read_csv(tmp_path)
+
     def test_missing_trajectory_file(self, tiny_duffing_dataset, tmp_path):
         write_csv(tiny_duffing_dataset, tmp_path)
         (tmp_path / "traj_004.csv").unlink()

@@ -314,14 +314,6 @@ class TestModelFiles:
         assert np.array_equal(saved.model.w1, net.w1)
         assert np.array_equal(saved.model.b2, net.b2)
 
-    def test_kind_mismatch(self, tmp_path):
-        rng = np.random.default_rng(11)
-        net = init_blackbox_net(2, 1, 4, rng)
-        path = tmp_path / "model.txt"
-        save_model(net, path, kind="mlp", n_inputs=1)
-        with pytest.raises(ModelFormatError, match="mlp"):
-            load_model(path, expect_kind="oe-hnn")
-
     def test_kind_model_type_checked_on_save(self, tmp_path):
         rng = np.random.default_rng(12)
         with pytest.raises(TypeError):
