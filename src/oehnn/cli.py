@@ -481,11 +481,7 @@ def cmd_gradcheck(args) -> int:
         net = with_params(net, rng.uniform(-1.0, 1.0, flatten_params(net).size))
         x = rng.uniform(-1.0, 1.0, 2)
         analytic = h_grad_x(net, x)
-        fd = np.zeros(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = 1e-6
-            fd[i] = (h_value(net, x + e) - h_value(net, x - e)) / 2e-6
+        fd = _fd_gradient(lambda z: h_value(net, z), x, 1e-6)
         denom = np.maximum(np.abs(fd), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
     ok = worst < 1e-6

@@ -168,6 +168,19 @@ def _check_time_grid(n_samples: int, ts: float, n_before: float = 0.0) -> None:
         raise ValueError(f"the time grid's last time, {last:.6g} * {ts:g}, overflows")
 
 
+def _step_rounding(t: np.ndarray) -> float:
+    """How far rounding the times t may move a step: 4 ulps of the largest |t|."""
+    return 4.0 * np.spacing(np.abs(t).max())
+
+
+def _check_truth(trajs: list[Trajectory], needs: str, derivatives: bool = False) -> None:
+    """Raise `DatasetFormatError` naming the first of `trajs` without the stored
+    states (and, with `derivatives`, derivatives) that the setting `needs` reads."""
+    for i, tr in enumerate(trajs):
+        if tr.x_true is None or (derivatives and tr.dx_true is None):
+            raise DatasetFormatError(f"trajectory {i} has no stored truth, which {needs} needs")
+
+
 def _realization_rng(master_seed: int, realization: int, attempt: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(realization, attempt))
     return np.random.default_rng(seq)
@@ -369,7 +382,7 @@ def _read_trajectory(path: Path, m: int, d: int, protocol, realization: int, att
         raise DatasetFormatError(f"{path}: the time column is not strictly increasing")
     # rounded times k * ts step within an ulp or two of ts; fd targets take
     # the manifest's ts and rollouts t[1] - t[0], so the two must agree
-    off = np.flatnonzero(np.abs(np.diff(t) - protocol.ts) > 4.0 * np.spacing(np.abs(t).max()))
+    off = np.flatnonzero(np.abs(np.diff(t) - protocol.ts) > _step_rounding(t))
     if off.size:
         step = float(t[off[0] + 1] - t[off[0]])
         raise DatasetFormatError(
@@ -393,7 +406,8 @@ def read_csv(directory) -> Dataset:
     A trajectory cell that is NaN or infinite raises `DatasetFormatError`
     naming its line, since no model can be fitted to or judged on it, and so
     does a time column whose steps differ from the manifest's `ts` by more
-    than the rounding of its times (4 ulps of the largest |t|).
+    than the rounding of its times (`_step_rounding`), so any two accepted
+    trajectories step within the sum of their roundings, as `train._lanes` asks.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME

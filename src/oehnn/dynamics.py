@@ -4,8 +4,9 @@ The spring chain is the one definition of every benchmark system: the
 duffing oscillator is the chain of one mass, the coupled system the chain of
 two. Its energy (`hamiltonian_fn`) and its true field J @ grad H(x) + G @ u
 (`field_fn`) are the only closed forms. The field is written straight into
-one array from the spring forces, never assembled from a gradient; the
-structure matrices J and G (`structure_matrices`) serve the learned models.
+one array from the spring forces, never assembled from a gradient. The
+learned models take J from `_j_apply`, which applies it to rows, and the
+input matrix G from `structure_matrices`; J is written nowhere else.
 
 States are ordered (q_1..q_n, p_1..p_n). All functions accept a single state
 vector or an array of state rows (leading batch dimensions broadcast).
@@ -112,14 +113,9 @@ def system_defaults(spec: SystemSpec) -> dict:
 
 @dataclass(frozen=True)
 class StructureMatrices:
-    """Fixed matrices of the state dynamics: J (symplectic) and G (input)."""
+    """Fixed input matrix G of the state dynamics; J is `_j_apply`."""
 
-    J: np.ndarray
     G: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return self.J.shape[0]
 
     @property
     def n_inputs(self) -> int:
@@ -127,15 +123,12 @@ class StructureMatrices:
 
 
 def structure_matrices(spec: SystemSpec) -> StructureMatrices:
-    """Build J = [[0, I], [-I, 0]] and G = [0; I] restricted to input_map."""
+    """Build G = [0; I] restricted to input_map."""
     n = spec.n_masses
-    d = spec.n_states
-    eye = np.eye(n)
-    J = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-    G = np.zeros((d, spec.n_inputs))
+    G = np.zeros((spec.n_states, spec.n_inputs))
     for col, mass_index in enumerate(spec.input_map):
         G[n + mass_index, col] = 1.0
-    return StructureMatrices(J=J, G=G)
+    return StructureMatrices(G=G)
 
 
 def _input_rows(u, like: np.ndarray, m: int) -> np.ndarray:
@@ -149,7 +142,8 @@ def _input_rows(u, like: np.ndarray, m: int) -> np.ndarray:
 
 
 def _j_apply(g: np.ndarray, n: int) -> np.ndarray:
-    """J @ g per row for the canonical block structure, n masses."""
+    """J @ g per row for J = [[0, I], [-I, 0]], n masses: the one statement
+    of J. Its transpose is -J, so J.T @ g is `-_j_apply(g, n)`."""
     return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
 

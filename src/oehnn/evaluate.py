@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from oehnn import textio
-from oehnn.data import Dataset, Trajectory
+from oehnn.data import Dataset, Trajectory, _check_truth
 from oehnn.dynamics import StructureMatrices, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import MODEL_KINDS, BlackBoxNet, HamiltonianNet, blackbox_field, oe_hnn_field
@@ -88,15 +88,15 @@ def evaluate(
     ones are flagged per trajectory instead of contaminating the pool. A
     finite rollout whose RMSE overflows raises `ValueError`, not numpy's
     warning. `train._lanes` raises `ValueError` for an anchor other than
-    `train.ANCHORS` and for sampling steps that differ by more than it
-    allows.
+    `train.ANCHORS` or steps that differ by more than it allows; missing
+    truth that `reference` or `anchor` reads raises `DatasetFormatError`.
     """
     if not test:
         raise ValueError("test split is empty")
     if reference not in REFERENCES:
         raise ValueError(f"reference must be one of {REFERENCES}")
-    if "true" in (reference, anchor) and any(traj.x_true is None for traj in test):
-        raise ValueError("reference or anchor 'true' requires stored noiseless states")
+    if reference == "true":
+        _check_truth(test, "reference='true'")
     refs = [traj.x_true if reference == "true" else traj.y for traj in test]
     d = test[0].y.shape[1]
     per_traj: list[TrajectoryResult | None] = [None] * len(test)

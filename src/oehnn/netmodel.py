@@ -35,9 +35,9 @@ zeros of the model's class and flattened the same way.
 A stacked net (`with_params` on a (K, P) array) carries K models along a
 leading axis of every parameter; its per-unit vectors are (K, 1, n), so
 they broadcast over each model's state rows as a plain net's (n,) vectors
-do. `h_grad_x` and `_blackbox_rows` take it with state rows (K, B, d), one
-block of B rows per model, and compute each block with the same
-operations as the plain net on those B rows.
+do. `h_grad_x` takes it with state rows (K, B, d) and `_blackbox_rows`, the
+one black-box forward, with rows [x, u] (K, B, d + m), one block of B rows
+per model; each computes every block as the plain net computes those rows.
 """
 
 from __future__ import annotations
@@ -204,16 +204,16 @@ def oe_hnn_field(net: HamiltonianNet, S: StructureMatrices, x: np.ndarray, u) ->
 def blackbox_field(net: BlackBoxNet, x: np.ndarray, u) -> np.ndarray:
     """Forward pass of the black-box derivative net on concatenated (x, u)."""
     x = np.asarray(x, dtype=float)
-    return _blackbox_rows(net, x, _input_rows(u, x, net.n_inputs))
+    return _blackbox_rows(net, np.concatenate([x, _input_rows(u, x, net.n_inputs)], axis=-1))
 
 
-def _blackbox_rows(net: BlackBoxNet, x: np.ndarray, u: np.ndarray, b1=None) -> np.ndarray:
-    """`blackbox_field` on float arrays of state rows (..., d) and input rows
-    (..., m), without input normalization (for per-stage calls). A stacked
-    net takes x of shape (K, B, d) and u of shape (K, B, m). `b1`, when
-    given, is a contiguous tile of net.b1 with one row per state row, which
-    adds with the same bits and costs less than broadcasting the vector."""
-    z = np.concatenate([x, u], axis=-1) @ net.w1.mT
+def _blackbox_rows(net: BlackBoxNet, xu: np.ndarray, th_out=None, b1=None) -> np.ndarray:
+    """`blackbox_field` on float rows [x, u] (..., d + m), without input
+    normalization (for per-stage calls); a stacked net takes (K, B, d + m).
+    tanh(w1 @ [x, u] + b1) goes to `th_out` when given. `b1`, when given, is
+    a contiguous tile of net.b1 with one row per row of xu, which adds with
+    the same bits and costs less than broadcasting the vector."""
+    z = np.matmul(xu, net.w1.mT, out=th_out)
     z += net.b1 if b1 is None else b1
     return np.tanh(z, out=z) @ net.w2.mT + net.b2
 

@@ -39,10 +39,6 @@ class MultisineSpec:
             raise ValueError("phases must lie in [0, 2*pi)")
         object.__setattr__(self, "phases", phases)
 
-    @property
-    def period(self) -> float:
-        return 1.0 / self.f0
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

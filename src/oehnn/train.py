@@ -14,8 +14,9 @@ stacked, with or without a stage record; each stage writes its rows [x, 1]
 to its slot, and `netmodel._energy_kernel` returns J dH/dx from them, forms
 w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
 rollout and writes only tanh to the stage's slot. The reverse sweep forms
-J.T v from v's two halves in one concatenation, and its VJP, `_grad_vjp`,
-takes the stage's rows [x, 1] too.
+J.T v as -J v with `dynamics._j_apply`, and its VJP, `_grad_vjp`, takes the
+stage's rows [x, 1] too. `_norm_pullback` is the one residual-norm
+cotangent, of the adjoint and of both derivative batches.
 
 The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
@@ -56,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from oehnn import textio
-from oehnn.data import Dataset, Trajectory, fd_derivatives
-from oehnn.dynamics import StructureMatrices, structure_matrices
+from oehnn.data import Dataset, Trajectory, _check_truth, _step_rounding, fd_derivatives
+from oehnn.dynamics import StructureMatrices, _j_apply, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
     MODEL_KINDS,
@@ -205,10 +206,15 @@ def _stage_vjp(net, xa, th, v, n, acc, scratch):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
     `xa` is the stage's rows [x, 1], `th` its forward tanh(w1 @ x + b1),
-    `scratch` as in `_grad_vjp`; J.T v is v's last n columns negated, then
-    its first n."""
-    jt_v = np.concatenate([-v[:, n:], v[:, :n]], axis=1)
-    return _grad_vjp(net, xa, th, jt_v, acc, scratch) @ net.w1
+    `scratch` as in `_grad_vjp`; J.T v is -J v, negation being exact."""
+    return _grad_vjp(net, xa, th, -_j_apply(v, n), acc, scratch) @ net.w1
+
+
+def _norm_pullback(r, norms, weight):
+    """weight * r / ||r|| per row of residuals r whose norms are `norms`: the
+    cotangent on r of weight * ||r||, and 0 where a norm is 0."""
+    scale = np.where(norms > 0.0, weight / np.maximum(norms, 1e-300), 0.0)
+    return scale[..., None] * r
 
 
 def _lane_loss(xs, lanes, diverged):
@@ -254,11 +260,10 @@ class _LaneGroup(NamedTuple):
 
 
 def _same_step(a: Trajectory, b: Trajectory) -> bool:
-    """Whether the steps t[1] - t[0] of two trajectories differ by no more
-    than a few ulps of their first two times, which is what rounding the
-    times of one grid step apart leaves."""
-    ulps = np.spacing(np.abs(a.t[:2]).max()) + np.spacing(np.abs(b.t[:2]).max())
-    return abs(a.ts - b.ts) <= 4.0 * ulps
+    """Whether the steps t[1] - t[0] of two trajectories differ by at most the
+    sum of their `data._step_rounding`s, as any two steps that `read_csv`
+    accepts for one manifest's ts do (by the triangle inequality)."""
+    return abs(a.ts - b.ts) <= _step_rounding(a.t) + _step_rounding(b.t)
 
 
 def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _LaneGroup:
@@ -272,9 +277,10 @@ def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _L
     trajectory's 1/N weight, so the chunked loss sums the same residual terms
     as the full rollout, just along shorter horizons. Every lane steps at the
     first trajectory's step t[1] - t[0]; another trajectory's step may differ
-    from it only by the rounding of their times, as for equal grids that
-    start at different times. A trajectory of fewer than 2 samples, or whose
-    step differs by more, raises `ValueError` naming its index.
+    from it only by the rounding of their times (`_same_step`), as for equal
+    grids that start at different times. A trajectory of fewer than 2 samples
+    or whose step differs by more raises `ValueError` naming its index, and
+    one without the truth that anchor 'true' reads `data.DatasetFormatError`.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
@@ -283,8 +289,8 @@ def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _L
             raise ValueError(f"trajectory {i} must contain at least 2 samples")
         if not _same_step(tr, trajs[0]):
             raise ValueError(f"trajectory {i} has step {tr.ts}, trajectory 0 has {trajs[0].ts}")
-        if anchor == "true" and tr.x_true is None:
-            raise TrainingError("anchor='true' requires stored noiseless states")
+    if anchor == "true":
+        _check_truth(trajs, "anchor='true'")
     lengths = [min(chunk or tr.n_samples - 1, tr.n_samples - 1) for tr in trajs]
     n_steps = max(lengths)
     segs = []
@@ -362,9 +368,7 @@ def _sim_batch(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, rec
     lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged)
 
     # each step's residual pullback, in one whole-array pass
-    live_w = np.where(diverged < 0, lanes.weight, 0.0)
-    scale = np.where(norms > 0.0, live_w / np.maximum(norms, 1e-300), 0.0)
-    pulls = scale[:, :, None] * resid
+    pulls = _norm_pullback(resid, norms, np.where(diverged < 0, lanes.weight, 0.0))
     acc = with_params(net, np.zeros_like(flatten_params(net)))
     lam = np.zeros((B, d))
     for k in range(n_steps - 1, -1, -1):
@@ -481,10 +485,8 @@ def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
     n2 = np.linalg.norm(r2, axis=1)
     loss = float(np.sum(sample_weight * (n1 + n2)))
     g_cot = np.zeros_like(g)
-    s1 = np.where(n1 > 0.0, sample_weight / np.maximum(n1, 1e-300), 0.0)
-    s2 = np.where(n2 > 0.0, sample_weight / np.maximum(n2, 1e-300), 0.0)
-    g_cot[:, n:] = s1[:, None] * r1
-    g_cot[:, :n] = s2[:, None] * r2
+    g_cot[:, n:] = _norm_pullback(r1, n1, sample_weight)
+    g_cot[:, :n] = _norm_pullback(r2, n2, sample_weight)
     _grad_vjp(net, xa, th, g_cot, acc, (s, p))
     return loss
 
@@ -492,18 +494,13 @@ def _derivative_batch_hnn(net, dx_target, sample_weight, out, acc):
 def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
     """One block of `_derivative_blocks` for the black-box net: returns its
     loss and adds its gradient into `acc`, a net of zeros of the net's class;
-    `out` is the block's rows of `_derivative_buffers`, whose [x, u] rows it
-    reads."""
+    `out` is the block's rows of `_derivative_buffers`, whose [x, u] rows
+    `_blackbox_rows` reads, writing tanh into `th`."""
     xu, th, hidden = out
-    np.matmul(xu, net.w1.T, out=th)
-    th += net.b1
-    np.tanh(th, out=th)
-    f = th @ net.w2.T + net.b2
-    r = f - dx_target
+    r = _blackbox_rows(net, xu, th) - dx_target
     nr = np.linalg.norm(r, axis=1)
     loss = float(np.sum(sample_weight * nr))
-    scale = np.where(nr > 0.0, sample_weight / np.maximum(nr, 1e-300), 0.0)
-    f_cot = scale[:, None] * r
+    f_cot = _norm_pullback(r, nr, sample_weight)
     acc.w2[...] += f_cot.T @ th
     np.matmul(f_cot, net.w2, out=hidden)
     np.square(th, out=th)  # th is read no more: it takes sech^2
@@ -515,41 +512,24 @@ def _derivative_batch_mlp(net, dx_target, sample_weight, out, acc):
     return loss
 
 
-def _sample_rows(name: str, a, shape: tuple[int, int]) -> np.ndarray:
-    """`a` broadcast to `shape`, (samples, width): all rows or a single one."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim > 2 or a.shape[-1:] not in ((shape[1],), ()) or (
-        a.ndim == 2 and len(a) not in (1, shape[0])
-    ):
-        raise ValueError(
-            f"{name} has shape {a.shape}, expected {shape} or a single row of {shape[1]}"
-        )
-    return np.broadcast_to(a, shape)
-
-
 def derivative_loss_grad(model, S: StructureMatrices, x, dx_target, u):
     """Mean per-sample derivative-matching residual and its parameter gradient.
 
     For the Hamiltonian net this is the two-term structured residual
     ||dH/dp - q_dot|| + ||dH/dq + p_dot - G u|| averaged over samples; for
     the black-box net it is the plain regression residual ||f(x, u) - dx||.
+    x and dx_target are (N, d) and u is (N, m), N >= 1; any other shape
+    raises `ValueError` naming the argument.
     """
     if not isinstance(model, (HamiltonianNet, BlackBoxNet)):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[1] != model.n_states or len(x) == 0:
-        raise ValueError(
-            f"x has shape {x.shape}, expected one or more rows of {model.n_states} states"
-        )
-    # a single target row, a scalar input or a single input row holds for
-    # every sample, in every block
-    dx_target = _sample_rows("dx_target", dx_target, x.shape)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1 and len(u) == len(x):
-        u = u[:, None]  # one scalar input per sample
-    u = np.atleast_2d(u)
+    x, dx_target, u = (np.asarray(a, dtype=float) for a in (x, dx_target, u))
     m = S.n_inputs if isinstance(model, HamiltonianNet) else model.n_inputs
-    u = _sample_rows("u", u, (len(x), m))
+    rows = len(x) if x.ndim == 2 else 0
+    for name, a, width in (("x", x, model.n_states), ("dx_target", dx_target, model.n_states),
+                           ("u", u, m)):
+        if not rows or a.shape != (rows, width):
+            raise ValueError(f"{name} has shape {a.shape}, expected ({rows or 'N >= 1'}, {width})")
     weight = np.full(x.shape[0], 1.0 / x.shape[0])
     return _derivative_blocks(model, dx_target, weight, _derivative_buffers(model, S, x, u))
 
@@ -576,14 +556,11 @@ def write_history_csv(history: np.ndarray, path) -> None:
 
 
 def _derivative_training_set(trajs, source, ts):
+    if source == "true":
+        _check_truth(trajs, "derivative_source='true'", derivatives=True)
     xs, dxs, us, weights = [], [], [], []
     for tr in trajs:
-        if source == "true":
-            if tr.x_true is None or tr.dx_true is None:
-                raise TrainingError("derivative_source='true' requires stored truth")
-            x, dx = tr.x_true, tr.dx_true
-        else:
-            x, dx = tr.y, fd_derivatives(tr.y, ts)
+        x, dx = (tr.x_true, tr.dx_true) if source == "true" else (tr.y, fd_derivatives(tr.y, ts))
         xs.append(x)
         dxs.append(dx)
         us.append(tr.u)
@@ -614,7 +591,8 @@ def _val_losses(template, thetas, S, lanes) -> list[float]:
         b1 = np.broadcast_to(net.b1, (K, B, net.n_hidden)).copy()
 
         def field(x, uk):
-            return _blackbox_rows(net, x.reshape(K, B, d), uk, b1).reshape(K * B, d)
+            xu = np.concatenate([x.reshape(K, B, d), uk], axis=-1)
+            return _blackbox_rows(net, xu, b1=b1).reshape(K * B, d)
 
         xs, diverged = rk4_lanes(field, np.tile(x0, (K, 1)), u, h)
     else:

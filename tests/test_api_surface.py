@@ -12,6 +12,8 @@ name from that module, or read as `module.name`, anywhere in `src/oehnn`
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oehnn"
 # the finite-difference test of the reference gradient in the dynamics
@@ -150,6 +152,32 @@ def test_only_textio_owns_the_text_formats():
             found += [f"{path.name} imports {name}" for name in names
                       if name.split(".")[0] in ("csv", "configparser")]
     assert found == []
+
+
+# each rule's text and the one module-level function of the package that
+# may spell it
+RULE_OWNERS = {
+    "np.spacing": "data._step_rounding",  # how far rounding times moves a step
+    "1e-300": "train._norm_pullback",  # the cotangent of a residual norm
+    "x_true is None": "data._check_truth",  # the stored-truth check
+    "dx_true is None": "data._check_truth",
+}
+
+
+@pytest.mark.parametrize("text", list(RULE_OWNERS))
+def test_one_owner_per_rule(text):
+    """Each rule is spelled once, in its owner, and every other module calls
+    the owner instead of a copy."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        spans = [(node.lineno, node.end_lineno, node.name)
+                 for node in ast.parse(source).body if hasattr(node, "name")]
+        for number, line in enumerate(source.splitlines(), 1):
+            if text in line:
+                owner = next((name for lo, hi, name in spans if lo <= number <= hi), "<module>")
+                found.add(f"{path.stem}.{owner}")
+    assert found == {RULE_OWNERS[text]}
 
 
 def _calls(path: Path, tree):

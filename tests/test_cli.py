@@ -234,6 +234,26 @@ class TestTrainCommand:
             text = path.read_text()
             assert f"kind = {kind}" in text
 
+    def test_steps_within_their_rounding_train_and_evaluate(self, tmp_path):
+        # a second time raised by 1e-16, within 4 ulps of the largest time
+        # 0.39, which `read_csv` accepts for the manifest's ts of 0.01
+        data = tmp_path / "data"
+        assert run_cli("generate-data", "--out", data, "--n-realizations", "6", "--n-train", "3",
+                       "--n-val", "2", "--n-test", "1", "--n-samples", "40", "--t-start", "0") == 0
+        victim = data / "traj_001.csv"
+        lines = victim.read_text().splitlines()
+        assert lines[2].startswith("0.01,")
+        lines[2] = "0.0100000000000001" + lines[2][len("0.01"):]
+        victim.write_text("\n".join(lines) + "\n")
+        models = []
+        for chunk in ([], ["--chunk-length", "10"]):
+            out = tmp_path / f"oe{len(models)}"
+            assert run_cli("train", "--data", data, "--out", out, "--model", "oe-hnn",
+                           *TRAIN_FAST, *chunk) == 0
+            models.append(out / "model.txt")
+        assert run_cli("evaluate", "--data", data, "--out", tmp_path / "e",
+                       "--models", *models) == 0
+
     def test_missing_dataset_dir(self, tmp_path, capsys):
         code = run_cli("train", "--data", tmp_path / "nope", "--out", tmp_path / "o")
         assert code == 2
@@ -421,9 +441,20 @@ class TestEvaluateCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flags[0][2:] in err
 
-    @pytest.mark.parametrize("defect", ["empty test split", "no stored truth"])
+    @pytest.mark.parametrize(
+        "defect, command",
+        [
+            pytest.param("empty test split", ["evaluate"], id="empty test split"),
+            pytest.param("no stored truth", ["evaluate"], id="no stored truth"),
+            # the CLI's anchor is 'true' by default
+            pytest.param("no stored truth", ["train", "--model", "hnn", "--derivative-source",
+                                             "true"], id="no stored truth-train hnn"),
+            pytest.param("no stored truth", ["train", "--model", "oe-hnn"],
+                         id="no stored truth-train oe-hnn"),
+        ],
+    )
     def test_dataset_without_what_evaluate_needs_is_usage_error(self, trained_models, tmp_path,
-                                                               capsys, defect):
+                                                               capsys, defect, command):
         data = tmp_path / "data"
         split = ["--n-val", "3", "--n-test", "0"] if defect == "empty test split" else []
         assert run_cli("generate-data", "--out", data, *GEN_FAST, *split) == 0
@@ -431,12 +462,15 @@ class TestEvaluateCommand:
             for victim in data.glob("traj_*.csv"):
                 rows = [line.split(",")[:4] for line in victim.read_text().splitlines()]
                 victim.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        extra = (["--models", trained_models["oe-hnn"]] if command == ["evaluate"]
+                 else TRAIN_FAST)
         capsys.readouterr()
-        code = run_cli("evaluate", "--data", data, "--out", tmp_path / "e",
-                       "--models", trained_models["oe-hnn"])
+        code = run_cli(*command, "--data", data, "--out", tmp_path / "o", *extra)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if defect == "no stored truth":
+            assert "trajectory 0 has no stored truth" in err
 
     # numpy's overflow warnings would add lines to the one `error:` line
     @pytest.mark.filterwarnings("error::RuntimeWarning")

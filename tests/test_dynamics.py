@@ -6,12 +6,18 @@ from hypothesis.extra.numpy import arrays
 
 from oehnn.dynamics import (
     SystemSpec,
+    _j_apply,
     coupled_system,
     duffing_system,
     field_fn,
     hamiltonian_fn,
     structure_matrices,
 )
+
+
+def j_matrix(n):
+    """J as the models apply it: column i is `_j_apply` of the unit row e_i."""
+    return _j_apply(np.eye(2 * n), n).T
 
 
 def small_states(dim):
@@ -82,21 +88,26 @@ class TestStructureMatrices:
     def test_blocks(self):
         S = structure_matrices(coupled_system())
         n = 2
-        assert np.array_equal(S.J[:n, n:], np.eye(n))
-        assert np.array_equal(S.J[n:, :n], -np.eye(n))
+        J = j_matrix(n)
+        assert np.array_equal(J[:n, n:], np.eye(n))
+        assert np.array_equal(J[n:, :n], -np.eye(n))
+        assert np.array_equal(J[:n, :n], np.zeros((n, n)))
+        assert np.array_equal(J[n:, n:], np.zeros((n, n)))
         # input enters the second momentum only
         assert np.array_equal(S.G[:, 0], [0, 0, 0, 1])
 
     def test_skew_and_square(self):
         for spec in (duffing_system(), coupled_system()):
-            J = structure_matrices(spec).J
+            J = j_matrix(spec.n_masses)
             assert np.array_equal(J.T, -J)
             assert np.array_equal(J @ J, -np.eye(spec.n_states))
+            # J.T v, which the adjoint forms, is -J v
+            v = np.random.default_rng(spec.n_masses).normal(size=(5, spec.n_states))
+            assert np.array_equal(v @ J, -_j_apply(v, spec.n_masses))
 
     @given(g=arrays(np.float64, (4,), elements=st.floats(-100, 100)))
     def test_quadratic_form_vanishes(self, g):
-        J = structure_matrices(coupled_system()).J
-        assert abs(g @ (J @ g)) <= 1e-12 * max(1.0, g @ g)
+        assert abs(g @ _j_apply(g, 2)) <= 1e-12 * max(1.0, g @ g)
 
 
 class TestCanonicalField:
@@ -140,7 +151,7 @@ class TestCanonicalField:
         rng = np.random.default_rng(3)
         x = rng.uniform(-0.5, 0.5, (20, 6))
         u = rng.normal(size=(20, 2))
-        expected = reference_grad_hamiltonian(x, spec) @ S.J.T + u @ S.G.T
+        expected = reference_grad_hamiltonian(x, spec) @ j_matrix(3).T + u @ S.G.T
         assert np.allclose(field_fn(spec)(x, u), expected, rtol=1e-14, atol=1e-15)
 
 

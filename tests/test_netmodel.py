@@ -275,16 +275,16 @@ class TestStackedNets:
         assert stacked.w1.shape[0] == K and stacked.b1.shape == (K, 1, nh)
         assert (stacked.n_states, stacked.n_hidden) == (d, nh)
         x = rng.normal(size=(K, B, d))
-        u = rng.normal(size=(K, B, m))
+        xu = np.concatenate([x, rng.normal(size=(K, B, m))], axis=-1)  # rows [x, u]
         if kind == "hnn":
             out = h_grad_x(stacked, x)
             assert np.array_equal(stacked.b2, thetas[:, -1])
         else:
-            out = _blackbox_rows(stacked, x, u)
+            out = _blackbox_rows(stacked, xu)
             assert stacked.n_inputs == m
         for k in range(K):
             member = with_params(template, thetas[k])
-            alone = h_grad_x(member, x[k]) if kind == "hnn" else _blackbox_rows(member, x[k], u[k])
+            alone = h_grad_x(member, x[k]) if kind == "hnn" else _blackbox_rows(member, xu[k])
             assert np.array_equal(out[k], alone)
             assert np.array_equal(flatten_params(member), thetas[k])
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oehnn.train
-from oehnn.data import Trajectory, generate
+from oehnn.data import Trajectory, _step_rounding, generate
 from oehnn.dynamics import (
     _j_apply,
     coupled_system,
@@ -384,20 +384,6 @@ class TestDerivativeBlocks:
             assert loss == one_loss and np.array_equal(grad, one_grad)
 
     @pytest.mark.parametrize("kind", ["hnn", "mlp"])
-    def test_one_row_holds_in_every_block(self, monkeypatch, kind):
-        # a single input or target row stands for every sample, as in one block
-        rng = np.random.default_rng(310)
-        net = random_hnet(rng, n_hidden=6) if kind == "hnn" else init_blackbox_net(2, 1, 6, rng)
-        x = rng.normal(size=(11, 2))
-        dx = np.tile(rng.normal(size=2), (11, 1))
-        u = np.full((11, 1), 0.3)
-        set_block_rows(monkeypatch, 6, self.ROWS)
-        ref_loss, ref_grad = derivative_loss_grad(net, S, x, dx, u)
-        for one_dx, one_u in ((dx, 0.3), (dx, [0.3]), (dx, [[0.3]]), (dx[0], u), (dx[:1], u)):
-            loss, grad = derivative_loss_grad(net, S, x, one_dx, one_u)
-            assert loss == ref_loss and np.array_equal(grad, ref_grad)
-
-    @pytest.mark.parametrize("kind", ["hnn", "mlp"])
     def test_fits_are_bit_identical_for_every_workers(self, tiny_duffing_dataset, monkeypatch,
                                                       fit_at, kind):
         set_block_rows(monkeypatch, 8, 7)  # 120 rows: 17 blocks and 1 row
@@ -671,6 +657,28 @@ class TestFit:
         reference = fit(kind, tiny_duffing_dataset, cfg)
         result = fit(kind, shifted, cfg)
         np.testing.assert_allclose(result.history, reference.history, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind, split", [("oe-hnn", "train"), ("hnn", "validation")])
+    def test_steps_within_their_rounding_are_accepted(self, tiny_duffing_dataset, kind, split):
+        # grids from t = 0: a second time raised by 1e-16 keeps its step
+        # within the two trajectories' roundings, as `read_csv` accepts it
+        # for one manifest, though far beyond the ulps of t[1]
+        trajs = [dataclasses.replace(tr, t=np.arange(tr.n_samples) * 0.01)
+                 for tr in getattr(tiny_duffing_dataset, split)]
+        nudged = dataclasses.replace(trajs[1], t=trajs[1].t.copy())
+        nudged.t[1] = 0.0100000000000001
+        off = abs(nudged.ts - trajs[0].ts)
+        assert 8 * np.spacing(0.01) < off < _step_rounding(trajs[0].t) + _step_rounding(nudged.t)
+        cfg = TrainConfig(n_hidden=4, max_epochs=3, patience=3)
+        reference = fit(kind, dataclasses.replace(tiny_duffing_dataset, **{split: trajs}), cfg)
+        result = fit(kind, dataclasses.replace(
+            tiny_duffing_dataset, **{split: [trajs[0], nudged, *trajs[2:]]}), cfg)
+        # every lane steps at trajectory 0's step
+        assert_same_bits(result.history, reference.history)
+        slow = dataclasses.replace(trajs[1], t=2 * trajs[1].t)  # 0.02 against 0.01
+        with pytest.raises(ValueError, match="trajectory 1 has step 0.02, trajectory 0 has 0.01"):
+            fit(kind, dataclasses.replace(
+                tiny_duffing_dataset, **{split: [trajs[0], slow, *trajs[2:]]}), cfg)
 
     def test_empty_split_rejected(self, tiny_duffing_dataset):
         ds = dataclasses.replace(tiny_duffing_dataset, validation=[])
@@ -1503,7 +1511,10 @@ def one_model_val_loss(net, kind, S, lanes):
     was stacked: one rollout, on the reference forward for the energy net,
     lane losses summed."""
     if kind == "mlp":
-        xs, diverged = rk4_lanes(partial(_blackbox_rows, net), lanes.x0, lanes.u, lanes.h)
+        def field(x, u):
+            return _blackbox_rows(net, np.concatenate([x, u], axis=-1))
+
+        xs, diverged = rk4_lanes(field, lanes.x0, lanes.u, lanes.h)
         lane_loss = oehnn.train._lane_loss(xs, lanes, diverged)[0]
     else:
         lane_loss = reference_sim_batch(net, S, lanes, False)[0]
