@@ -3,8 +3,8 @@
 
 Generates the standard dataset, trains the simulation-error model plus both
 derivative-matching baselines for each training seed, and writes a
-comparison table of per-state test RMSE (median seed) together with the
-per-seed breakdown.
+comparison table of each estimator's per-state test RMSE, the median over
+seeds of each state, together with the per-seed breakdown.
 
 Example:
     python scripts/run_benchmark.py --system duffing --out results/duffing
@@ -24,6 +24,7 @@ from oehnn.cli import ExperimentConfig
 from oehnn.data import generate
 from oehnn.evaluate import (
     DEFAULT_OE_STAGES,
+    Metrics,
     TrainStage,
     compare_estimators,
     write_comparison_csv,
@@ -82,7 +83,8 @@ def main():
     )
     elapsed = time.perf_counter() - t0
 
-    write_comparison_csv(result.median_seed_metrics(), out / "comparison.csv", result.labels)
+    medians = [Metrics(kind, result.median_rmse(kind)) for kind in result.kinds]
+    write_comparison_csv(medians, out / "comparison.csv", result.labels)
     per_seed = {
         kind: [[float(v) for v in m.per_state_rmse] for m in result.per_seed[kind]]
         for kind in result.kinds
@@ -92,12 +94,9 @@ def main():
             {
                 "system": args.system,
                 "seeds": list(result.seeds),
-                "median_seed": result.seeds[result.median_seed_index],
                 "labels": result.labels,
                 "per_seed_rmse": per_seed,
-                "median_rmse": {
-                    kind: [float(v) for v in result.median_rmse(kind)] for kind in result.kinds
-                },
+                "median_rmse": {m.kind: [float(v) for v in m.per_state_rmse] for m in medians},
                 "elapsed_seconds": elapsed,
                 "process_budget": process_budget,
                 "usable_cores": usable_cores,
@@ -106,9 +105,9 @@ def main():
         )
     )
 
-    print(f"\nelapsed: {elapsed:.0f}s; median seed {result.seeds[result.median_seed_index]}")
+    print(f"\nelapsed: {elapsed:.0f}s")
     print("method," + ",".join(result.labels))
-    for metrics in result.median_seed_metrics():
+    for metrics in medians:
         print(metrics.kind + "," + ",".join(f"{v:.4f}" for v in metrics.per_state_rmse))
     print(f"\nwrote {out / 'comparison.csv'} and {out / 'per_seed_rmse.json'}")
 

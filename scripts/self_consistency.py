@@ -48,6 +48,7 @@ def teacher_dataset(n_hidden, n_train, n_val, n_samples, ts, seed):
         ts=ts,
         t_start=0.0,
         split=(n_train, n_val, 0),
+        amplitude=0.5,  # the teacher's multisine amplitude
     )
     dataset = Dataset(
         train=trajs[:n_train],

@@ -32,7 +32,6 @@ from oehnn.data import (
     write_csv,
 )
 from oehnn.dynamics import (
-    SYSTEM_DEFAULTS,
     SystemSpec,
     coupled_system,
     duffing_system,
@@ -106,9 +105,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Each system's standard spec, whose masses and stiffnesses are the defaults.
+SYSTEMS = {"duffing": duffing_system, "coupled": coupled_system}
+# Per-system noise variance and excitation amplitude; the amplitude keeps the
+# softening springs in their wells often enough for rejection sampling.
+SYSTEM_DEFAULTS = {
+    "duffing": {"noise_variance": 0.1, "amplitude": 0.15},
+    "coupled": {"noise_variance": 0.05, "amplitude": 0.1},
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Full experiment definition; None fields resolve to per-system defaults.
+    """Full experiment definition. None fields resolve per system: masses and
+    stiffnesses to the standard spec's (`SYSTEMS`), amplitude and noise_variance
+    to `SYSTEM_DEFAULTS`. Keys building a library field take its default, anchor aside.
 
     `protocol()` and `train_config()` build `GenerationProtocol` and
     `TrainConfig` by name: each field comes from the key of the same name,
@@ -120,55 +131,53 @@ class ExperimentConfig:
     system: str = "duffing"
     masses: tuple[float, ...] | None = None
     stiffnesses: tuple[float, ...] | None = None
-    cubic: bool = True
-    n_realizations: int = 25
-    n_samples: int = 500
-    ts: float = 0.01
-    t_start: float = 5.0
-    n_train: int = 15
-    n_val: int = 5
-    n_test: int = 5
-    harmonics: int = 20
-    f0: float = 0.1
+    cubic: bool = SystemSpec.cubic
+    n_realizations: int = GenerationProtocol.n_realizations
+    n_samples: int = GenerationProtocol.n_samples
+    ts: float = GenerationProtocol.ts
+    t_start: float = GenerationProtocol.t_start
+    n_train: int = GenerationProtocol.split[0]
+    n_val: int = GenerationProtocol.split[1]
+    n_test: int = GenerationProtocol.split[2]
+    harmonics: int = GenerationProtocol.harmonics
+    f0: float = GenerationProtocol.f0
     amplitude: float | None = None
     noise_variance: float | None = None
-    init_range: float = 0.5
-    q_max: float = 5.0
-    max_retries: int = 50
+    init_range: float = GenerationProtocol.init_range
+    q_max: float = GenerationProtocol.q_max
+    max_retries: int = GenerationProtocol.max_retries
     master_seed: int = 0
     model: str = "oe-hnn"
-    n_hidden: int = 200
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    max_epochs: int = 5000
-    patience: int = 500
-    chunk_length: int | None = None
-    train_seed: int = 0
-    derivative_source: str = "fd"
+    n_hidden: int = TrainConfig.n_hidden
+    learning_rate: float = TrainConfig.learning_rate
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    epsilon: float = TrainConfig.epsilon
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    chunk_length: int | None = TrainConfig.chunk_length
+    train_seed: int = TrainConfig.seed
+    derivative_source: str = TrainConfig.derivative_source
+    # not `TrainConfig`'s "measured": the pipeline treats the initial state as
+    # known (README, "Notes on defaults")
     anchor: str = "true"
     reference: str = "true"
 
     def resolved(self) -> "ExperimentConfig":
-        if self.system not in SYSTEM_DEFAULTS:
+        if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected duffing or coupled")
-        defaults = SYSTEM_DEFAULTS[self.system]
+        standard = SYSTEMS[self.system]()
         out = dataclasses.replace(self)
-        if out.masses is None:
-            out.masses = defaults["masses"]
-        if out.stiffnesses is None:
-            out.stiffnesses = defaults["stiffnesses"]
-        if out.noise_variance is None:
-            out.noise_variance = defaults["noise_variance"]
-        if out.amplitude is None:
-            out.amplitude = defaults["amplitude"]
+        unset = {"masses": standard.masses, "stiffnesses": standard.stiffnesses}
+        for key, value in {**unset, **SYSTEM_DEFAULTS[self.system]}.items():
+            if getattr(out, key) is None:
+                setattr(out, key, value)
         for key in ("master_seed", "train_seed"):
             if getattr(out, key) < 0:
                 raise ConfigError(f"{key} must be at least 0, got {getattr(out, key)}")
         for key in ("masses", "stiffnesses"):
-            if len(getattr(out, key)) != len(defaults[key]):
-                raise ConfigError(f"{key}: {out.system} takes {len(defaults[key])} value(s)")
+            if len(getattr(out, key)) != standard.n_masses:
+                raise ConfigError(f"{key}: {out.system} takes {standard.n_masses} value(s)")
         for key, allowed in (
             ("model", MODEL_KINDS),
             ("derivative_source", DERIVATIVE_SOURCES),
@@ -182,9 +191,8 @@ class ExperimentConfig:
     def system_spec(self) -> SystemSpec:
         cfg = self.resolved()
         with _config_errors():
-            if cfg.system == "duffing":
-                return duffing_system(cfg.masses[0], cfg.stiffnesses[0], cfg.cubic)
-            return coupled_system(tuple(cfg.masses), tuple(cfg.stiffnesses), cfg.cubic)
+            return dataclasses.replace(SYSTEMS[cfg.system](), masses=tuple(cfg.masses),
+                                       stiffnesses=tuple(cfg.stiffnesses), cubic=cfg.cubic)
 
     def protocol(self) -> GenerationProtocol:
         cfg = self.resolved()
@@ -266,21 +274,14 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     train_cfg = cfg.train_config()
     dataset = read_csv(args.data)
-    if not dataset.train or not dataset.validation:
-        raise ConfigError(f"{args.data}: dataset needs non-empty train and validation splits")
+    result = fit(cfg.model, dataset, train_cfg)
     if cfg.model in ("hnn", "mlp"):
-        if cfg.derivative_source == "fd" and any(tr.n_samples < 3 for tr in dataset.train):
-            raise ConfigError(
-                "--derivative-source fd needs training trajectories of at least 3 samples; "
-                "use --derivative-source true"
-            )
         source = (
             "finite differences of the measured outputs"
             if cfg.derivative_source == "fd"
             else "stored noiseless derivatives"
         )
         print(f"derivative targets for {cfg.model}: {source}")
-    result = fit(cfg.model, dataset, train_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(
@@ -352,12 +353,24 @@ def _parse_x0(text: str | None, d: int) -> np.ndarray:
     return values
 
 
+# simulate's flags that one kind of source reads, with their defaults:
+# --like-dataset reads only --realization, the other sources all the rest
+_SOURCE_FLAGS = {"realization": 0, "x0": None, "steps": 500, "input": "multisine", "phase_seed": 0}
+
+
 def cmd_simulate(args) -> int:
     cfg = build_config(args)
-    if args.like_dataset is not None:
+    like = args.like_dataset is not None
+    if (args.model_file is not None) + args.true_system + like != 1:
+        raise ConfigError("choose exactly one of --model-file, --true-system or --like-dataset")
+    for key, default in _SOURCE_FLAGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif (key == "realization") != like:
+            where = "with" if like else "without"
+            raise ConfigError(f"--{key.replace('_', '-')} does not apply {where} --like-dataset")
+    if like:
         return _simulate_like_dataset(args, cfg)
-    if (args.model_file is None) == (not args.true_system):
-        raise ConfigError("choose exactly one of --model-file or --true-system")
     if args.true_system:
         spec = cfg.system_spec()
         field = field_fn(spec)
@@ -566,12 +579,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--model-file", help="trained model file")
     p_sim.add_argument("--true-system", action="store_true", help="use the configured true system")
     p_sim.add_argument("--like-dataset", help="dataset directory to reproduce a realization from")
-    p_sim.add_argument("--realization", type=int, default=0,
-                       help="realization index for --like-dataset")
+    # --realization to --phase-seed: unset is None, `cmd_simulate` applies `_SOURCE_FLAGS`
+    p_sim.add_argument("--realization", type=int, help="realization index for --like-dataset")
     p_sim.add_argument("--x0", help="comma-separated initial state (default zeros)")
-    p_sim.add_argument("--steps", type=int, default=500, help="number of samples to simulate")
-    p_sim.add_argument("--input", choices=("multisine", "zero"), default="multisine")
-    p_sim.add_argument("--phase-seed", type=int, default=0, help="seed for multisine phases")
+    p_sim.add_argument("--steps", type=int, help="number of samples to simulate")
+    p_sim.add_argument("--input", choices=("multisine", "zero"))
+    p_sim.add_argument("--phase-seed", type=int, help="seed for multisine phases")
     p_sim.add_argument("--out", required=True, help="output trajectory CSV")
     _add_config_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

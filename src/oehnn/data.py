@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from oehnn import textio
-from oehnn.dynamics import SystemSpec, field_fn, system_defaults
+from oehnn.dynamics import SystemSpec, field_fn
 from oehnn.integrate import rk4_lanes
 from oehnn.signals import NoiseSpec, _check_multisine, add_noise, multisine_inputs
 
@@ -80,8 +80,8 @@ class GenerationProtocol:
 
     25 input realizations, 500 samples recorded on t in [5, 10) at Ts = 0.01,
     split 15/5/5, 20-harmonic multisine with base frequency 0.1 Hz, initial
-    states uniform in [-0.5, 0.5] per coordinate. An unset amplitude is the
-    system's default (`dynamics.SYSTEM_DEFAULTS`), which `generate` fills in.
+    states uniform in [-0.5, 0.5] per coordinate. The amplitude is a required
+    keyword with no default: each system's is the CLI's (`cli.SYSTEM_DEFAULTS`).
     Those per-component amplitudes are well below 1: the softening spring's
     potential well is only 0.25 deep, and stronger forcing ejects the mass
     on essentially every realization, which no retry cap can absorb.
@@ -94,7 +94,7 @@ class GenerationProtocol:
     split: tuple[int, int, int] = (15, 5, 5)
     harmonics: int = 20
     f0: float = 0.1
-    amplitude: float | None = None
+    amplitude: float = dataclasses.field(kw_only=True)
     init_range: float = 0.5
     q_max: float = 5.0
     max_retries: int = 50
@@ -120,11 +120,11 @@ class GenerationProtocol:
             raise ValueError("more harmonics than an array can hold")
         if not 0 < self.f0 < np.inf:
             raise ValueError("base frequency must be positive and finite")
-        if self.amplitude is not None and not np.isfinite(self.amplitude):
+        if not np.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
         # on the simulated grid, from t = 0 to the window's end
         t_last = (round(self.t_start / self.ts) + self.n_samples - 1) * self.ts
-        _check_multisine(self.harmonics, self.f0, self.amplitude or 0.0, t_last)
+        _check_multisine(self.harmonics, self.f0, self.amplitude, t_last)
         if not 0 <= self.init_range < np.inf:
             raise ValueError("init_range must be non-negative and finite")
         if not self.q_max > 0:
@@ -175,10 +175,12 @@ def _step_rounding(t: np.ndarray) -> float:
 
 def _check_truth(trajs: list[Trajectory], needs: str, derivatives: bool = False) -> None:
     """Raise `DatasetFormatError` naming the first of `trajs` without the stored
-    states (and, with `derivatives`, derivatives) that the setting `needs` reads."""
+    states (and, with `derivatives`, derivatives) that the setting `needs` reads,
+    by its index in `trajs` and its realization (file `traj_{r:03d}.csv`)."""
     for i, tr in enumerate(trajs):
         if tr.x_true is None or (derivatives and tr.dx_true is None):
-            raise DatasetFormatError(f"trajectory {i} has no stored truth, which {needs} needs")
+            name = f"trajectory {i} (realization {tr.realization})"
+            raise DatasetFormatError(f"{name} has no stored truth, which {needs} needs")
 
 
 def _realization_rng(master_seed: int, realization: int, attempt: int) -> np.random.Generator:
@@ -257,23 +259,16 @@ def _simulate_realizations(system, protocol, master_seed, realizations):
 
 
 def generate(
-    system: SystemSpec,
-    protocol: GenerationProtocol | None = None,
-    noise: NoiseSpec | None = None,
-    master_seed: int = 0,
+    system: SystemSpec, protocol: GenerationProtocol, noise: NoiseSpec, master_seed: int
 ) -> Dataset:
     """Simulate the full recording protocol and assemble the split dataset.
 
     Per realization: fresh phases and initial state, truth simulated from
     t = 0, the window [t_start, t_start + N*Ts) recorded with stored noiseless
-    states and derivatives, then measurement noise added to form y. An
-    unset noise is the system's default variance (`dynamics.SYSTEM_DEFAULTS`)
-    seeded with the master seed, as the CLI resolves it.
+    states and derivatives, then measurement noise added to form y. Every
+    argument is required; `cli.ExperimentConfig` resolves a named system's
+    spec, protocol and noise.
     """
-    protocol = protocol or GenerationProtocol()
-    if protocol.amplitude is None:
-        protocol = dataclasses.replace(protocol, amplitude=system_defaults(system)["amplitude"])
-    noise = noise or NoiseSpec(system_defaults(system)["noise_variance"], seed=master_seed)
     realizations = range(protocol.n_realizations)
     simulated = _simulate_realizations(system, protocol, master_seed, realizations)
     trajectories = []
@@ -305,11 +300,12 @@ def fd_derivatives(y: np.ndarray, ts: float) -> np.ndarray:
     """Second-order finite-difference derivative estimates along axis 0.
 
     Central differences at interior samples, one-sided three-point stencils
-    at both ends. Exact for quadratics in the interior.
+    at both ends. Exact for quadratics in the interior. Fewer than 3 samples
+    raise `DatasetFormatError`.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 3:
-        raise ValueError("need at least 3 samples for second-order differences")
+        raise DatasetFormatError("need at least 3 samples for second-order differences")
     dy = np.empty_like(y)
     dy[1:-1] = (y[2:] - y[:-2]) / (2.0 * ts)
     dy[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * ts)

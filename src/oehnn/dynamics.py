@@ -7,6 +7,8 @@ two. Its energy (`hamiltonian_fn`) and its true field J @ grad H(x) + G @ u
 one array from the spring forces, never assembled from a gradient. The
 learned models take J from `_j_apply`, which applies it to rows, and the
 input matrix G from `structure_matrices`; J is written nowhere else.
+The standard masses and stiffnesses are the defaults of `duffing_system` and
+`coupled_system`; a system's excitation amplitude and noise variance are not set here.
 
 States are ordered (q_1..q_n, p_1..p_n). All functions accept a single state
 vector or an array of state rows (leading batch dimensions broadcast).
@@ -19,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SYSTEM_DEFAULTS",
     "SystemSpec",
-    "system_defaults",
     "StructureMatrices",
     "duffing_system",
     "coupled_system",
@@ -86,29 +86,6 @@ def coupled_system(
 ) -> SystemSpec:
     """Two masses in a chain of two softening springs, forced on the second mass."""
     return SystemSpec(2, tuple(masses), tuple(stiffnesses), (1,), cubic)
-
-
-# Per-system defaults: masses, stiffnesses, measurement-noise variance and
-# excitation amplitude that keep the softening springs inside their wells
-# often enough for rejection sampling to succeed.
-SYSTEM_DEFAULTS = {
-    "duffing": {"masses": (1.0,), "stiffnesses": (1.0,), "noise_variance": 0.1, "amplitude": 0.15},
-    "coupled": {
-        "masses": (0.5, 0.5),
-        "stiffnesses": (1.0, 1.0),
-        "noise_variance": 0.05,
-        "amplitude": 0.1,
-    },
-}
-
-
-def system_defaults(spec: SystemSpec) -> dict:
-    """The `SYSTEM_DEFAULTS` entry of the benchmark system (duffing or
-    coupled) that `spec` is a variant of, told apart by its number of masses."""
-    name = {1: "duffing", 2: "coupled"}.get(spec.n_masses)
-    if name is None:
-        raise ValueError(f"no default settings for a chain of {spec.n_masses} masses")
-    return SYSTEM_DEFAULTS[name]
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,8 @@ def state_labels(n_masses: int) -> list[str]:
     return [f"q{i + 1}" for i in range(n_masses)] + [f"p{i + 1}" for i in range(n_masses)]
 
 
-def write_metrics_report(metrics: Metrics, path, labels: list[str] | None = None) -> None:
+def write_metrics_report(metrics: Metrics, path, labels: list[str]) -> None:
     """Key-value report: aggregate RMSE, per-trajectory breakdown, divergences."""
-    labels = labels or [f"x{i}" for i in range(len(metrics.per_state_rmse))]
     fields = {
         "kind": metrics.kind,
         "reference": metrics.reference,
@@ -179,6 +178,8 @@ DEFAULT_OE_STAGES = (
     TrainStage(1e-3, None, 700),
     TrainStage(2e-4, None, 300),
 )
+# Patience of the derivative-matching baselines' fits
+BASELINE_PATIENCE = 300
 
 
 @dataclass
@@ -186,7 +187,6 @@ class BenchmarkResult:
     kinds: tuple[str, ...]
     seeds: tuple[int, ...]
     per_seed: dict  # kind -> list[Metrics], one per seed
-    median_seed_index: int
     labels: list[str]
 
     def rmse_array(self, kind: str) -> np.ndarray:
@@ -196,11 +196,8 @@ class BenchmarkResult:
         """Per-coordinate median across seeds."""
         return np.median(self.rmse_array(kind), axis=0)
 
-    def median_seed_metrics(self) -> list[Metrics]:
-        return [self.per_seed[kind][self.median_seed_index] for kind in self.kinds]
 
-
-def _benchmark_one_seed(schedule, *, dataset, anchor, reference, verbose) -> list:
+def _benchmark_one_seed(schedule, *, dataset, anchor, verbose) -> list:
     """Fit and evaluate every estimator of one training seed (process-pool
     friendly). `schedule` pairs each kind with its configs, one fit each,
     every fit after the first warm-started from the one before."""
@@ -210,9 +207,7 @@ def _benchmark_one_seed(schedule, *, dataset, anchor, reference, verbose) -> lis
         model = None
         for cfg in configs:
             model = fit(kind, dataset, cfg, initial_model=model).model
-        metrics = evaluate(
-            model_field(model, S), dataset.test, reference=reference, anchor=anchor, kind=kind
-        )
+        metrics = evaluate(model_field(model, S), dataset.test, anchor=anchor, kind=kind)
         out.append(metrics)
         if verbose:
             print(f"seed {cfg.seed} {kind}: rmse {metrics.per_state_rmse}", flush=True)
@@ -222,25 +217,24 @@ def _benchmark_one_seed(schedule, *, dataset, anchor, reference, verbose) -> lis
 def compare_estimators(
     dataset: Dataset,
     seeds: tuple[int, ...] = (1, 2, 3),
-    n_hidden: int = 200,
+    n_hidden: int = TrainConfig.n_hidden,
     oe_stages: tuple[TrainStage, ...] = DEFAULT_OE_STAGES,
     baseline_epochs: int = 1500,
-    baseline_patience: int = 300,
     derivative_source: str = "true",
     anchor: str = "true",
-    reference: str = "true",
     kinds: tuple[str, ...] = ("oe-hnn", "hnn", "mlp"),
     verbose: bool = False,
 ) -> BenchmarkResult:
-    """Fit every estimator once per seed and evaluate on the test split.
+    """Fit every estimator once per seed and evaluate on the test split
+    against the noiseless truth.
 
     The simulation-error model trains on the noisy measurements through the
-    staged schedule; the derivative-matching baselines default to the stored
-    noiseless states and derivatives (the classical setting those methods
-    assume). The median seed is the one whose model of the first kind in
-    `kinds` attains the median mean RMSE. No seeds, no kinds, a repeated or
-    unknown kind, 'oe-hnn' with no `oe_stages`, or any setting a
-    `TrainConfig` of the run refuses raise `ValueError` before any fit.
+    staged schedule; the derivative-matching baselines, with patience
+    `BASELINE_PATIENCE`, default to the stored noiseless states and
+    derivatives (the classical setting those methods assume). No seeds, no
+    kinds, a repeated or unknown kind, 'oe-hnn' with no `oe_stages`, or any
+    setting a `TrainConfig` of the run refuses raise `ValueError` before
+    any fit.
     The process budget is that of `fit`: the usable cores of the affinity
     mask. When it covers two seeds or more, a fork pool of min(budget,
     len(seeds)) processes fits the seeds, and each fit in it, a pool
@@ -268,15 +262,13 @@ def compare_estimators(
                 for stage in oe_stages
             )
         return (TrainConfig(
-            max_epochs=baseline_epochs, patience=baseline_patience, n_hidden=n_hidden,
+            max_epochs=baseline_epochs, patience=BASELINE_PATIENCE, n_hidden=n_hidden,
             seed=seed, anchor=anchor, derivative_source=derivative_source,
         ),)
 
     # every config of the run, so that a bad setting raises before any fit
     schedules = [tuple((kind, configs(kind, seed)) for kind in kinds) for seed in seeds]
-    job = partial(
-        _benchmark_one_seed, dataset=dataset, anchor=anchor, reference=reference, verbose=verbose
-    )
+    job = partial(_benchmark_one_seed, dataset=dataset, anchor=anchor, verbose=verbose)
     n_pool = min(_process_budget(), len(seeds))
     if n_pool >= 2:
         import multiprocessing
@@ -289,12 +281,9 @@ def compare_estimators(
     for seed_result in results:
         for kind, metrics in zip(kinds, seed_result):
             per_seed[kind].append(metrics)
-    oe_means = [m.per_state_rmse.mean() for m in per_seed[kinds[0]]]
-    median_seed_index = int(np.argsort(oe_means)[len(oe_means) // 2])
     return BenchmarkResult(
         kinds=kinds,
         seeds=tuple(seeds),
         per_seed=per_seed,
-        median_seed_index=median_seed_index,
         labels=state_labels(dataset.system.n_masses),
     )

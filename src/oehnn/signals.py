@@ -42,9 +42,10 @@ class MultisineSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Zero-mean white Gaussian measurement noise, one variance for all channels."""
+    """Zero-mean white Gaussian measurement noise, one variance for all
+    channels; no default variance (each system's is in `cli.SYSTEM_DEFAULTS`)."""
 
-    variance: float = 0.1
+    variance: float
     seed: int = 0
 
     def __post_init__(self):

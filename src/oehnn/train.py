@@ -57,7 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from oehnn import textio
-from oehnn.data import Dataset, Trajectory, _check_truth, _step_rounding, fd_derivatives
+from oehnn.data import (
+    Dataset, DatasetFormatError, Trajectory, _check_truth, _step_rounding, fd_derivatives,
+)
 from oehnn.dynamics import StructureMatrices, _j_apply, structure_matrices
 from oehnn.integrate import rk4_lanes
 from oehnn.netmodel import (
@@ -279,16 +281,17 @@ def _lanes(trajs: list[Trajectory], anchor: str, chunk: int | None = None) -> _L
     first trajectory's step t[1] - t[0]; another trajectory's step may differ
     from it only by the rounding of their times (`_same_step`), as for equal
     grids that start at different times. A trajectory of fewer than 2 samples
-    or whose step differs by more raises `ValueError` naming its index, and
-    one without the truth that anchor 'true' reads `data.DatasetFormatError`.
+    or whose step differs by more raises `ValueError` naming its index and
+    realization, one without the truth anchor 'true' reads `DatasetFormatError`.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"anchor must be one of {ANCHORS}")
     for i, tr in enumerate(trajs):
+        name = f"trajectory {i} (realization {tr.realization})"
         if tr.n_samples < 2:
-            raise ValueError(f"trajectory {i} must contain at least 2 samples")
+            raise ValueError(f"{name} must contain at least 2 samples")
         if not _same_step(tr, trajs[0]):
-            raise ValueError(f"trajectory {i} has step {tr.ts}, trajectory 0 has {trajs[0].ts}")
+            raise ValueError(f"{name} has step {tr.ts}, trajectory 0 has {trajs[0].ts}")
     if anchor == "true":
         _check_truth(trajs, "anchor='true'")
     lengths = [min(chunk or tr.n_samples - 1, tr.n_samples - 1) for tr in trajs]
@@ -697,7 +700,7 @@ def _check_first_loss(split: str, loss: float) -> None:
 def fit(
     kind: str,
     dataset: Dataset,
-    config: TrainConfig | None = None,
+    config: TrainConfig,
     initial_model=None,
 ) -> FitResult:
     """Train a model of the given kind and return the best-validation copy.
@@ -709,7 +712,8 @@ def fit(
     is always the simulation loss, so model selection is comparable across
     estimators.
     Pass `initial_model` to warm-start instead of drawing a fresh seeded
-    initialization (used for staged chunked-then-full training).
+    initialization (used for staged chunked-then-full training). An empty
+    split, or 'fd' targets on fewer than 3 samples, raise `DatasetFormatError`.
 
     Adam's steps never read the validation loss, so the fit runs ahead of
     it: epochs are validated in windows of `_WINDOW`, each in one rollout of
@@ -739,12 +743,11 @@ def fit(
     stopped when `fit` returns or raises; if it dies, `fit` raises
     `TrainingError`.
     """
-    config = config or TrainConfig()
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     overlap = _process_budget() >= 2
     if not dataset.train or not dataset.validation:
-        raise TrainingError("dataset needs non-empty train and validation splits")
+        raise DatasetFormatError("dataset needs non-empty train and validation splits")
 
     S = structure_matrices(dataset.system)
     d = dataset.system.n_states

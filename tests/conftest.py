@@ -2,8 +2,9 @@ import os
 
 import pytest
 
+from oehnn.cli import ExperimentConfig
 from oehnn.data import GenerationProtocol, generate
-from oehnn.dynamics import coupled_system, duffing_system
+from oehnn.dynamics import duffing_system
 from oehnn.signals import NoiseSpec
 
 
@@ -23,16 +24,22 @@ def tiny_duffing_dataset():
     return generate(duffing_system(), TINY_PROTOCOL, NoiseSpec(variance=0.1), master_seed=42)
 
 
+def config_dataset(**keys):
+    """The dataset that `oehnn generate-data` writes for these config keys."""
+    cfg = ExperimentConfig(**keys).resolved()
+    return generate(cfg.system_spec(), cfg.protocol(), cfg.noise(), cfg.master_seed)
+
+
 @pytest.fixture(scope="session")
 def standard_duffing_dataset():
     """The full default single-mass recording protocol."""
-    return generate(duffing_system(), GenerationProtocol(), NoiseSpec(variance=0.1), master_seed=0)
+    return config_dataset(system="duffing")
 
 
 @pytest.fixture(scope="session")
 def standard_coupled_dataset():
     """The full default two-mass recording protocol."""
-    return generate(coupled_system(), GenerationProtocol(), NoiseSpec(variance=0.05), master_seed=0)
+    return config_dataset(system="coupled")
 
 
 @pytest.fixture

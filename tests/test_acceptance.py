@@ -217,7 +217,8 @@ def test_criterion_7_self_consistency_identification():
         test=[],
         system=SPEC,
         protocol=GenerationProtocol(
-            n_realizations=5, n_samples=200, ts=0.01, t_start=0.0, split=(4, 1, 0)
+            n_realizations=5, n_samples=200, ts=0.01, t_start=0.0, split=(4, 1, 0),
+            amplitude=0.5,  # the teacher's multisine amplitude
         ),
         noise=NoiseSpec(variance=0.0),
         master_seed=107,

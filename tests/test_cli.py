@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import inspect
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 import oehnn.cli
 from oehnn.cli import ConfigError, ExperimentConfig, build_config, load_config_file, main
-from oehnn.data import GenerationProtocol, read_csv
+from oehnn.data import GenerationProtocol, generate, read_csv
+from oehnn.dynamics import coupled_system, duffing_system
 from oehnn.netmodel import init_blackbox_net, save_model
+from oehnn.signals import NoiseSpec
 from oehnn.train import TrainConfig, _block_rows
 
 GEN_FAST = [
@@ -37,6 +40,18 @@ class TestConfig:
         assert coupled.noise_variance == 0.05
         assert coupled.masses == (0.5, 0.5)
         assert coupled.system_spec().n_states == 4
+
+    def test_library_sets_no_per_system_value(self):
+        # the CLI owns each system's amplitude and noise variance, and the
+        # system constructors own the standard masses and stiffnesses
+        parameters = inspect.signature(generate).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in parameters)
+        with pytest.raises(TypeError, match="amplitude"):
+            GenerationProtocol()
+        with pytest.raises(TypeError, match="variance"):
+            NoiseSpec()
+        assert ExperimentConfig(system="duffing").system_spec() == duffing_system()
+        assert ExperimentConfig(system="coupled").system_spec() == coupled_system()
 
     def test_unknown_system(self):
         with pytest.raises(ConfigError):
@@ -314,6 +329,24 @@ class TestTrainCommand:
         path.write_bytes(b"\r\n".join(lines))
         return data
 
+    @pytest.mark.parametrize(
+        "model", [["oe-hnn"], ["hnn", "--derivative-source", "true"]], ids=["oe-hnn", "hnn"]
+    )
+    def test_missing_truth_names_the_realization(self, cli_dataset, tmp_path, capsys, model):
+        # the first validation file, traj_003.csv, keeps only t, u_0, y_0 and
+        # y_1; the training split's trajectory 0 (realization 0) has its truth
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        victim = data / "traj_003.csv"
+        rows = [line.split(",")[:4] for line in victim.read_text().splitlines()]
+        victim.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        code = run_cli("train", "--data", data, "--out", tmp_path / "o", "--model", *model,
+                       *TRAIN_FAST)
+        assert code == 2
+        # nothing is announced before the refusal
+        err = "error: trajectory 0 (realization 3) has no stored truth, which anchor='true' needs\n"
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_cell_is_usage_error(self, cli_dataset, tmp_path, capsys, value):
         data = self._set_cell(cli_dataset, tmp_path, 0, value)
@@ -470,7 +503,9 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if defect == "no stored truth":
-            assert "trajectory 0 has no stored truth" in err
+            # the test split's first trajectory is realization 5, the training split's 0
+            realization = 5 if command == ["evaluate"] else 0
+            assert f"trajectory 0 (realization {realization}) has no stored truth" in err
 
     # numpy's overflow warnings would add lines to the one `error:` line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -995,9 +1030,30 @@ class TestSimulateCommand:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(rows[0, 2:], [-0.3, -1e-2])
 
-    def test_requires_exactly_one_source(self, tmp_path, capsys):
-        code = run_cli("simulate", "--out", tmp_path / "x.csv")
-        assert code == 2
+    def test_requires_exactly_one_source(self, cli_dataset, trained_models, tmp_path, capsys):
+        # exactly one source, and no flag that the chosen source does not read
+        model = ["--model-file", trained_models["oe-hnn"]]
+        like = ["--like-dataset", cli_dataset]
+        cases = {
+            "no source": [],
+            "model and true system": [*model, "--true-system"],
+            "model and dataset": [*model, *like],
+            "true system and dataset": ["--true-system", *like],
+            "dataset and rollout flags": [*like, "--true-system", "--x0", "9,9", "--steps", "3"],
+            "x0 with dataset": [*like, "--x0", "0,0"],
+            "steps with dataset": [*like, "--steps", "40"],
+            "input with dataset": [*like, "--input", "multisine"],
+            "phase seed with dataset": [*like, "--phase-seed", "0"],
+            "realization with true system": ["--true-system", "--realization", "0"],
+            "realization with model": [*model, "--realization", "0"],
+        }
+        out = tmp_path / "x.csv"
+        for case, flags in cases.items():
+            code = run_cli("simulate", *flags, "--out", out)
+            err = capsys.readouterr().err
+            assert code == 2, case
+            assert err.startswith("error: ") and err.count("\n") == 1, case
+            assert not out.exists(), case
 
     @pytest.mark.parametrize(
         "flags",

@@ -8,7 +8,6 @@ from oehnn import data
 from oehnn.data import (
     DataGenerationError,
     DatasetFormatError,
-    GenerationProtocol,
     Trajectory,
     _attempt_inputs,
     _simulate_realizations,
@@ -17,11 +16,11 @@ from oehnn.data import (
     read_csv,
     write_csv,
 )
-from oehnn.cli import main
-from oehnn.dynamics import SYSTEM_DEFAULTS, coupled_system, duffing_system, field_fn
+from oehnn.cli import SYSTEM_DEFAULTS, main
+from oehnn.dynamics import coupled_system, duffing_system, field_fn
 from oehnn.integrate import IntegrationError, rollout
 from oehnn.signals import NoiseSpec
-from tests.conftest import TINY_PROTOCOL
+from tests.conftest import TINY_PROTOCOL, config_dataset
 
 
 class TestGenerate:
@@ -36,19 +35,6 @@ class TestGenerate:
             assert tr.dx_true.shape == (40, 2)
             assert tr.t[0] == pytest.approx(0.5)
             assert np.allclose(np.diff(tr.t), 0.01)
-
-    def test_unset_amplitude_is_the_systems_default(self):
-        # the library default protocol on the coupled system: duffing's 0.15
-        # forcing used to eject seed 305's realizations on every retry
-        ds = generate(coupled_system(), GenerationProtocol(), NoiseSpec(), 305)
-        assert ds.protocol.amplitude == SYSTEM_DEFAULTS["coupled"]["amplitude"]
-        explicit = dataclasses.replace(TINY_PROTOCOL, amplitude=0.15)
-        unset = dataclasses.replace(TINY_PROTOCOL, amplitude=None)
-        a = generate(duffing_system(), explicit, NoiseSpec(), 5)
-        b = generate(duffing_system(), unset, NoiseSpec(), 5)
-        assert b.protocol == a.protocol
-        for ta, tb in zip(a.all_trajectories(), b.all_trajectories()):
-            assert np.array_equal(ta.y, tb.y)
 
     def test_no_realization_in_two_splits(self, tiny_duffing_dataset):
         seen = [tr.realization for tr in tiny_duffing_dataset.all_trajectories()]
@@ -147,9 +133,8 @@ class TestGenerate:
 
     @pytest.mark.parametrize("name", ["duffing", "coupled"])
     def test_unset_noise_is_the_systems_default(self, name, tmp_path):
-        # the library default equals what `oehnn generate-data` writes
-        system = {"duffing": duffing_system(), "coupled": coupled_system()}[name]
-        ds = generate(system, master_seed=61)
+        # `generate` given the config's values equals what `oehnn generate-data` writes
+        ds = config_dataset(system=name, master_seed=61)
         assert ds.noise == NoiseSpec(SYSTEM_DEFAULTS[name]["noise_variance"], seed=61)
         assert main(["generate-data", "--out", str(tmp_path), "--system", name,
                      "--master-seed", "61"]) == 0

@@ -31,6 +31,14 @@ def test_run_benchmark_quick(tmp_path):
     assert summary["seeds"] == [1, 2]
     assert set(summary["per_seed_rmse"]) == {"oe-hnn", "hnn", "mlp"}
     assert all(len(rows) == 2 for rows in summary["per_seed_rmse"].values())
+    # the table and the printed rows are each estimator's own per-state medians
+    medians = summary["median_rmse"]
+    rows = {cells[0]: [float(v) for v in cells[1:]] for cells in
+            (line.split(",") for line in table[1:])}
+    assert rows == medians
+    printed = result.stdout.splitlines()
+    for kind, values in medians.items():
+        assert kind + "," + ",".join(f"{v:.4f}" for v in values) in printed
     # the budget the run used: every usable core of the affinity mask
     budget, cores = summary["process_budget"], summary["usable_cores"]
     assert budget == cores >= 1

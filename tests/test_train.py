@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oehnn.train
-from oehnn.data import Trajectory, _step_rounding, generate
+from oehnn.data import DatasetFormatError, Trajectory, _step_rounding
 from oehnn.dynamics import (
     _j_apply,
     coupled_system,
@@ -42,8 +42,7 @@ from oehnn.train import (
     simulation_loss_grad,
     write_history_csv,
 )
-from oehnn.signals import NoiseSpec
-from tests.conftest import TINY_PROTOCOL
+from tests.conftest import TINY_PROTOCOL, config_dataset
 
 SPEC = duffing_system()
 S = structure_matrices(SPEC)
@@ -142,7 +141,8 @@ class TestSimulationLoss:
     @pytest.mark.parametrize("loss", [simulation_loss, simulation_loss_grad])
     def test_one_sample_trajectory_refused(self, loss):
         net = random_hnet(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="trajectory 0 must contain at least 2 samples"):
+        named = r"trajectory 0 \(realization 0\) must contain at least 2 samples"
+        with pytest.raises(ValueError, match=named):
             loss(net, S, make_traj([[0.1, 0.2]]))
 
     def test_constant_offset_residual(self):
@@ -641,7 +641,7 @@ class TestFit:
         tr = trajs[1]
         slow = Trajectory(t=2 * tr.t, u=tr.u, y=tr.y, x_true=tr.x_true, dx_true=tr.dx_true)
         mixed = dataclasses.replace(tiny_duffing_dataset, **{split: [trajs[0], slow, *trajs[2:]]})
-        with pytest.raises(ValueError, match="trajectory 1 has step"):
+        with pytest.raises(ValueError, match=r"trajectory 1 \(realization 0\) has step"):
             fit(kind, mixed, TrainConfig(n_hidden=4, max_epochs=1))
 
     @pytest.mark.parametrize("kind, split", [("oe-hnn", "train"), ("hnn", "validation")])
@@ -676,13 +676,15 @@ class TestFit:
         # every lane steps at trajectory 0's step
         assert_same_bits(result.history, reference.history)
         slow = dataclasses.replace(trajs[1], t=2 * trajs[1].t)  # 0.02 against 0.01
-        with pytest.raises(ValueError, match="trajectory 1 has step 0.02, trajectory 0 has 0.01"):
+        named = (rf"trajectory 1 \(realization {slow.realization}\) has step 0.02, "
+                 "trajectory 0 has 0.01")
+        with pytest.raises(ValueError, match=named):
             fit(kind, dataclasses.replace(
                 tiny_duffing_dataset, **{split: [trajs[0], slow, *trajs[2:]]}), cfg)
 
     def test_empty_split_rejected(self, tiny_duffing_dataset):
         ds = dataclasses.replace(tiny_duffing_dataset, validation=[])
-        with pytest.raises(TrainingError):
+        with pytest.raises(DatasetFormatError, match="non-empty train and validation splits"):
             fit("oe-hnn", ds, TrainConfig(n_hidden=4, max_epochs=1))
 
     def test_warm_start_type_checked(self, tiny_duffing_dataset):
@@ -1523,8 +1525,12 @@ def one_model_val_loss(net, kind, S, lanes):
 
 @pytest.fixture(scope="module")
 def tiny_coupled_dataset():
-    protocol = dataclasses.replace(TINY_PROTOCOL, amplitude=None)
-    return generate(coupled_system(), protocol, NoiseSpec(variance=0.05), master_seed=42)
+    n_train, n_val, n_test = TINY_PROTOCOL.split
+    return config_dataset(
+        system="coupled", n_realizations=TINY_PROTOCOL.n_realizations,
+        n_samples=TINY_PROTOCOL.n_samples, t_start=TINY_PROTOCOL.t_start,
+        n_train=n_train, n_val=n_val, n_test=n_test, master_seed=42,
+    )
 
 
 class TestStackedValidation:
