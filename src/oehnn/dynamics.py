@@ -74,7 +74,9 @@ class SystemSpec:
         return len(self.input_map)
 
 
-def duffing_system(mass: float = 1.0, stiffness: float = 1.0, cubic: bool = True) -> SystemSpec:
+def duffing_system(
+    mass: float = 1.0, stiffness: float = 1.0, cubic: bool = SystemSpec.cubic
+) -> SystemSpec:
     """Single mass on one softening spring, forced directly."""
     return SystemSpec(1, (mass,), (stiffness,), (0,), cubic)
 
@@ -82,7 +84,7 @@ def duffing_system(mass: float = 1.0, stiffness: float = 1.0, cubic: bool = True
 def coupled_system(
     masses: tuple[float, float] = (0.5, 0.5),
     stiffnesses: tuple[float, float] = (1.0, 1.0),
-    cubic: bool = True,
+    cubic: bool = SystemSpec.cubic,
 ) -> SystemSpec:
     """Two masses in a chain of two softening springs, forced on the second mass."""
     return SystemSpec(2, tuple(masses), tuple(stiffnesses), (1,), cubic)

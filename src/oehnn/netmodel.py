@@ -7,10 +7,12 @@ with its own pullback (`train._grad_vjp`); only the benchmark calls
 `h_hess_vec`.
 
 `_energy_kernel` is the one energy-net forward: dH/dx for `h_grad_x` and
-the `hnn` batch, J dH/dx for every learned-field rollout (training with its
-stage record, stacked validation, `evaluate` and `simulate`). It folds two
-passes into its GEMMs: the first takes rows [x, 1] against [w1.T; b1]
-(`HamiltonianNet.w_in`), so b1 is added inside the product, and the output
+the `hnn` batch, J dH/dx for every learned-field rollout (training, stacked
+validation, `evaluate` and `simulate`). It folds two passes into its GEMMs:
+the first, `_hidden`, takes rows [x, 1] against [w1.T; b1]
+(`HamiltonianNet.w_in`), so b1 is added inside the product; the adjoint's
+reverse sweep calls `_hidden` again to recompute a stage's tanh from the
+rows its stage record keeps, rather than recording the tanh. The output
 GEMM takes w1 with J folded in as a signed column permutation
 (`HamiltonianNet.w1_j`), so it returns J dH/dx without a pass of its own.
 Its pullback (`train._grad_vjp`) takes the same rows [x, 1] and the net's
@@ -20,11 +22,11 @@ Negation is exact, and the accumulation of each product runs over the same
 terms in the same order as x @ w1.T followed by + b1, as s @ w1 followed by
 J, and as p.T @ x and the column sums of p. With numpy 2.4 on OpenBLAS
 0.3.31 the results are bit-identical to the unfolded kernel for 2 and 4
-states at 1, 5, 15, 135, 306, 327 and 7500 rows plain, at 1, 5, 15, 135
-and 7500 rows stacked, and for the pullback at 1, 5, 15, 135, 306 and 327
-rows (`tests/test_train.py::TestFoldedKernel`, width 200, and 40 for the
-stacked net at 7500 rows); other shapes are not known to be, and 6 states
-at one row are not (numpy takes a matrix-vector path there).
+states at 1, 5, 15, 135, 150, 306, 327 and 7500 rows plain, at 1, 5, 15,
+135, 150 and 7500 rows stacked, and for the pullback at 1, 5, 15, 135, 150,
+306 and 327 rows (`tests/test_train.py::TestFoldedKernel`, width 200, and
+40 for the stacked net at 7500 rows); other shapes are not known to be, and
+6 states at one row are not (numpy takes a matrix-vector path there).
 
 A net's flat parameter vector (`flatten_params`, `with_params`) is its
 dataclass fields in order, each row-major: w1, b1, w2, b2. The field order
@@ -150,23 +152,32 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return xa
 
 
+def _hidden(net: HamiltonianNet, xa, th_out, z_out):
+    """The first layer, tanh(w1 @ x + b1), on rows xa = [x, 1] (`_with_ones`):
+    one GEMM against `HamiltonianNet.w_in` into `z_out`, then tanh into
+    `th_out` (each allocated when None). Returns (tanh, w1 @ x + b1). The
+    forward and the reverse sweep's recompute both call it, so a stage's
+    tanh recomputed from its rows has the forward's bits."""
+    z = np.matmul(xa, net.w_in, out=z_out)
+    return np.tanh(z, out=th_out), z
+
+
 def _energy_kernel(
     net: HamiltonianNet, xa, w_out, th_out=None, s_out=None, w2=None
 ) -> np.ndarray:
     """(w2 * sech^2(w1 @ x + b1)) @ w_out on rows xa = [x, 1] (`_with_ones`).
 
     With w_out = net.w1 this is dH/dx, with net.w1_j it is J dH/dx. With
-    `th_out` (shaped like xa @ net.w_in), tanh(w1 @ x + b1) is written there,
-    e.g. into a stage record, and nothing else is; with `s_out` (the same
-    shape), w1 @ x + b1 and then the w2 * sech^2 term are computed there, and
-    it holds nothing afterwards that a caller needs. Without them both are
-    allocated. `w2`, when given, is a contiguous tile of net.w2 with one row
-    per row of xa, which a rollout builds once for all its stages: it scales
-    with the same bits as the vector and costs about half as much. Never
-    writes `xa`. A stacked net takes xa of shape (K, B, d + 1).
+    `th_out` (shaped like xa @ net.w_in), tanh(w1 @ x + b1) is written there
+    and nothing else is; with `s_out` (the same shape), w1 @ x + b1 and then
+    the w2 * sech^2 term are computed there, and it holds nothing afterwards
+    that a caller needs. Without them both are allocated. `w2`, when given,
+    is a contiguous tile of net.w2 with one row per row of xa, which a
+    rollout builds once for all its stages: it scales with the same bits as
+    the vector and costs about half as much. Never writes `xa`. A stacked
+    net takes xa of shape (K, B, d + 1).
     """
-    z = np.matmul(xa, net.w_in, out=s_out)
-    th = np.tanh(z, out=th_out)
+    th, z = _hidden(net, xa, th_out, s_out)
     s = np.square(th, out=z)
     np.subtract(1.0, s, out=s)
     s *= net.w2 if w2 is None else w2

@@ -3,8 +3,11 @@
 The simulation loss rolls the model field out with RK4 and measures the
 output residual; its gradient is the adjoint of the discrete unrolled
 computation (reverse sweep over every solver stage), so it is exact for the
-loss actually computed. Nothing is recomputed: the forward records each
-stage's rows [x, 1] and tanh, so memory is O(steps * batch * n_hidden).
+loss actually computed. The forward records each stage's rows [x, 1] and
+the reverse sweep recomputes the stage's tanh from them, the cheapest form
+of reverse-mode checkpointing (Griewank & Walther, "Algorithm 799: revolve",
+ACM TOMS 2000), so memory is O(steps * batch * n_states) plus three
+(batch, n_hidden) work arrays.
 
 `_lanes` alone turns a split into RK4 lanes, whole trajectories or
 re-anchored segments, all padded to the longest lane's steps and each scored
@@ -12,13 +15,15 @@ only over its own, for training, validation, `simulation_loss(_grad)` and
 `evaluate`. `_energy_rollout` is the one energy-net rollout, plain or
 stacked, with or without a stage record; each stage writes its rows [x, 1]
 to its slot, and `netmodel._energy_kernel` returns J dH/dx from them, forms
-w1 @ x + b1 in scratch, scales by one contiguous tile of w2 built per
-rollout and writes only tanh to the stage's slot. The reverse sweep forms
-J.T v as -J v with `dynamics._j_apply`, and its VJP, `_grad_vjp`, takes the
-stage's rows [x, 1] too. `_norm_pullback` is the one residual-norm
-cotangent, of the adjoint and of both derivative batches.
+w1 @ x + b1 and tanh in scratch (`netmodel._hidden`) and scales by one
+contiguous tile of w2 built per rollout. The reverse sweep recomputes each
+stage's tanh with the same `_hidden` on the same rows into the same scratch,
+so it has the forward's bits, forms J.T v as -J v with `dynamics._j_apply`,
+and its VJP, `_grad_vjp`, takes the stage's rows [x, 1] too.
+`_norm_pullback` is the one residual-norm cotangent, of the adjoint and of
+both derivative batches.
 
-The stage record, with two (B, n_hidden) scratch arrays that every RK4 stage
+The stage record, with three (B, n_hidden) work arrays that every RK4 stage
 of both passes reuses, comes from `_stage_record`. `fit` allocates one record
 per fit, in the shapes of its training lanes, and every epoch's gradient
 reuses it; a caller that hands none, such as `simulation_loss_grad`, gets one
@@ -68,6 +73,7 @@ from oehnn.netmodel import (
     HamiltonianNet,
     _blackbox_rows,
     _energy_kernel,
+    _hidden,
     _with_ones,
     flatten_params,
     init_blackbox_net,
@@ -204,12 +210,16 @@ def _grad_vjp(net: HamiltonianNet, xa, th, w, acc: HamiltonianNet, scratch):
     return p
 
 
-def _stage_vjp(net, xa, th, v, n, acc, scratch):
+def _stage_vjp(net, xa, v, n, acc, scratch):
     """Pull a cotangent v on f(x) = J dH/dx + G u back to x (the Hessian of H
     applied to J.T v, returned) and to the parameters (accumulated in `acc`);
-    `xa` is the stage's rows [x, 1], `th` its forward tanh(w1 @ x + b1),
-    `scratch` as in `_grad_vjp`; J.T v is -J v, negation being exact."""
-    return _grad_vjp(net, xa, th, -_j_apply(v, n), acc, scratch) @ net.w1
+    `xa` is the stage's rows [x, 1]. `scratch` is three (B, n_hidden)
+    arrays: the first takes the stage's tanh(w1 @ x + b1), recomputed from
+    `xa` by `_hidden` as the forward computed it, the other two serve
+    `_grad_vjp`. J.T v is -J v, negation being exact."""
+    th, z, p = scratch
+    _hidden(net, xa, th, z)
+    return _grad_vjp(net, xa, th, -_j_apply(v, n), acc, (z, p)) @ net.w1
 
 
 def _norm_pullback(r, norms, weight):
@@ -239,15 +249,13 @@ def _lane_loss(xs, lanes, diverged):
 def _stage_record(n_steps: int, n_lanes: int, d: int, n_hidden: int):
     """The arrays a `_sim_batch` gradient over `n_steps` steps (padded steps
     included) and `n_lanes` lanes writes: the rows [x, 1] of the four RK4
-    stage states, (T, 4, B, d + 1), and their tanh, (T, 4, B, n_hidden), of
-    every lane-step, then two (B, n_hidden) scratch arrays. A call overwrites
-    what it reads, so calls on lanes of these shapes that run one after
-    another can share one record."""
-    return (
-        np.empty((n_steps, 4, n_lanes, d + 1)),
-        np.empty((n_steps, 4, n_lanes, n_hidden)),
-        np.empty((2, n_lanes, n_hidden)),
-    )
+    stage states of every lane-step, (T, 4, B, d + 1), then three
+    (B, n_hidden) work arrays, the first of which takes each stage's tanh in
+    both passes. No tanh is kept: the reverse sweep recomputes it from the
+    rows, so the record is 8 (4 T B (d + 1) + 3 B n_hidden) bytes. A call
+    overwrites what it reads, so calls on lanes of these shapes that run one
+    after another can share one record."""
+    return np.empty((n_steps, 4, n_lanes, d + 1)), np.empty((3, n_lanes, n_hidden))
 
 
 class _LaneGroup(NamedTuple):
@@ -318,28 +326,27 @@ def _energy_rollout(net: HamiltonianNet, x0, gu, h: float, record=None, scratch=
     """RK4 states and diverged steps of J dH/dx + G u from anchors x0 (B, d)
     under injections gu (T, B, d); a stacked net of K members steps K * B
     lanes, member k's block from x0, each block as the plain net would.
-    Each stage writes its rows [x, 1] and its tanh to its own slots of
-    `record` (a stage record's first two arrays), else to one array of rows
-    and `scratch[0]`; `scratch[1]` takes w1 @ x + b1 (`scratch` is allocated
-    when None). `_energy_kernel` returns J dH/dx, scaled by one tile of w2
-    for all stages, to which G u is added in place."""
+    Each stage writes its rows [x, 1] to its own slot of `record` (a stage
+    record's first array), else to one array of rows; `scratch[0]` takes its
+    tanh and `scratch[1]` w1 @ x + b1 (`scratch` is allocated when None).
+    `_energy_kernel` returns J dH/dx, scaled by one tile of w2 for all
+    stages, to which G u is added in place."""
     B, d = x0.shape
     lead = net.w1.shape[:-2]  # (K,) for a stacked net
     block = (*lead, B, d)
     if scratch is None:
         scratch = np.empty((2, *lead, B, net.n_hidden))
     if record is None:
-        xas, ths = repeat(_with_ones(np.broadcast_to(x0, block))), repeat(scratch[0])
+        xas = repeat(_with_ones(np.broadcast_to(x0, block)))
     else:
-        record[0][..., d] = 1.0
-        xas = iter(record[0].reshape(-1, *block[:-1], d + 1))
-        ths = iter(record[1].reshape(-1, *scratch[0].shape))
+        record[..., d] = 1.0
+        xas = iter(record.reshape(-1, *block[:-1], d + 1))
     w2 = np.broadcast_to(net.w2, scratch[0].shape).copy()
 
     def field(x, g_in):
         xa = next(xas)
         xa[..., :d] = x.reshape(block)
-        f = _energy_kernel(net, xa, net.w1_j, next(ths), scratch[1], w2)
+        f = _energy_kernel(net, xa, net.w1_j, scratch[0], scratch[1], w2)
         f += g_in
         return f.reshape(x.shape)
 
@@ -352,22 +359,22 @@ def _sim_batch(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, rec
     Each lane's loss is its weight times its residual-norm sum over its own
     steps. Returns (per-lane loss, flat grad, diverged step per lane with -1
     for live lanes, as `_lane_loss` gives it). The forward,
-    `_energy_rollout`, writes the stage record that the reverse sweep reads,
-    each stage's rows [x, 1] and tanh; `record`, from `_stage_record` in the
-    lanes' T steps and B lanes, holds it and the (B, n_hidden) scratch
-    arrays every RK4 stage of both passes reuses (it is allocated when None).
+    `_energy_rollout`, writes each stage's rows [x, 1] to the stage record
+    that the reverse sweep reads, and the sweep recomputes each stage's tanh
+    from them (`_stage_vjp`); `record`, from `_stage_record` in the lanes' T
+    steps and B lanes, holds the rows and the (B, n_hidden) work arrays
+    every RK4 stage of both passes reuses (it is allocated when None).
     """
     x0, u, h = lanes.x0, lanes.u, lanes.h
     n_steps, B, d = len(u), *x0.shape
     n = d // 2
-    xas, ths, scratch = record or _stage_record(n_steps, B, d, net.n_hidden)
-    xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, (xas, ths), scratch)
+    xas, scratch = record or _stage_record(n_steps, B, d, net.n_hidden)
+    xs, diverged = _energy_rollout(net, x0, u @ S.G.T, h, xas, scratch)
     # from the step a lane dies on, its rows may hold anything (NaN, a handed
     # record's old values); the sweep's cotangent on them is zero, and zeroed
-    # rows keep it finite
+    # rows recompute a finite tanh(b1), which keeps it finite
     dead = (diverged >= 0) & (np.arange(n_steps)[:, None] >= diverged - 1)
     xas.transpose(0, 2, 1, 3)[dead, :, :d] = 0.0
-    ths.transpose(0, 2, 1, 3)[dead] = 0.0
     lane_loss, resid, norms, diverged = _lane_loss(xs, lanes, diverged)
 
     # each step's residual pullback, in one whole-array pass
@@ -379,11 +386,10 @@ def _sim_batch(net: HamiltonianNet, S: StructureMatrices, lanes: _LaneGroup, rec
         lam6 = (h / 6.0) * lam
         lam3 = (h / 3.0) * lam
         xa1, xa2, xa3, xa4 = xas[k]
-        th1, th2, th3, th4 = ths[k]
-        x4_bar = _stage_vjp(net, xa4, th4, lam6, n, acc, scratch)
-        x3_bar = _stage_vjp(net, xa3, th3, lam3 + h * x4_bar, n, acc, scratch)
-        x2_bar = _stage_vjp(net, xa2, th2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
-        x1_bar = _stage_vjp(net, xa1, th1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
+        x4_bar = _stage_vjp(net, xa4, lam6, n, acc, scratch)
+        x3_bar = _stage_vjp(net, xa3, lam3 + h * x4_bar, n, acc, scratch)
+        x2_bar = _stage_vjp(net, xa2, lam3 + (h / 2.0) * x3_bar, n, acc, scratch)
+        x1_bar = _stage_vjp(net, xa1, lam6 + (h / 2.0) * x2_bar, n, acc, scratch)
         lam = lam + x4_bar + x3_bar + x2_bar + x1_bar
     return lane_loss, flatten_params(acc), diverged
 

@@ -161,6 +161,7 @@ RULE_OWNERS = {
     "1e-300": "train._norm_pullback",  # the cotangent of a residual norm
     "x_true is None": "data._check_truth",  # the stored-truth check
     "dx_true is None": "data._check_truth",
+    "np.matmul(xa, net.w_in": "netmodel._hidden",  # the energy net's first layer
 }
 
 

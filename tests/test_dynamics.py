@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +85,14 @@ class TestSystemSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SystemSpec(**kwargs)
+
+    @pytest.mark.parametrize("constructor", [duffing_system, coupled_system])
+    def test_constructors_take_cubic_from_the_spec(self, constructor):
+        # the spring law's default is stated once, on SystemSpec
+        args = ast.parse(inspect.getsource(constructor)).body[0].args
+        defaults = dict(zip([a.arg for a in args.args][-len(args.defaults):], args.defaults))
+        assert ast.unparse(defaults["cubic"]) == "SystemSpec.cubic"
+        assert constructor().cubic is SystemSpec.cubic
 
 
 class TestStructureMatrices:

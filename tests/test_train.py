@@ -602,8 +602,17 @@ class TestFit:
         result = fit_at(1, "oe-hnn", ds, cfg)
         assert len(result.history) == 4
         assert len(made) == 1
-        assert [a.shape for a in made[0]] == [(10, 4, 12, 3), (10, 4, 12, 6), (2, 12, 6)]
+        assert [a.shape for a in made[0]] == [(10, 4, 12, 3), (3, 12, 6)]
         assert len(handed) == 4 and all(record is made[0] for record in handed)
+
+    def test_stage_record_keeps_no_tanh(self):
+        # the standard chunk-50 lanes: 150 lanes of 50 steps, 2 states, width
+        # 200; the reverse sweep recomputes each stage's tanh, so no array
+        # has both a steps axis and an n_hidden axis
+        T, B, d, H = 50, 150, 2, 200
+        record = oehnn.train._stage_record(T, B, d, H)
+        assert not any(a.shape[0] == T and H in a.shape[1:] for a in record)
+        assert sum(a.nbytes for a in record) == 8 * (4 * T * B * (d + 1) + 3 * B * H)
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("kind, chunk", [("oe-hnn", 10), ("hnn", None), ("mlp", None)])
@@ -1264,10 +1273,9 @@ class TestEnergyKernel:
         rng = np.random.default_rng(71)
         net = random_hnet(rng, n_hidden=7)
         x, v = frozen(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
-        (th,) = frozen(np.tanh(x @ net.w1.T + net.b1))
         (xa,) = frozen(_with_ones(x))
         accs = [zero_grad(net) for _ in range(2)]
-        pulls = [oehnn.train._stage_vjp(net, xa, th, v, 1, acc, np.empty((2, 5, 7)))
+        pulls = [oehnn.train._stage_vjp(net, xa, v, 1, acc, np.empty((3, 5, 7)))
                  for acc in accs]
         assert np.array_equal(pulls[0], pulls[1])
         assert np.array_equal(flatten_params(accs[0]), flatten_params(accs[1]))
@@ -1404,12 +1412,12 @@ class TestEnergyKernel:
 class TestFoldedKernel:
     """The kernel's folded GEMMs, rows [x, 1] against [w1.T; b1] and w1 with
     J folded in, give the bits of the closed form followed by J at the shapes
-    the package runs: 2 and 4 states at 1, 5, 15, 135 and 7500 rows, plain
-    and stacked, and at the derivative batch's 306 and 327 rows, plain. The
-    VJP's GEMM p.T @ [x, 1] gives the bits of p.T @ x and of p's column sums
-    at 1, 5, 15, 135, 306 and 327 rows."""
+    the package runs: 2 and 4 states at 1, 5, 15, 135, 150 and 7500 rows,
+    plain and stacked, and at the derivative batch's 306 and 327 rows, plain.
+    The VJP's GEMM p.T @ [x, 1] gives the bits of p.T @ x and of p's column
+    sums at 1, 5, 15, 135, 150, 306 and 327 rows."""
 
-    @pytest.mark.parametrize("B", [1, 5, 15, 135, 306, 327, 7500])
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 150, 306, 327, 7500])
     @pytest.mark.parametrize("system", ["duffing", "coupled"])
     def test_plain(self, system, B):
         spec = SPEC if system == "duffing" else coupled_system()
@@ -1424,7 +1432,7 @@ class TestFoldedKernel:
         # the learned field of `evaluate` and `simulate`
         assert_same_bits(oe_hnn_field(net, S_sys, x, u), j_ref + u @ S_sys.G.T)
 
-    @pytest.mark.parametrize("B", [1, 5, 15, 135, 7500])
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 150, 7500])
     @pytest.mark.parametrize("d", [2, 4])
     def test_stacked(self, d, B):
         K = 8
@@ -1439,7 +1447,7 @@ class TestFoldedKernel:
             member = with_params(template, thetas[k])
             assert_same_bits(out[k], _j_apply(reference_h_grad_x(member, x[k]), d // 2))
 
-    @pytest.mark.parametrize("B", [1, 5, 15, 135, 306, 327])
+    @pytest.mark.parametrize("B", [1, 5, 15, 135, 150, 306, 327])
     @pytest.mark.parametrize("d", [2, 4])
     def test_vjp(self, d, B):
         rng = np.random.default_rng(300 + B + d)
